@@ -18,28 +18,48 @@
 //! rest as `\u00XX`). Non-finite numbers have no JSON encoding and are
 //! written as `null`; the parser consequently never produces a NaN or
 //! infinity, which keeps round-trips total.
+//!
+//! **Cost contract.** Parsing and writing are linear in the size of the
+//! input: strings are scanned and copied in runs of plain bytes, numbers
+//! are formatted in place, and a canonical object is written without a
+//! per-object map. Request bodies reach [`parse`] at most once per
+//! request (the server memoises the decoded body), so a body at the
+//! 1 MiB HTTP cap costs milliseconds, never seconds, on an event-loop
+//! shard.
 
-use std::collections::BTreeMap;
-use std::fmt;
+use std::fmt::{self, Write as _};
 
 /// Appends a JSON string literal (with escaping) to `out`.
+///
+/// Every byte that needs escaping is ASCII, and no byte of a multi-byte
+/// UTF-8 sequence is, so the scan works on bytes and copies each run of
+/// unescaped characters with one `push_str`.
 pub fn push_json_str(out: &mut String, s: &str) {
+    const HEX: &[u8; 16] = b"0123456789abcdef";
+    out.reserve(s.len() + 2);
     out.push('"');
-    for c in s.chars() {
-        match c {
-            '"' => out.push_str("\\\""),
-            '\\' => out.push_str("\\\\"),
-            '\n' => out.push_str("\\n"),
-            '\r' => out.push_str("\\r"),
-            '\t' => out.push_str("\\t"),
-            '\u{8}' => out.push_str("\\b"),
-            '\u{c}' => out.push_str("\\f"),
-            c if (c as u32) < 0x20 => {
-                out.push_str(&format!("\\u{:04x}", c as u32));
-            }
-            c => out.push(c),
+    let mut run = 0;
+    for (i, &b) in s.as_bytes().iter().enumerate() {
+        let escape = match b {
+            b'"' => "\\\"",
+            b'\\' => "\\\\",
+            b'\n' => "\\n",
+            b'\r' => "\\r",
+            b'\t' => "\\t",
+            0x08 => "\\b",
+            0x0c => "\\f",
+            0x00..=0x1f => "\\u00",
+            _ => continue,
+        };
+        out.push_str(&s[run..i]);
+        out.push_str(escape);
+        if escape == "\\u00" {
+            out.push(HEX[usize::from(b >> 4)] as char);
+            out.push(HEX[usize::from(b & 0xf)] as char);
         }
+        run = i + 1;
     }
+    out.push_str(&s[run..]);
     out.push('"');
 }
 
@@ -48,7 +68,8 @@ pub fn push_json_str(out: &mut String, s: &str) {
 /// JSON encoding and are emitted as `null`.
 pub fn push_json_f64(out: &mut String, v: f64) {
     if v.is_finite() {
-        out.push_str(&format!("{v:e}"));
+        // Writing into a `String` cannot fail.
+        let _ = write!(out, "{v:e}");
     } else {
         out.push_str("null");
     }
@@ -61,7 +82,7 @@ pub fn push_json_num(out: &mut String, v: f64) {
     // 2^53: above this, f64 no longer represents every integer, so the
     // integer rendering would suggest more precision than the value has.
     if v.is_finite() && v == v.trunc() && v.abs() <= 9.007_199_254_740_992e15 {
-        out.push_str(&format!("{}", v as i64));
+        let _ = write!(out, "{}", v as i64);
     } else {
         push_json_f64(out, v);
     }
@@ -185,29 +206,39 @@ impl Json {
             }
             Json::Object(members) => {
                 out.push('{');
-                if canonical {
-                    let sorted: BTreeMap<&str, &Json> =
-                        members.iter().map(|(k, v)| (k.as_str(), v)).collect();
-                    for (i, (k, v)) in sorted.iter().enumerate() {
-                        if i > 0 {
-                            out.push(',');
-                        }
-                        push_json_str(out, k);
-                        out.push(':');
-                        v.write(out, canonical);
-                    }
+                if !canonical || members.windows(2).all(|w| w[0].0 < w[1].0) {
+                    // Document order, or already strictly sorted (as
+                    // `FleetEntry::to_json` emits): write in place.
+                    Self::write_members(out, members.iter(), canonical);
                 } else {
-                    for (i, (k, v)) in members.iter().enumerate() {
-                        if i > 0 {
-                            out.push(',');
-                        }
-                        push_json_str(out, k);
-                        out.push(':');
-                        v.write(out, canonical);
-                    }
+                    // A stable sort keeps duplicates in document order;
+                    // the last of each run wins, as a map insert would.
+                    let mut sorted: Vec<&(String, Json)> = members.iter().collect();
+                    sorted.sort_by(|a, b| a.0.cmp(&b.0));
+                    let last_of_each_key = sorted
+                        .iter()
+                        .enumerate()
+                        .filter(|&(i, m)| sorted.get(i + 1).map_or(true, |next| next.0 != m.0))
+                        .map(|(_, &m)| m);
+                    Self::write_members(out, last_of_each_key, canonical);
                 }
                 out.push('}');
             }
+        }
+    }
+
+    fn write_members<'m>(
+        out: &mut String,
+        members: impl Iterator<Item = &'m (String, Json)>,
+        canonical: bool,
+    ) {
+        for (i, (k, v)) in members.enumerate() {
+            if i > 0 {
+                out.push(',');
+            }
+            push_json_str(out, k);
+            out.push(':');
+            v.write(out, canonical);
         }
     }
 }
@@ -246,25 +277,39 @@ const MAX_DEPTH: usize = 64;
 
 /// Parses a complete JSON document (one value plus optional whitespace).
 pub fn parse(input: &str) -> Result<Json, JsonError> {
-    let mut p = Parser {
-        bytes: input.as_bytes(),
-        pos: 0,
-    };
-    p.skip_ws();
-    let value = p.value(0)?;
-    p.skip_ws();
-    if p.pos != p.bytes.len() {
-        return Err(p.error("trailing characters after the JSON value"));
-    }
-    Ok(value)
+    Parser::new(input).document()
 }
 
 struct Parser<'a> {
+    text: &'a str,
     bytes: &'a [u8],
     pos: usize,
+    /// Test builds can route strings through the char-at-a-time oracle.
+    #[cfg(test)]
+    char_at_a_time: bool,
 }
 
 impl<'a> Parser<'a> {
+    fn new(text: &'a str) -> Self {
+        Parser {
+            text,
+            bytes: text.as_bytes(),
+            pos: 0,
+            #[cfg(test)]
+            char_at_a_time: false,
+        }
+    }
+
+    fn document(&mut self) -> Result<Json, JsonError> {
+        self.skip_ws();
+        let value = self.value(0)?;
+        self.skip_ws();
+        if self.pos != self.bytes.len() {
+            return Err(self.error("trailing characters after the JSON value"));
+        }
+        Ok(value)
+    }
+
     fn error(&self, message: impl Into<String>) -> JsonError {
         JsonError {
             offset: self.pos,
@@ -369,6 +414,41 @@ impl<'a> Parser<'a> {
     }
 
     fn string(&mut self) -> Result<String, JsonError> {
+        #[cfg(test)]
+        if self.char_at_a_time {
+            return self.string_char_at_a_time();
+        }
+        self.expect(b'"')?;
+        let mut out = String::new();
+        loop {
+            // Copy the run of plain bytes up to the next quote, backslash
+            // or control byte. Each of those is ASCII, so both ends of
+            // the run are UTF-8 boundaries of the (valid) input.
+            let run = self.bytes[self.pos..]
+                .iter()
+                .position(|&b| b == b'"' || b == b'\\' || b < 0x20)
+                .unwrap_or(self.bytes.len() - self.pos);
+            out.push_str(&self.text[self.pos..self.pos + run]);
+            self.pos += run;
+            match self.peek() {
+                None => return Err(self.error("unterminated string")),
+                Some(b'"') => {
+                    self.pos += 1;
+                    return Ok(out);
+                }
+                Some(b'\\') => {
+                    self.pos += 1;
+                    out.push(self.escape()?);
+                }
+                Some(_) => return Err(self.error("raw control character in string")),
+            }
+        }
+    }
+
+    /// The original scanner, one scalar per step: the differential
+    /// oracle for [`Parser::string`].
+    #[cfg(test)]
+    fn string_char_at_a_time(&mut self) -> Result<String, JsonError> {
         self.expect(b'"')?;
         let mut out = String::new();
         loop {
@@ -386,8 +466,6 @@ impl<'a> Parser<'a> {
                     return Err(self.error("raw control character in string"));
                 }
                 Some(_) => {
-                    // Advance one full UTF-8 scalar (the input is &str,
-                    // so boundaries are guaranteed valid).
                     let rest = &self.bytes[self.pos..];
                     let s = std::str::from_utf8(rest).map_err(|_| {
                         self.error("invalid UTF-8 in string")
@@ -483,8 +561,7 @@ impl<'a> Parser<'a> {
             }
             self.digits()?;
         }
-        let text = std::str::from_utf8(&self.bytes[start..self.pos])
-            .expect("number bytes are ASCII");
+        let text = &self.text[start..self.pos];
         let v: f64 = text
             .parse()
             .map_err(|_| self.error(format!("unparseable number `{text}`")))?;
@@ -541,6 +618,7 @@ pub fn parse_jsonl(input: &str) -> Result<Vec<Json>, JsonError> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use std::time::{Duration, Instant};
 
     /// Adversarial documents for the JSONL round-trip: embedded
     /// newlines and carriage returns in strings (both as keys and as
@@ -730,5 +808,314 @@ mod tests {
         assert_eq!(doc.get("s").and_then(Json::as_str), Some("x"));
         assert_eq!(doc.get("missing"), None);
         assert_eq!(Json::Null.get("x"), None);
+    }
+
+    #[test]
+    fn duplicate_keys_get_finds_the_first_and_canonical_keeps_the_last() {
+        let doc = parse(r#"{"b":1,"a":2,"b":3}"#).unwrap();
+        assert_eq!(doc.get("b").and_then(Json::as_f64), Some(1.0));
+        assert_eq!(doc.to_canonical_string(), r#"{"a":2,"b":3}"#);
+        assert_eq!(doc.to_string(), r#"{"b":1e0,"a":2e0,"b":3e0}"#);
+        // Adjacent duplicates are sorted but not strictly: still deduped.
+        let doc = parse(r#"{"a":1,"a":2}"#).unwrap();
+        assert_eq!(doc.get("a").and_then(Json::as_f64), Some(1.0));
+        assert_eq!(doc.to_canonical_string(), r#"{"a":2}"#);
+    }
+
+    #[test]
+    fn one_mebibyte_strings_parse_and_write_in_linear_time() {
+        // A scanner that re-validates the rest of the input for each
+        // character takes about 20 s for one string at the 1 MiB cap.
+        let len = 1 << 20;
+        let plain = "x".repeat(len);
+        let mixed: String = "ab\u{e9}\u{20ac}\"\\\n\u{1}\u{1f600}"
+            .chars()
+            .cycle()
+            .take(len / 2)
+            .collect();
+        for payload in [plain, mixed] {
+            let mut body = String::from("{\"devices\":");
+            let started = Instant::now();
+            push_json_str(&mut body, &payload);
+            body.push('}');
+            let doc = parse(&body).expect("the body is valid JSON");
+            let elapsed = started.elapsed();
+            assert_eq!(
+                doc.get("devices").and_then(Json::as_str),
+                Some(payload.as_str())
+            );
+            assert!(
+                elapsed < Duration::from_secs(2),
+                "a {} B body took {elapsed:?}",
+                body.len()
+            );
+        }
+    }
+
+    /// The reference writer: char-at-a-time escaping, `format!` numbers
+    /// and a `BTreeMap` per canonical object. The in-place writer must
+    /// match it byte for byte.
+    mod writer_oracle {
+        use super::Json;
+        use std::collections::BTreeMap;
+
+        fn push_str(out: &mut String, s: &str) {
+            out.push('"');
+            for c in s.chars() {
+                match c {
+                    '"' => out.push_str("\\\""),
+                    '\\' => out.push_str("\\\\"),
+                    '\n' => out.push_str("\\n"),
+                    '\r' => out.push_str("\\r"),
+                    '\t' => out.push_str("\\t"),
+                    '\u{8}' => out.push_str("\\b"),
+                    '\u{c}' => out.push_str("\\f"),
+                    c if (c as u32) < 0x20 => {
+                        out.push_str(&format!("\\u{:04x}", c as u32));
+                    }
+                    c => out.push(c),
+                }
+            }
+            out.push('"');
+        }
+
+        fn push_f64(out: &mut String, v: f64) {
+            if v.is_finite() {
+                out.push_str(&format!("{v:e}"));
+            } else {
+                out.push_str("null");
+            }
+        }
+
+        fn push_num(out: &mut String, v: f64) {
+            if v.is_finite() && v == v.trunc() && v.abs() <= 9.007_199_254_740_992e15 {
+                out.push_str(&format!("{}", v as i64));
+            } else {
+                push_f64(out, v);
+            }
+        }
+
+        pub fn write(json: &Json, out: &mut String, canonical: bool) {
+            let member = |out: &mut String, i: usize, k: &str, v: &Json| {
+                if i > 0 {
+                    out.push(',');
+                }
+                push_str(out, k);
+                out.push(':');
+                write(v, out, canonical);
+            };
+            match json {
+                Json::Null => out.push_str("null"),
+                Json::Bool(b) => out.push_str(if *b { "true" } else { "false" }),
+                Json::Num(v) if canonical => push_num(out, *v),
+                Json::Num(v) => push_f64(out, *v),
+                Json::Str(s) => push_str(out, s),
+                Json::Array(items) => {
+                    out.push('[');
+                    for (i, item) in items.iter().enumerate() {
+                        if i > 0 {
+                            out.push(',');
+                        }
+                        write(item, out, canonical);
+                    }
+                    out.push(']');
+                }
+                Json::Object(members) => {
+                    out.push('{');
+                    if canonical {
+                        let sorted: BTreeMap<&str, &Json> =
+                            members.iter().map(|(k, v)| (k.as_str(), v)).collect();
+                        for (i, (k, v)) in sorted.into_iter().enumerate() {
+                            member(out, i, k, v);
+                        }
+                    } else {
+                        for (i, (k, v)) in members.iter().enumerate() {
+                            member(out, i, k, v);
+                        }
+                    }
+                    out.push('}');
+                }
+            }
+        }
+
+        pub fn text(json: &Json, canonical: bool) -> String {
+            let mut out = String::new();
+            write(json, &mut out, canonical);
+            out
+        }
+    }
+
+    fn parse_char_at_a_time(input: &str) -> Result<Json, JsonError> {
+        let mut p = Parser::new(input);
+        p.char_at_a_time = true;
+        p.document()
+    }
+
+    /// Both scanners must agree exactly: the same value, or the same
+    /// error offset and message.
+    fn assert_parsers_agree(input: &str) {
+        assert_eq!(
+            parse(input),
+            parse_char_at_a_time(input),
+            "parsers disagree on {input:?}"
+        );
+    }
+
+    /// Both writers must emit the same bytes, canonical and not.
+    fn assert_writers_agree(doc: &Json) {
+        assert_eq!(
+            doc.to_canonical_string(),
+            writer_oracle::text(doc, true),
+            "{doc:?}"
+        );
+        assert_eq!(doc.to_string(), writer_oracle::text(doc, false), "{doc:?}");
+    }
+
+    /// String fragments that exercise every branch of both scanners and
+    /// writers: multi-byte UTF-8, quotes, backslashes, every escape
+    /// form, raw controls and the byte ranges around them.
+    const PIECES: [&str; 22] = [
+        "a", "Z", "0", " ", "id", "device", "\"", "\\", "/", "\n", "\r", "\t", "\u{8}", "\u{c}",
+        "\u{0}", "\u{1f}", "\u{7f}", "\u{e9}", "\u{20ac}", "\u{2028}", "\u{85}", "😀",
+    ];
+
+    fn gen_string(rng: &mut tn_rng::Rng) -> String {
+        let len = rng.gen_range(0..6usize);
+        (0..len)
+            .map(|_| PIECES[rng.gen_range(0..PIECES.len())])
+            .collect()
+    }
+
+    fn gen_num(rng: &mut tn_rng::Rng) -> f64 {
+        match rng.gen_range(0..8u32) {
+            0 => rng.gen_range(-1000..1000i64) as f64,
+            1 => -0.0,
+            2 => rng.gen_f64() * 1e6 - 5e5,
+            3 => 1e300 * rng.gen_f64(),
+            4 => 5e-324,
+            5 => 9.007_199_254_740_992e15 + 2.0 * rng.gen_range(0..3u32) as f64,
+            6 => [f64::INFINITY, f64::NEG_INFINITY, f64::NAN][rng.gen_range(0..3usize)],
+            _ => (rng.gen_f64() * 1e3).round() / 1e3,
+        }
+    }
+
+    /// A random document. Object keys come mostly from a small pool, so
+    /// members arrive unsorted and with duplicates.
+    fn gen_value(rng: &mut tn_rng::Rng, depth: u32) -> Json {
+        let kinds = if depth >= 3 { 4 } else { 6 };
+        match rng.gen_range(0..kinds) {
+            0 => Json::Null,
+            1 => Json::Bool(rng.gen_bool(0.5)),
+            2 => Json::Num(gen_num(rng)),
+            3 => Json::Str(gen_string(rng)),
+            4 => Json::Array(
+                (0..rng.gen_range(0..5usize))
+                    .map(|_| gen_value(rng, depth + 1))
+                    .collect(),
+            ),
+            _ => Json::Object(
+                (0..rng.gen_range(0..6usize))
+                    .map(|_| {
+                        let key = if rng.gen_bool(0.7) {
+                            PIECES[rng.gen_range(0..6usize)].to_string()
+                        } else {
+                            gen_string(rng)
+                        };
+                        (key, gen_value(rng, depth + 1))
+                    })
+                    .collect(),
+            ),
+        }
+    }
+
+    /// Replaces, inserts or deletes a few characters, or truncates.
+    fn mutate(rng: &mut tn_rng::Rng, text: &str) -> String {
+        const MUTANTS: [char; 27] = [
+            '"', '\\', 'u', 'd', '8', 'D', 'c', '0', '{', '}', '[', ']', ',', ':', '\n', '\u{0}',
+            '\u{1}', '\u{1f}', '\u{7f}', '\u{e9}', '😀', '-', 'e', '.', ' ', 'n', 't',
+        ];
+        let mut chars: Vec<char> = text.chars().collect();
+        for _ in 0..rng.gen_range(1..4u32) {
+            let at = rng.gen_range(0..chars.len() + 1);
+            let c = MUTANTS[rng.gen_range(0..MUTANTS.len())];
+            match rng.gen_range(0..4u32) {
+                0 if at < chars.len() => chars[at] = c,
+                1 => chars.insert(at, c),
+                2 if at < chars.len() => {
+                    chars.remove(at);
+                }
+                _ => chars.truncate(at),
+            }
+        }
+        chars.into_iter().collect()
+    }
+
+    #[test]
+    fn scanner_matches_the_char_at_a_time_oracle_on_edge_cases() {
+        for case in [
+            "\"plain\"",
+            "\"\u{e9}\u{20ac}\u{1f600}\"",
+            "\"a\\u00e9b\\u20AC\"",
+            "\"\\ud83d\\ude00\"",
+            "\"\\ud83d\"",
+            "\"\\ud83dx\"",
+            "\"\\ud83d\\u0041\"",
+            "\"\\udc00\"",
+            "\"\\u12\"",
+            "\"\\u12g4\"",
+            "\"\\x\"",
+            "\"\\\u{e9}\"",
+            "\"\\\"\\\\\\/\\b\\f\\n\\r\\t\"",
+            "\"",
+            "\"\\",
+            "\"abc",
+            "\"\u{e9}",
+            "\"a\u{1}b\"",
+            "\"\u{0}\"",
+            "\"\u{1f}\"",
+            "\"a\nb\"",
+            "\"\u{7f}\"",
+            "{\"k\u{0}\":1}",
+            "[\"a\",\"b",
+            "{\"\u{e9}\":\"\u{1f600}\"}",
+            "{\"a\":\"x\" \"b\"}",
+            "[\"\u{1f600}\" , \"\\u0000\"]",
+        ] {
+            assert_parsers_agree(case);
+        }
+        for doc in adversarial_docs() {
+            assert_writers_agree(&doc);
+            assert_parsers_agree(&doc.to_canonical_string());
+            assert_parsers_agree(&doc.to_string());
+        }
+    }
+
+    #[test]
+    fn scanner_and_writer_match_their_oracles_on_generated_documents() {
+        let mut rng = tn_rng::Rng::seed_from_u64(0x15_0c0de);
+        let (mut parsed, mut rejected) = (0, 0);
+        for _ in 0..1500 {
+            let doc = gen_value(&mut rng, 0);
+            assert_writers_agree(&doc);
+            for text in [doc.to_canonical_string(), doc.to_string()] {
+                assert_parsers_agree(&text);
+                for _ in 0..4 {
+                    let mutated = mutate(&mut rng, &text);
+                    assert_parsers_agree(&mutated);
+                    match parse(&mutated) {
+                        Ok(doc) => {
+                            assert_writers_agree(&doc);
+                            parsed += 1;
+                        }
+                        Err(_) => rejected += 1,
+                    }
+                }
+            }
+        }
+        // The mutations reach both outcomes often.
+        assert!(
+            parsed > 1000 && rejected > 1000,
+            "{parsed} parsed, {rejected} rejected"
+        );
     }
 }

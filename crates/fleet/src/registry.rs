@@ -148,10 +148,22 @@ impl FleetEntry {
     /// `device` are required; the other fields default to an
     /// unshielded NYC-reference deployment at AVF 1.
     pub fn from_json(doc: &Json) -> Result<Self, FleetError> {
+        Self::from_json_or_id(doc, None)
+    }
+
+    /// [`FleetEntry::from_json`] for an object that may leave out its
+    /// `id` member: it then takes `default_id` (inline fleet requests
+    /// number their entries this way). An `id` that is present but not
+    /// a string is still an error.
+    pub fn from_json_or_id(doc: &Json, default_id: Option<String>) -> Result<Self, FleetError> {
         if !matches!(doc, Json::Object(_)) {
             return Err(FleetError::BadSnapshot("entry is not an object".into()));
         }
         let str_field = |key: &str| doc.get(key).and_then(Json::as_str).map(str::to_string);
+        let id = match doc.get("id") {
+            None => default_id,
+            Some(id) => id.as_str().map(str::to_string),
+        };
         let num_field = |key: &'static str, default: f64| match doc.get(key) {
             None => Ok(default),
             Some(v) => v.as_f64().ok_or(FleetError::BadField {
@@ -160,7 +172,7 @@ impl FleetEntry {
             }),
         };
         let entry = Self {
-            id: str_field("id").ok_or(FleetError::EmptyId)?,
+            id: id.ok_or(FleetError::EmptyId)?,
             device: str_field("device")
                 .ok_or_else(|| FleetError::UnknownDevice("<missing>".into()))?,
             site: str_field("site").unwrap_or_default(),
@@ -354,6 +366,31 @@ mod tests {
             e.validate().unwrap_err(),
             FleetError::BadField { field: "b10_areal_cm2", .. }
         ));
+    }
+
+    #[test]
+    fn default_ids_fill_only_an_absent_id() {
+        let default = || Some("inline-0007".to_string());
+        let doc = |text: &str| json::parse(text).unwrap();
+        let absent = FleetEntry::from_json_or_id(&doc(r#"{"device":"NVIDIA K20"}"#), default());
+        assert_eq!(absent.unwrap().id, "inline-0007");
+        let given = doc(r#"{"device":"NVIDIA K20","id":"mine"}"#);
+        assert_eq!(
+            FleetEntry::from_json_or_id(&given, default()).unwrap().id,
+            "mine"
+        );
+        assert_eq!(
+            FleetEntry::from_json_or_id(&doc(r#"{"device":"NVIDIA K20","id":7}"#), default()),
+            Err(FleetError::EmptyId)
+        );
+        assert!(matches!(
+            FleetEntry::from_json_or_id(&Json::Num(1.0), default()),
+            Err(FleetError::BadSnapshot(_))
+        ));
+        assert_eq!(
+            FleetEntry::from_json(&doc(r#"{"device":"NVIDIA K20"}"#)),
+            Err(FleetError::EmptyId)
+        );
     }
 
     #[test]

@@ -7,7 +7,7 @@
 //! (config, seed), a cached body is byte-identical to a recomputed one.
 
 use crate::cache::ShardedCache;
-use crate::http::Response;
+use crate::http::{self, Request, Response};
 use crate::metrics::Metrics;
 use crate::singleflight::{Outcome, SingleFlight};
 use std::sync::{Arc, Mutex};
@@ -410,9 +410,7 @@ impl BadRequest {
 }
 
 fn parse_body(body: &[u8]) -> Result<Json, BadRequest> {
-    let text = std::str::from_utf8(body)
-        .map_err(|_| BadRequest::new(400, "request body is not UTF-8"))?;
-    json::parse(text).map_err(|e| BadRequest::new(400, format!("malformed JSON: {e}")))
+    http::decode_json(body).map_err(|message| BadRequest::new(400, message))
 }
 
 /// One line of the surface-cache file: `{"quick":bool,"surface":{...}}`.
@@ -1047,18 +1045,24 @@ fn assess_fleet(
 /// of) the server's fleet registry. Steady-state queries are served from
 /// the precomputed risk surface; out-of-grid configurations fall back to
 /// a direct Monte-Carlo run (`"source": "mc"` in the result).
-pub fn fleet(state: &AppState, body: &[u8]) -> Response {
-    match fleet_inner(state, body) {
+///
+/// The body is decoded once per request: a request the router already
+/// inspected (see [`fleet_surface_key`]) is not parsed again.
+pub fn fleet(state: &AppState, request: &Request) -> Response {
+    let _span = tn_obs::span("fleet.bulk");
+    let outcome = request
+        .json()
+        .map_err(|message| BadRequest::new(400, message))
+        .and_then(|doc| fleet_inner(state, doc));
+    match outcome {
         Ok(r) => r,
         Err(bad) => bad.response(),
     }
 }
 
-fn fleet_inner(state: &AppState, body: &[u8]) -> Result<Response, BadRequest> {
-    let _span = tn_obs::span("fleet.bulk");
-    let doc = parse_body(body)?;
-    let seed = optional_u64(&doc, "seed", state.seed)?;
-    let quick = optional_bool(&doc, "quick", true)?;
+fn fleet_inner(state: &AppState, doc: &Json) -> Result<Response, BadRequest> {
+    let seed = optional_u64(doc, "seed", state.seed)?;
+    let quick = optional_bool(doc, "quick", true)?;
 
     // Inline mode carries the entries in the request; registry mode
     // snapshots (a subset of) the server fleet, with the registry
@@ -1081,15 +1085,8 @@ fn fleet_inner(state: &AppState, body: &[u8]) -> Result<Response, BadRequest> {
             let mut entries = Vec::with_capacity(array.len());
             for (i, item) in array.iter().enumerate() {
                 // Inline entries get a positional id when none is given.
-                let with_id = match item {
-                    Json::Object(fields) if item.get("id").is_none() => {
-                        let mut fields = fields.clone();
-                        fields.push(("id".into(), Json::Str(format!("inline-{i:04}"))));
-                        Json::Object(fields)
-                    }
-                    other => other.clone(),
-                };
-                let entry = FleetEntry::from_json(&with_id).map_err(|e| {
+                let default_id = format!("inline-{i:04}");
+                let entry = FleetEntry::from_json_or_id(item, Some(default_id)).map_err(|e| {
                     let bad = BadRequest::from(e);
                     BadRequest::new(bad.status, format!("devices[{i}]: {}", bad.message))
                 })?;
@@ -1219,17 +1216,14 @@ fn stream_params(default_seed: u64, path: &str) -> Result<(u64, bool), BadReques
 /// or `None` when the request is malformed (those fail fast without a
 /// surface build, so they never need the worker pool). Used by the
 /// event loop to decide inline-vs-offload before dispatching.
-pub fn fleet_surface_key(
-    state: &AppState,
-    request: &crate::http::Request,
-) -> Option<(u64, bool)> {
+pub fn fleet_surface_key(state: &AppState, request: &Request) -> Option<(u64, bool)> {
     let path = request.path.split(['?', '#']).next().unwrap_or("");
     if path == "/v1/fleet/stream" {
         return stream_params(state.seed, &request.path).ok();
     }
-    let doc = parse_body(&request.body).ok()?;
-    let seed = optional_u64(&doc, "seed", state.seed).ok()?;
-    let quick = optional_bool(&doc, "quick", true).ok()?;
+    let doc = request.json().ok()?;
+    let seed = optional_u64(doc, "seed", state.seed).ok()?;
+    let quick = optional_bool(doc, "quick", true).ok()?;
     Some((seed, quick))
 }
 
@@ -1680,6 +1674,11 @@ mod tests {
         AppState::new(2020, 64, 2)
     }
 
+    /// A bulk fleet request carrying `body`, as the router hands it over.
+    fn fleet_post(body: &[u8]) -> Request {
+        Request::new("POST", "/v1/fleet", body.to_vec(), true)
+    }
+
     #[test]
     fn healthz_is_static_json() {
         let r = healthz();
@@ -1844,7 +1843,7 @@ mod tests {
         let before = tn_core::transport::stats::histories_total();
         let r = fleet(
             &s,
-            br#"{"devices":[{"device":"NVIDIA K20","altitude_m":1609,"b10_areal_cm2":1e19,"avf":0.5}],"seed":3}"#,
+            &fleet_post(br#"{"devices":[{"device":"NVIDIA K20","altitude_m":1609,"b10_areal_cm2":1e19,"avf":0.5}],"seed":3}"#),
         );
         assert_eq!(r.status, 200, "{}", r.body_text());
         let doc = json::parse(&r.body_text()).unwrap();
@@ -1866,37 +1865,88 @@ mod tests {
         assert!(after_build > before, "surface build runs the kernel once");
         let again = fleet(
             &s,
-            br#"{"seed":3,"devices":[{"avf":0.5,"device":"NVIDIA K20","altitude_m":1609,"b10_areal_cm2":1e19}]}"#,
+            &fleet_post(br#"{"seed":3,"devices":[{"avf":0.5,"device":"NVIDIA K20","altitude_m":1609,"b10_areal_cm2":1e19}]}"#),
         );
         assert_eq!(again.body_text(), r.body_text());
         assert_eq!(tn_core::transport::stats::histories_total(), after_build);
     }
 
     #[test]
+    fn inline_ids_default_by_position_and_share_cache_keys() {
+        let s = state();
+        let r = fleet(
+            &s,
+            &fleet_post(
+                br#"{"devices":[{"device":"NVIDIA K20","id":"mine"},{"device":"NVIDIA K20"}]}"#,
+            ),
+        );
+        assert_eq!(r.status, 200, "{}", r.body_text());
+        let doc = json::parse(&r.body_text()).unwrap();
+        let ids: Vec<&str> = doc
+            .get("results")
+            .and_then(Json::as_array)
+            .unwrap()
+            .iter()
+            .filter_map(|e| e.get("id").and_then(Json::as_str))
+            .collect();
+        assert_eq!(ids, ["mine", "inline-0001"]);
+        // Spelling the default id out gives the same entry, so the same
+        // cache key and a hit.
+        let spelled = fleet(
+            &s,
+            &fleet_post(br#"{"devices":[{"id":"mine","device":"NVIDIA K20"},{"id":"inline-0001","device":"NVIDIA K20"}]}"#),
+        );
+        assert_eq!(spelled.body_text(), r.body_text());
+        assert!(s.metrics.render().contains("tn_cache_hits_total 1"));
+        // A present id must be a string; it is never replaced.
+        let numeric = fleet(
+            &s,
+            &fleet_post(br#"{"devices":[{"device":"NVIDIA K20","id":7}]}"#),
+        );
+        assert_eq!(numeric.status, 400, "{}", numeric.body_text());
+        assert!(
+            numeric.body_text().contains("devices[0]"),
+            "{}",
+            numeric.body_text()
+        );
+        let scalar = fleet(&s, &fleet_post(br#"{"devices":[3]}"#));
+        assert_eq!(scalar.status, 400, "{}", scalar.body_text());
+    }
+
+    #[test]
     fn fleet_validates_entries() {
         let s = state();
-        assert_eq!(fleet(&s, b"{oops").status, 400);
-        assert_eq!(fleet(&s, br#"{"devices":[]}"#).status, 400);
-        assert_eq!(fleet(&s, br#"{"devices":"NVIDIA K20"}"#).status, 400);
-        let unknown = fleet(&s, br#"{"devices":[{"device":"PDP-11"}]}"#);
+        assert_eq!(fleet(&s, &fleet_post(b"{oops")).status, 400);
+        assert_eq!(fleet(&s, &fleet_post(br#"{"devices":[]}"#)).status, 400);
+        assert_eq!(
+            fleet(&s, &fleet_post(br#"{"devices":"NVIDIA K20"}"#)).status,
+            400
+        );
+        let unknown = fleet(&s, &fleet_post(br#"{"devices":[{"device":"PDP-11"}]}"#));
         assert_eq!(unknown.status, 404);
         assert!(unknown.body_text().contains("devices[0]"), "{}", unknown.body_text());
-        let bad_avf = fleet(&s, br#"{"devices":[{"device":"NVIDIA K20","avf":2}]}"#);
+        let bad_avf = fleet(
+            &s,
+            &fleet_post(br#"{"devices":[{"device":"NVIDIA K20","avf":2}]}"#),
+        );
         assert_eq!(bad_avf.status, 400);
-        assert_eq!(fleet(&s, br#"{"ids":["no-such-node"]}"#).status, 404);
-        assert_eq!(fleet(&s, br#"{"ids":[]}"#).status, 400);
+        assert_eq!(
+            fleet(&s, &fleet_post(br#"{"ids":["no-such-node"]}"#)).status,
+            404
+        );
+        assert_eq!(fleet(&s, &fleet_post(br#"{"ids":[]}"#)).status, 400);
     }
 
     #[test]
     fn fleet_registry_mode_keys_cache_by_generation() {
         let s = state();
-        let a = fleet(&s, br#"{"quick":true}"#);
+        let a = fleet(&s, &fleet_post(br#"{"quick":true}"#));
         assert_eq!(a.status, 200, "{}", a.body_text());
         let doc = json::parse(&a.body_text()).unwrap();
         assert_eq!(doc.get("count").and_then(Json::as_f64), Some(24.0));
         assert_eq!(doc.get("generation").and_then(Json::as_f64), Some(0.0));
         // Identical repeat: served from cache.
-        let b = fleet(&s, br#"{"quick":true}"#);
+        let b = fleet(&s, &fleet_post(br#"{"quick":true}"#));
         assert_eq!(a.body_text(), b.body_text());
         assert!(s.metrics.render().contains("tn_cache_hits_total 1"));
         // A mutation bumps the generation, so the same request misses.
@@ -1905,7 +1955,7 @@ mod tests {
             entry.avf = 0.9;
             fleet.upsert(entry).unwrap();
         });
-        let c = fleet(&s, br#"{"quick":true}"#);
+        let c = fleet(&s, &fleet_post(br#"{"quick":true}"#));
         assert_eq!(c.status, 200);
         let doc = json::parse(&c.body_text()).unwrap();
         assert_eq!(doc.get("generation").and_then(Json::as_f64), Some(1.0));

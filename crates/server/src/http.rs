@@ -11,7 +11,9 @@
 
 use std::io::{Read, Write};
 use std::net::TcpStream;
+use std::sync::OnceLock;
 use std::time::Duration;
+use tn_core::json::{self, Json};
 
 /// Maximum bytes of request line + headers.
 pub const MAX_HEADER_BYTES: usize = 8 * 1024;
@@ -21,6 +23,9 @@ pub const MAX_BODY_BYTES: usize = 1024 * 1024;
 pub const IO_TIMEOUT: Duration = Duration::from_secs(10);
 
 /// A parsed request: method, path, raw body and connection disposition.
+///
+/// The body is read-only, so the JSON the server decodes from it (once
+/// per request) can never go stale.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct Request {
     /// Uppercase HTTP method, e.g. `GET`.
@@ -28,13 +33,69 @@ pub struct Request {
     /// Request target path (query strings are not used by this API and
     /// are kept attached).
     pub path: String,
-    /// Raw request body (empty when no `Content-Length` was sent).
-    pub body: Vec<u8>,
+    body: Vec<u8>,
     /// Whether the client asked to keep the connection open after this
     /// request (RFC 7230 §6.3: HTTP/1.1 defaults to keep-alive unless a
     /// `Connection: close` token is present; HTTP/1.0 defaults to close
     /// unless `Connection: keep-alive` is present).
     pub keep_alive: bool,
+    decoded: DecodedBody,
+}
+
+/// The body's [`decode_json`] result, computed on first use. It caches a
+/// function of the body, so every memo compares equal to every other.
+#[derive(Debug, Clone, Default)]
+struct DecodedBody(OnceLock<Result<Json, String>>);
+
+impl PartialEq for DecodedBody {
+    fn eq(&self, _: &Self) -> bool {
+        true
+    }
+}
+
+impl Eq for DecodedBody {}
+
+impl Request {
+    /// A request whose body has not been decoded yet.
+    pub(crate) fn new(method: &str, path: &str, body: Vec<u8>, keep_alive: bool) -> Self {
+        Self {
+            method: method.to_string(),
+            path: path.to_string(),
+            body,
+            keep_alive,
+            decoded: DecodedBody::default(),
+        }
+    }
+
+    /// Raw request body (empty when no `Content-Length` was sent).
+    pub fn body(&self) -> &[u8] {
+        &self.body
+    }
+
+    /// The body as a JSON document, or the message of the 400 it earns.
+    ///
+    /// The body is decoded on the first call only, so the router's
+    /// offload check and the handler share one parse.
+    pub(crate) fn json(&self) -> Result<&Json, &str> {
+        self.decoded
+            .0
+            .get_or_init(|| decode_json(&self.body))
+            .as_ref()
+            .map_err(String::as_str)
+    }
+
+    /// Whether [`Request::json`] has decoded the body yet.
+    #[cfg(test)]
+    pub(crate) fn is_decoded(&self) -> bool {
+        self.decoded.0.get().is_some()
+    }
+}
+
+/// Decodes a request body that must be one UTF-8 JSON document. The
+/// error is the message a 400 response carries.
+pub(crate) fn decode_json(body: &[u8]) -> Result<Json, String> {
+    let text = std::str::from_utf8(body).map_err(|_| "request body is not UTF-8".to_string())?;
+    json::parse(text).map_err(|e| format!("malformed JSON: {e}"))
 }
 
 /// Why a request could not be served at the transport layer.
@@ -187,12 +248,12 @@ impl RequestParser {
             self.in_body = true;
             return Ok(None);
         }
-        let request = Request {
-            method: method.to_string(),
-            path: path.to_string(),
-            body: self.buf[body_start..total].to_vec(),
+        let request = Request::new(
+            method,
+            path,
+            self.buf[body_start..total].to_vec(),
             keep_alive,
-        };
+        );
         self.buf.drain(..total);
         self.in_body = false;
         Ok(Some(request))
@@ -401,7 +462,7 @@ impl Response {
     /// A JSON error response with the canonical `{"error": ...}` shape.
     pub fn error(status: u16, message: &str) -> Self {
         let mut body = String::from("{\"error\":");
-        tn_core::json::push_json_str(&mut body, message);
+        json::push_json_str(&mut body, message);
         body.push('}');
         Self::json(status, body)
     }
@@ -614,12 +675,12 @@ mod tests {
         let first = parser.try_next().unwrap().expect("first request");
         assert_eq!(first.method, "POST");
         assert_eq!(first.path, "/v1/fit");
-        assert_eq!(first.body, b"{\"seed\":1}");
+        assert_eq!(first.body(), b"{\"seed\":1}");
         assert!(first.keep_alive, "HTTP/1.1 defaults to keep-alive");
         let second = parser.try_next().unwrap().expect("second request");
         assert_eq!(second.method, "GET");
         assert_eq!(second.path, "/healthz");
-        assert!(second.body.is_empty());
+        assert!(second.body().is_empty());
         assert!(!second.keep_alive, "explicit close honoured");
         assert!(parser.is_empty());
         assert!(parser.try_next().unwrap().is_none());
@@ -786,7 +847,7 @@ mod tests {
         .unwrap();
         assert_eq!(req.method, "POST");
         assert_eq!(req.path, "/v1/fit");
-        assert_eq!(req.body, b"{}");
+        assert_eq!(req.body(), b"{}");
         assert!(req.keep_alive);
     }
 

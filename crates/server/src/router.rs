@@ -106,30 +106,30 @@ fn dispatch(state: &AppState, request: &Request, endpoint: Endpoint) -> Response
             _ => method_not_allowed("GET"),
         },
         Endpoint::Fit => match method {
-            "POST" => handlers::fit(state, &request.body),
+            "POST" => handlers::fit(state, request.body()),
             _ => method_not_allowed("POST"),
         },
         Endpoint::Checkpoint => match method {
-            "POST" => handlers::checkpoint(state, &request.body),
+            "POST" => handlers::checkpoint(state, request.body()),
             _ => method_not_allowed("POST"),
         },
         Endpoint::CrossSections => match method {
-            "POST" => handlers::cross_sections(state, &request.body),
+            "POST" => handlers::cross_sections(state, request.body()),
             _ => method_not_allowed("POST"),
         },
         Endpoint::Transport => match method {
-            "POST" => handlers::transport(state, &request.body),
+            "POST" => handlers::transport(state, request.body()),
             _ => method_not_allowed("POST"),
         },
         Endpoint::Fleet => match method {
-            "POST" => handlers::fleet(state, &request.body),
+            "POST" => handlers::fleet(state, request),
             _ => method_not_allowed("POST"),
         },
         Endpoint::FleetEntries => {
             let path = request.path.split(['?', '#']).next().unwrap_or("");
             let suffix = path.strip_prefix("/v1/fleet/entries").unwrap_or("");
             match (method, suffix.strip_prefix('/')) {
-                ("POST", None) => handlers::fleet_entry_upsert(state, &request.body),
+                ("POST", None) => handlers::fleet_entry_upsert(state, request.body()),
                 ("POST", Some(_)) => {
                     Response::error(400, "POST /v1/fleet/entries takes the id in the body")
                 }
@@ -151,7 +151,7 @@ fn dispatch(state: &AppState, request: &Request, endpoint: Endpoint) -> Response
             _ => method_not_allowed("GET"),
         },
         Endpoint::TimelineIngest => match method {
-            "POST" => handlers::timeline_ingest(state, &request.body),
+            "POST" => handlers::timeline_ingest(state, request.body()),
             _ => method_not_allowed("POST"),
         },
         Endpoint::Scenarios => match method {
@@ -159,7 +159,7 @@ fn dispatch(state: &AppState, request: &Request, endpoint: Endpoint) -> Response
             _ => method_not_allowed("GET"),
         },
         Endpoint::ScenarioRun => match method {
-            "POST" => handlers::scenario_run(state, &request.body),
+            "POST" => handlers::scenario_run(state, request.body()),
             _ => method_not_allowed("POST"),
         },
         Endpoint::Other => Response::error(404, &format!("no route for `{}`", request.path)),
@@ -175,12 +175,7 @@ mod tests {
     use super::*;
 
     fn req(method: &str, path: &str, body: &[u8]) -> Request {
-        Request {
-            method: method.into(),
-            path: path.into(),
-            body: body.to_vec(),
-            keep_alive: true,
-        }
+        Request::new(method, path, body.to_vec(), true)
     }
 
     #[test]
@@ -230,6 +225,38 @@ mod tests {
         assert!(text.contains("endpoint=\"other\",status=\"404\"} 1"));
         assert!(text.contains("endpoint=\"/healthz\",status=\"405\"} 1"));
         assert!(text.contains("tn_inflight_requests 0"));
+    }
+
+    #[test]
+    fn fleet_bodies_are_decoded_once_for_the_router_and_the_handler() {
+        let body = br#"{"devices":[{"device":"NVIDIA K20","avf":0.5}],"seed":3}"#;
+        let state = AppState::new(1, 8, 1);
+        let inspected = req("POST", "/v1/fleet", body);
+        assert!(!inspected.is_decoded());
+        assert!(wants_worker(&state, &inspected), "no surface yet: offload");
+        assert!(inspected.is_decoded(), "the offload check fills the memo");
+        let shared = handle(&state, &inspected);
+        // A fresh request on a fresh state decodes on its own.
+        let fresh = handle(&AppState::new(1, 8, 1), &req("POST", "/v1/fleet", body));
+        assert_eq!(shared.status, 200, "{}", shared.body_text());
+        assert_eq!(shared.content_type, fresh.content_type);
+        assert_eq!(shared.body_text(), fresh.body_text());
+
+        for bad in [
+            &b"{oops"[..],
+            b"\xff{}",
+            br#"{"devices":"NVIDIA K20"}"#,
+            b"",
+        ] {
+            let inspected = req("POST", "/v1/fleet", bad);
+            wants_worker(&state, &inspected);
+            assert!(inspected.is_decoded());
+            let shared = handle(&state, &inspected);
+            let fresh = handle(&state, &req("POST", "/v1/fleet", bad));
+            assert_eq!(shared.status, 400, "{}", shared.body_text());
+            assert_eq!(shared.status, fresh.status);
+            assert_eq!(shared.body_text(), fresh.body_text());
+        }
     }
 
     #[test]

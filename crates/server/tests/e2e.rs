@@ -1226,6 +1226,54 @@ fn saturated_pool_sheds_with_503() {
     server.stop();
 }
 
+/// One long JSON string just under the 1 MiB body cap must earn its 400
+/// in milliseconds (a string scan quadratic in its length takes about
+/// 20 s here), and the event-loop shard that decodes it must keep
+/// answering other connections meanwhile. Epoll-only: with a single shard, an inline
+/// parse is what every other connection would wait behind.
+#[cfg(target_os = "linux")]
+#[test]
+fn mebibyte_json_string_gets_a_prompt_400_without_stalling_the_shard() {
+    let server = start(IoModel::Epoll, 1);
+    let addr = server.addr();
+    let body = format!(
+        "{{\"devices\":\"{}\"}}",
+        "x".repeat(tn_server::http::MAX_BODY_BYTES - 64)
+    );
+    let request = format!(
+        "POST /v1/fleet HTTP/1.1\r\nHost: t\r\nContent-Length: {}\r\n\
+         Connection: close\r\n\r\n{body}",
+        body.len()
+    );
+    let mut big = TcpStream::connect(addr).expect("connect");
+    big.set_read_timeout(Some(Duration::from_secs(60)))
+        .expect("set timeout");
+    let started = Instant::now();
+    big.write_all(request.as_bytes())
+        .expect("write the large request");
+
+    // A probe on a second connection while the large body is decoded.
+    let probe_started = Instant::now();
+    let (status, _, health) = get(addr, "/healthz");
+    let probe = probe_started.elapsed();
+    assert_eq!(status, 200, "{health}");
+
+    let mut response = String::new();
+    big.read_to_string(&mut response).expect("read response");
+    let elapsed = started.elapsed();
+    assert!(response.starts_with("HTTP/1.1 400"), "{response}");
+    assert!(
+        response.contains("field `devices` must be an array"),
+        "{response}"
+    );
+    assert!(elapsed < Duration::from_secs(2), "the 400 took {elapsed:?}");
+    assert!(
+        probe < Duration::from_secs(2),
+        "/healthz waited {probe:?} behind the large body"
+    );
+    server.stop();
+}
+
 macro_rules! io_model_suite {
     ($model:expr) => {
         #[test]

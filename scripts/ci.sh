@@ -10,6 +10,23 @@ cargo build --offline --examples
 cargo test -q --offline --workspace
 cargo clippy --offline --workspace --all-targets -- -D warnings
 
+# ---- perfbench build + smoke ----------------------------------------------
+# The benchmark is a workspace of its own (perfbench/Cargo.toml), so the
+# workspace builds above never compile it, yet it drives the server's
+# RequestParser -> router::wants_worker -> router::handle path. Build it,
+# then run each of its three workloads for one second: every one must
+# end in a JSON line with "correct": true (its output checks; the
+# timings of so short a run are not gated).
+cargo build --release --offline --manifest-path perfbench/Cargo.toml
+if ! perf_out="$(cargo run --release --offline --quiet --manifest-path perfbench/Cargo.toml -- \
+    --workload all --seed 1 --seconds 1 --trace 0)" ||
+    [ "$(grep -c '^{"correct": true' <<<"$perf_out")" -ne 3 ]; then
+    echo "perfbench smoke FAILED: every workload must report \"correct\": true" >&2
+    echo "$perf_out" >&2
+    exit 1
+fi
+echo "perfbench smoke OK"
+
 # ---- transport bench smoke ------------------------------------------------
 # One-sample runs of the throughput bench (seconds, not minutes) with the
 # variance-reduction pass off and then on, each followed by schema
