@@ -7,7 +7,7 @@
 //!   filtered by `TN_LOG` / `--log-level`, rendered as `key=value` text on
 //!   stderr and/or as JSON Lines to a trace file (`--trace-out`). Every
 //!   JSONL record carries `ts`, `level`, `span` and `msg`.
-//! * **Hierarchical spans** ([`span`]): RAII guards forming a thread-local
+//! * **Hierarchical spans** ([`span()`]): RAII guards forming a thread-local
 //!   `parent/child` path. Closing a span records its duration into the
 //!   global [`Registry`] (`tn_span_seconds{span=...}`) and, at DEBUG and
 //!   below, emits a `span_end` event.

@@ -2,7 +2,7 @@
 //! file sink.
 //!
 //! An event is a level, a message and `key=value` fields; the current
-//! span path (see [`crate::span`]) is attached automatically. The filter
+//! span path (see [`crate::span()`]) is attached automatically. The filter
 //! defaults to `warn`, overridable by the `TN_LOG` environment variable
 //! at first use or [`set_level`] / [`set_level_str`] (CLI `--log-level`)
 //! at any time. Each JSONL record is one object per line with at least

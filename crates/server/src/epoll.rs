@@ -5,7 +5,7 @@
 //! std already links libc, so the handful of syscalls std does not
 //! expose — `epoll_create1`/`epoll_ctl`/`epoll_wait`, `pipe2`, raw
 //! socket creation for `SO_REUSEPORT` — are bound directly with
-//! `extern "C"` in the [`sys`] module, the only place in the crate
+//! `extern "C"` in the private `sys` module, the only place in the crate
 //! allowed to use `unsafe`.
 //!
 //! Each shard owns one epoll instance and drives its connections

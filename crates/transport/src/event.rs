@@ -1,31 +1,42 @@
-//! Event-based structure-of-arrays transport kernels.
+//! Event-based structure-of-arrays transport kernels: the crate's one
+//! analog kernel and its one weighted (variance-reduced) twin.
 //!
-//! [`Transport::run_history`] walks one neutron at a time. The kernels
-//! here instead advance a whole RNG shard (up to [`SHARD_SIZE`]
-//! histories) as parallel arrays of energy / position / direction /
-//! weight / collision budget, partitioned each pass into event queues:
+//! Both advance a whole RNG shard (up to [`SHARD_SIZE`] histories) as
+//! parallel arrays of energy / position / direction / weight /
+//! collision budget, and each pass splits the active histories by
+//! event:
 //!
+//! * **classify** — histories that left the stack or ran out of
+//!   collision budget tally at once; the rest go to one of the two
+//!   events below;
 //! * **flight + collision** — epithermal and fast neutrons take one
 //!   free flight against the precomputed [`MaterialXs`] grid, then
-//!   scatter, get captured, or cross a layer boundary;
+//!   scatter, get captured, or cross a layer boundary, and requeue for
+//!   the next pass;
 //! * **thermal-floor diffusion** — once the energy is pinned at the
 //!   25.3 meV floor the cross sections are loop-invariant, so the walk
-//!   runs to termination inline against the per-layer [`FloorXs`]
-//!   precompute. The analog kernel draws the number of collisions
-//!   survived before capture from the exact geometric law (one draw
-//!   per layer entry instead of one acceptance draw per collision).
+//!   runs to termination against the per-layer blended floor cross
+//!   sections precomputed at construction. The analog kernel runs these
+//!   walks inline during classify and decides capture with one uniform
+//!   per layer entry against the running survival product `(1−q)^c`.
+//!
+//! The analog kernel records fates into any tally that can record a
+//! [`Fate`] — [`Tally`], or [`SpectrumTally`](crate::SpectrumTally) for
+//! energy-resolved exits — through monomorphised generics, so the hot
+//! loop has no dynamic dispatch. Both kernels are checked against the
+//! independent per-history oracle [`Transport::run_history_direct`].
 //!
 //! ## Determinism
 //!
-//! Each shard owns one forked RNG substream and every queue is built
-//! and drained in ascending slot order, so the draw sequence — and
+//! Each shard owns one forked RNG substream and every event list is
+//! built and drained in ascending slot order, so the draw sequence — and
 //! therefore the shard tally — is a pure function of `(seed, shard,
-//! histories)`. Thread count never enters the kernel; it only decides
-//! which worker runs which shard, exactly as before the refactor.
+//! histories)`. Thread count never enters a kernel; the crate's single
+//! shard scheduler only decides which worker runs which shard.
 //!
 //! ## Variance reduction
 //!
-//! [`run_shard_weighted`] layers implicit capture, a depth-graded
+//! The weighted kernel layers implicit capture, a depth-graded
 //! importance map, and a Russian-roulette + splitting weight window on
 //! top of the same event loop. Every operation preserves the expected
 //! weight reaching each tally channel, so the weighted estimator is
@@ -33,13 +44,13 @@
 //! square-sums so callers can compute relative errors and figures of
 //! merit.
 
-use crate::mc::{Fate, Neutron, Tally, Transport, ENERGY_FLOOR, MAX_COLLISIONS};
+use crate::mc::{Fate, Merge, Neutron, Record, Transport, ENERGY_FLOOR, MAX_COLLISIONS};
 use tn_physics::units::{Energy, Length};
-use tn_physics::xs::MaterialXs;
+use tn_physics::xs::{Collision, MaterialXs};
 use tn_rng::Rng;
 
 #[cfg(doc)]
-use crate::mc::SHARD_SIZE;
+use crate::mc::{Tally, SHARD_SIZE};
 
 /// Blended cross sections of one layer at a single (thermal) energy,
 /// precomputed so the diffusion loop touches no interpolation tables.
@@ -68,8 +79,8 @@ impl FloorXs {
 }
 
 /// Isotropic-in-CM elastic scatter: returns the outgoing (energy, μ).
-/// Identical maths to the per-history kernel, shared by both batch
-/// kernels.
+/// Shared by both batch kernels; the direct oracle does the same maths
+/// inline.
 #[inline]
 fn elastic_scatter(energy: f64, mu: f64, a: f64, rng: &mut Rng) -> (f64, f64) {
     let cos_cm = 2.0 * rng.gen_f64() - 1.0;
@@ -85,6 +96,47 @@ fn elastic_scatter(energy: f64, mu: f64, a: f64, rng: &mut Rng) -> (f64, f64) {
         mu_new = 1e-9;
     }
     (e_new, mu_new)
+}
+
+/// The flight event shared by both batch kernels: one free flight from
+/// depth `z` at energy `e` along `mu`, costing one unit of `budget`.
+/// Returns the collision (with `z` moved to its site), or `None` after
+/// moving `z` just past the boundary the flight reached — or streaming
+/// straight through a vacuum-like layer.
+#[allow(clippy::too_many_arguments)] // hot path: scalars beat a state struct here
+#[inline]
+fn fly(
+    t: &Transport,
+    zig: &tn_rng::ExpSampler,
+    e: f64,
+    z: &mut f64,
+    mu: f64,
+    budget: &mut u32,
+    eps: f64,
+    rng: &mut Rng,
+) -> Option<Collision> {
+    let layer = t.edges[1..].partition_point(|&edge| edge <= *z);
+    let lo = t.edges[layer];
+    let hi = t.edges[layer + 1];
+    let view = t.xs[layer].at(Energy(e));
+    let sigma_t = view.sigma_total();
+    *budget -= 1;
+    if sigma_t <= 0.0 {
+        let edge = if mu > 0.0 { hi } else { lo };
+        *z = edge + mu * eps;
+        return None;
+    }
+    let znew = *z + mu * (zig.sample(rng) / sigma_t);
+    if znew >= hi {
+        *z = hi + mu * eps;
+        return None;
+    }
+    if znew <= lo {
+        *z = lo + mu * eps;
+        return None;
+    }
+    *z = znew;
+    Some(view.pick(rng.gen_f64()))
 }
 
 /// Runs one analog thermal-floor history to termination.
@@ -182,13 +234,18 @@ fn thermal_walk(
 }
 
 /// Runs one full shard of analog histories through the event-based
-/// batch kernel and returns its tally.
+/// batch kernel, recording every fate into `tally`.
 ///
 /// `source` draws each history's entry state in slot order before any
-/// transport begins — the same source-then-walk contract as the
-/// per-history path, just batched.
-pub(crate) fn run_shard_analog<F>(t: &Transport, source: &F, count: u64, rng: &mut Rng) -> Tally
-where
+/// transport begins.
+pub(crate) fn run_shard_analog<T, F>(
+    t: &Transport,
+    source: &F,
+    count: u64,
+    rng: &mut Rng,
+    tally: &mut T,
+) where
+    T: Record,
     F: Fn(&mut Rng) -> Neutron,
 {
     let n = count as usize;
@@ -208,7 +265,6 @@ where
         mu.push(p.mu);
     }
 
-    let mut tally = Tally::default();
     let mut active: Vec<u32> = (0..n as u32).collect();
     let mut flight: Vec<u32> = Vec::with_capacity(n);
     let mut next: Vec<u32> = Vec::with_capacity(n);
@@ -217,10 +273,8 @@ where
     while !active.is_empty() {
         // ---- classify + thermal-floor diffusion -------------------------
         // Terminal states tally immediately; thermal-floor histories run
-        // to termination inline right here (classify order is ascending
-        // slot order, so the draw sequence is the same as a dedicated
-        // thermal queue would consume); only above-floor histories are
-        // queued for the flight event.
+        // to termination inline right here, in ascending slot order;
+        // only above-floor histories are queued for the flight event.
         flight.clear();
         for &i in &active {
             let ii = i as usize;
@@ -249,49 +303,30 @@ where
         // requeue for the next classify round.
         for &i in &flight {
             let ii = i as usize;
-            let layer = t.edges[1..].partition_point(|&edge| edge <= z[ii]);
-            let lo = t.edges[layer];
-            let hi = t.edges[layer + 1];
-            let view = t.xs[layer].at(Energy(energy[ii]));
-            let sigma_t = view.sigma_total();
-            budget[ii] -= 1;
-            if sigma_t <= 0.0 {
-                let edge = if mu[ii] > 0.0 { hi } else { lo };
-                z[ii] = edge + mu[ii] * eps;
-                next.push(i);
-                continue;
-            }
-            let znew = z[ii] + mu[ii] * (zig.sample(rng) / sigma_t);
-            if znew >= hi {
-                z[ii] = hi + mu[ii] * eps;
-                next.push(i);
-                continue;
-            }
-            if znew <= lo {
-                z[ii] = lo + mu[ii] * eps;
-                next.push(i);
-                continue;
-            }
-            z[ii] = znew;
-            let collision = view.pick(rng.gen_f64());
-            if rng.gen_f64() < collision.absorption_probability {
-                tally.record(Fate::Absorbed { z: Length(znew) });
-                continue;
-            }
-            let (e_new, mu_new) = elastic_scatter(
+            let Some(collision) = fly(
+                t,
+                &zig,
                 energy[ii],
+                &mut z[ii],
                 mu[ii],
-                collision.nuclide.mass_number,
+                &mut budget[ii],
+                eps,
                 rng,
-            );
-            energy[ii] = e_new;
-            mu[ii] = mu_new;
+            ) else {
+                next.push(i);
+                continue;
+            };
+            if rng.gen_f64() < collision.absorption_probability {
+                tally.record(Fate::Absorbed { z: Length(z[ii]) });
+                continue;
+            }
+            (energy[ii], mu[ii]) =
+                elastic_scatter(energy[ii], mu[ii], collision.nuclide.mass_number, rng);
             next.push(i);
         }
 
         std::mem::swap(&mut active, &mut next);
     }
-    tally
 }
 
 /// Variance-reduction tuning for the weighted batch kernel.
@@ -449,6 +484,12 @@ impl WeightedTally {
     /// Relative standard error of the absorbed fraction.
     pub fn absorbed_rel_error(&self) -> f64 {
         Self::rel_error(self.absorbed, self.absorbed_sq, self.histories)
+    }
+}
+
+impl Merge for WeightedTally {
+    fn merge(&mut self, other: &Self) {
+        WeightedTally::merge(self, other);
     }
 }
 
@@ -672,31 +713,19 @@ where
         // ---- flight + collision (weighted) ------------------------------
         for &i in &flight {
             let ii = i as usize;
-            let layer = t.edges[1..].partition_point(|&edge| edge <= z[ii]);
-            let lo = t.edges[layer];
-            let hi = t.edges[layer + 1];
-            let view = t.xs[layer].at(Energy(energy[ii]));
-            let sigma_t = view.sigma_total();
-            budget[ii] -= 1;
-            if sigma_t <= 0.0 {
-                let edge = if mu[ii] > 0.0 { hi } else { lo };
-                z[ii] = edge + mu[ii] * eps;
+            let Some(collision) = fly(
+                t,
+                &zig,
+                energy[ii],
+                &mut z[ii],
+                mu[ii],
+                &mut budget[ii],
+                eps,
+                rng,
+            ) else {
                 next.push(i);
                 continue;
-            }
-            let znew = z[ii] + mu[ii] * (zig.sample(rng) / sigma_t);
-            if znew >= hi {
-                z[ii] = hi + mu[ii] * eps;
-                next.push(i);
-                continue;
-            }
-            if znew <= lo {
-                z[ii] = lo + mu[ii] * eps;
-                next.push(i);
-                continue;
-            }
-            z[ii] = znew;
-            let collision = view.pick(rng.gen_f64());
+            };
             // Implicit capture: the absorbed share of the weight flows
             // into the tally and the survivor always scatters.
             let p_abs = collision.absorption_probability;
@@ -704,15 +733,9 @@ where
             weight[ii] *= 1.0 - p_abs;
             // Scatter before the window check so split copies inherit
             // the outgoing (post-collision) energy and direction.
-            let (e_new, mu_new) = elastic_scatter(
-                energy[ii],
-                mu[ii],
-                collision.nuclide.mass_number,
-                rng,
-            );
-            energy[ii] = e_new;
-            mu[ii] = mu_new;
-            let tw = tw_by_region[region_of(znew)];
+            (energy[ii], mu[ii]) =
+                elastic_scatter(energy[ii], mu[ii], collision.nuclide.mass_number, rng);
+            let tw = tw_by_region[region_of(z[ii])];
             let mut wi = weight[ii];
             let action = apply_window(&mut wi, tw, vr, energy.len() < cap, rng);
             weight[ii] = wi;

@@ -15,22 +15,25 @@
 //! * below 25.3 meV the energy is clamped to the thermal point (upscattering
 //!   to the Maxwellian equilibrium is not modelled).
 //!
-//! ## Performance and the determinism contract
+//! ## Kernels, scheduler and the determinism contract
 //!
 //! Collisions are evaluated against per-layer [`MaterialXs`] tables
-//! precomputed in [`Transport::new`] — one interpolated lookup serves the
-//! free path, the nuclide pick *and* the absorption decision, instead of
-//! the two-to-three full constituent sweeps (`powf`/`sqrt` included) the
-//! direct evaluation costs. [`Transport::run_history_direct`] keeps the
-//! direct path alive as the correctness baseline and bench comparator.
+//! precomputed in [`Transport::new`]: one interpolated lookup serves the
+//! free path, the nuclide pick *and* the absorption decision. The crate
+//! has one analog kernel and one weighted (variance-reduced) kernel,
+//! both event-based batch kernels in [`crate::event`], and one
+//! independent oracle, [`Transport::run_history_direct`], which walks a
+//! single history evaluating cross sections directly from the material
+//! data.
 //!
-//! Histories are sharded into fixed blocks of [`SHARD_SIZE`]. Shard `i`
-//! draws from the substream `Rng::seed_from_u64(seed).fork(i)` and shard
-//! tallies merge in ascending shard order, so the result is a pure
-//! function of `(seed, histories)` — byte-identical for **any** thread
-//! count, including 1, which runs the same canonical shard sequence
-//! inline. [`TransportConfig::threads`] (CLI: `--transport-threads`)
-//! only changes how shards are distributed over scoped workers.
+//! Every run goes through one shard scheduler. Histories are sharded
+//! into fixed blocks of [`SHARD_SIZE`]; shard `i` draws from the
+//! substream `Rng::seed_from_u64(seed).fork(i)` and shard tallies merge
+//! in ascending shard order, so the result is a pure function of
+//! `(seed, histories)` — byte-identical for **any** thread count,
+//! including 1, which runs the same canonical shard sequence inline.
+//! [`TransportConfig::threads`] (CLI: `--transport-threads`) only
+//! changes how shards are distributed over scoped workers.
 
 use crate::event::{self, FloorXs, VarianceReduction, WeightedTally};
 use crate::geometry::SlabStack;
@@ -228,6 +231,31 @@ impl Tally {
     }
 }
 
+/// A shard tally [`Transport::run_shards`] can fold: per-shard tallies
+/// merge into the run total in ascending shard order.
+pub(crate) trait Merge: Clone + Send {
+    /// Adds `other` into `self`.
+    fn merge(&mut self, other: &Self);
+}
+
+/// A tally the analog event kernel records terminal fates into.
+pub(crate) trait Record {
+    /// Records one fate.
+    fn record(&mut self, fate: Fate);
+}
+
+impl Merge for Tally {
+    fn merge(&mut self, other: &Self) {
+        Tally::merge(self, other);
+    }
+}
+
+impl Record for Tally {
+    fn record(&mut self, fate: Fate) {
+        Tally::record(self, fate);
+    }
+}
+
 /// An in-flight neutron state.
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct Neutron {
@@ -337,157 +365,14 @@ impl Transport {
         &self.xs[index]
     }
 
-    /// Transports one neutron to its fate against the precomputed
-    /// cross-section tables (the fast kernel).
-    ///
-    /// Three amortisations make this the hot path:
-    ///
-    /// * geometry is plain arithmetic over the precomputed `edges`
-    ///   array — no per-collision layer scans or bounds asserts;
-    /// * the cross-section lookup for the current `(layer, energy)`
-    ///   pair is memoised across collisions, so a thermalised neutron
-    ///   diffusing at the clamped 25.3 meV re-uses one lookup for its
-    ///   entire random walk;
-    /// * at the thermal floor the scattered outcome is
-    ///   nuclide-independent (isotropic re-emission at the same
-    ///   energy), so the nuclide pick and the absorption decision
-    ///   collapse into a single draw against the pick-marginal
-    ///   absorption fraction Σ_a/Σ_t.
-    pub fn run_history(&self, n: Neutron, rng: &mut Rng) -> Fate {
-        let total = self.total;
-        // Nudge the entry position just inside the stack.
-        let eps = 1e-12 * total.max(1.0);
-        let mut z = n.z.value();
-        if z <= 0.0 {
-            z = eps;
-        }
-        let mut mu = n.mu;
-        let mut energy = n.energy.value();
-        let floor = ENERGY_FLOOR.value();
-
-        // Memoised layer bracket and cross sections; NaN bounds force a
-        // locate + lookup on the first collision.
-        let mut layer = 0usize;
-        let (mut lo, mut hi) = (f64::NAN, f64::NAN);
-        let mut cached_energy = f64::NAN;
-        let mut view = self.xs[0].at(Energy(energy));
-        let mut sigma_t = 0.0;
-        let mut inv_sigma_t = 0.0;
-        let mut absorb_fraction = 0.0;
-
-        let mut budget = MAX_COLLISIONS;
-        while budget > 0 {
-            if !(z >= lo && z < hi) {
-                // Left the cached layer bracket: relocate (or escape).
-                if z <= 0.0 {
-                    return Fate::Reflected {
-                        energy: Energy(energy),
-                    };
-                }
-                if z >= total {
-                    return Fate::Transmitted {
-                        energy: Energy(energy),
-                    };
-                }
-                layer = self.edges[1..].partition_point(|&edge| edge <= z);
-                lo = self.edges[layer];
-                hi = self.edges[layer + 1];
-                cached_energy = f64::NAN; // new table: force a lookup
-            }
-            if energy != cached_energy {
-                view = self.xs[layer].at(Energy(energy));
-                sigma_t = view.sigma_total();
-                inv_sigma_t = if sigma_t > 0.0 { 1.0 / sigma_t } else { 0.0 };
-                absorb_fraction = view.absorption_fraction();
-                cached_energy = energy;
-            }
-            if sigma_t <= 0.0 {
-                // Vacuum-like layer: stream to the boundary.
-                budget -= 1;
-                let edge = if mu > 0.0 { hi } else { lo };
-                z = edge + mu * eps;
-                continue;
-            }
-            if energy <= floor {
-                // Tight thermal-floor diffusion loop. Energy is pinned,
-                // so the layer bracket and blended cross sections are
-                // loop-invariant: each collision is one free-flight draw,
-                // one absorption draw (by the blended Σ_a/Σ_t fraction —
-                // the pick-marginal absorption probability), and one
-                // isotropic re-emission (target motion keeps the neutron
-                // in equilibrium with the Maxwellian, so no energy loss).
-                // Thermal histories spend nearly all their collisions
-                // here, which is why it is worth keeping branch-lean.
-                while budget > 0 {
-                    budget -= 1;
-                    let znew = z + mu * (rng.gen_exp() * inv_sigma_t);
-                    if znew >= hi {
-                        z = hi + mu * eps;
-                        break;
-                    }
-                    if znew <= lo {
-                        z = lo + mu * eps;
-                        break;
-                    }
-                    z = znew;
-                    if rng.gen_f64() < absorb_fraction {
-                        return Fate::Absorbed { z: Length(z) };
-                    }
-                    mu = 2.0 * rng.gen_f64() - 1.0;
-                    if mu == 0.0 {
-                        mu = 1e-9;
-                    }
-                }
-                continue;
-            }
-            // Flight endpoint; crossing the bracket means a boundary
-            // crossing, anything inside is a collision.
-            budget -= 1;
-            let znew = z + mu * (rng.gen_exp() * inv_sigma_t);
-            if znew >= hi {
-                z = hi + mu * eps;
-                continue;
-            }
-            if znew <= lo {
-                z = lo + mu * eps;
-                continue;
-            }
-            // Collides inside this layer. One lookup resolves the
-            // target nuclide and its absorption probability.
-            z = znew;
-            let collision = view.pick(rng.gen_f64());
-            if rng.gen_f64() < collision.absorption_probability {
-                return Fate::Absorbed { z: Length(z) };
-            }
-            // Elastic scatter, isotropic in the CM frame. Energy
-            // and lab deflection are correlated through the CM
-            // cosine; hydrogen (A = 1) can only scatter forward in
-            // the lab, which is what lets MeV neutrons penetrate
-            // centimetres of water.
-            let a = collision.nuclide.mass_number;
-            let cos_cm = 2.0 * rng.gen_f64() - 1.0;
-            let denom_sq = a * a + 2.0 * a * cos_cm + 1.0;
-            let e_ratio = denom_sq / ((a + 1.0) * (a + 1.0));
-            energy = (energy * e_ratio).max(floor);
-            let mu_scatter = (1.0 + a * cos_cm) / denom_sq.sqrt();
-            let phi = 2.0 * std::f64::consts::PI * rng.gen_f64();
-            let sin_terms =
-                ((1.0 - mu * mu).max(0.0) * (1.0 - mu_scatter * mu_scatter).max(0.0)).sqrt();
-            mu = (mu * mu_scatter + sin_terms * phi.cos()).clamp(-1.0, 1.0);
-            if mu == 0.0 {
-                mu = 1e-9;
-            }
-        }
-        Fate::Lost
-    }
-
     /// Transports one neutron evaluating cross sections *directly* from
     /// the material data — the pre-cache reference implementation,
-    /// retained as the correctness baseline for the precomputed-table
-    /// kernel and as the "seed serial" comparator in the throughput
-    /// bench. Statistically equivalent to [`Self::run_history`] but not
-    /// draw-for-draw identical: the fast kernel collapses thermal-floor
-    /// collisions into a single marginal-absorption draw.
+    /// retained as the independent oracle for the event kernels and as
+    /// the "seed serial" comparator in the throughput bench.
+    /// Statistically equivalent to [`Self::run_beam`]'s kernel but not
+    /// draw-for-draw identical: that kernel batches a shard, reads the
+    /// precomputed tables and decides thermal-floor capture with one
+    /// draw per layer entry.
     pub fn run_history_direct(&self, mut n: Neutron, rng: &mut Rng) -> Fate {
         let eps = 1e-12 * self.stack.total_thickness().value().max(1.0);
         if n.z.value() <= 0.0 {
@@ -557,41 +442,50 @@ impl Transport {
         Fate::Lost
     }
 
-    /// Runs sharded histories from a per-history source closure through
-    /// the event-based batch kernel.
+    /// The shard scheduler: the one place histories are split into
+    /// shards, forked onto RNG substreams and spread over workers.
     ///
-    /// The canonical sequence: shard `i` covers histories
-    /// `[i·SHARD_SIZE, (i+1)·SHARD_SIZE)` with the RNG substream
-    /// `Rng::seed_from_u64(seed).fork(i)`; within a shard the batch
-    /// kernel draws every source first (slot order), then advances the
-    /// whole batch through deterministic event queues. Shard tallies
-    /// merge in ascending shard index. Thread count only schedules
-    /// shards over workers.
+    /// Shard `i` covers histories `[i·SHARD_SIZE, (i+1)·SHARD_SIZE)` and
+    /// draws only from the substream `Rng::seed_from_u64(seed).fork(i)`;
+    /// `kernel` runs it into a fresh clone of `empty`. Shard tallies
+    /// merge into `empty` in ascending shard index, and the thread count
+    /// only decides which worker runs which shard (1 runs them inline),
+    /// so the result is a pure function of `(seed, histories)`.
     ///
-    /// Instrumentation is strictly write-only: a `transport.run` span,
-    /// per-shard durations into the shared `tn_transport_shard_seconds`
-    /// histogram, and the process-wide history/seconds counters. None of
-    /// it touches the RNG streams or tallies, so tracing at any level
-    /// leaves results byte-identical.
-    fn run_sharded<F>(&self, source: F, histories: u64, seed: u64) -> Tally
+    /// Instrumentation is strictly write-only: the `span` span, per-shard
+    /// durations into the shared `tn_transport_shard_seconds` histogram
+    /// (and a `shard_done` trace event), the process-wide history/seconds
+    /// counters and a closing `event` debug event. None of it touches the
+    /// RNG streams or tallies, so tracing at any level leaves results
+    /// byte-identical.
+    pub(crate) fn run_shards<T, K>(
+        &self,
+        span: &'static str,
+        event: &'static str,
+        empty: T,
+        histories: u64,
+        seed: u64,
+        kernel: K,
+    ) -> T
     where
-        F: Fn(&mut Rng) -> Neutron + Sync,
+        T: Merge,
+        K: Fn(&mut T, u64, &mut Rng) + Sync,
     {
         if histories == 0 {
-            return Tally::default();
+            return empty;
         }
-        let _span = tn_obs::span("transport.run");
+        let _span = tn_obs::span(span);
         let started = Instant::now();
         let shards = histories.div_ceil(SHARD_SIZE) as usize;
-        let mut slots = vec![Tally::default(); shards];
+        let mut slots = vec![empty.clone(); shards];
         let shard_hist = stats::shard_histogram();
         let shard_hist = &shard_hist;
-        let run_shard = |shard: usize, slot: &mut Tally| {
+        let run_shard = |shard: usize, slot: &mut T| {
             let shard_started = Instant::now();
             let mut rng = Rng::seed_from_u64(seed).fork(shard as u64);
             let lo = shard as u64 * SHARD_SIZE;
             let count = SHARD_SIZE.min(histories - lo);
-            *slot = event::run_shard_analog(self, &source, count, &mut rng);
+            kernel(slot, count, &mut rng);
             let shard_nanos = shard_started.elapsed().as_nanos() as u64;
             shard_hist.observe(shard_nanos);
             if tn_obs::enabled(tn_obs::Level::Trace) {
@@ -623,14 +517,14 @@ impl Transport {
                 }
             });
         }
-        let mut tally = Tally::default();
+        let mut tally = empty;
         for shard_tally in &slots {
             tally.merge(shard_tally);
         }
         let elapsed = started.elapsed().as_nanos() as u64;
         stats::record(histories, elapsed);
         tn_obs::debug(
-            "transport_run",
+            event,
             &[
                 ("histories", histories.into()),
                 ("shards", (shards as u64).into()),
@@ -641,29 +535,27 @@ impl Transport {
         tally
     }
 
-    /// Runs `histories` monoenergetic, normally-incident neutrons,
-    /// sharded per the canonical substream scheme (see the module docs);
-    /// the tally is identical for every thread count.
-    pub fn run_beam(&self, e: Energy, histories: u64, seed: u64) -> Tally {
-        self.run_sharded(|_| Neutron::incident(e), histories, seed)
-    }
-
-    /// Runs `histories` monoenergetic neutrons from a diffuse
-    /// (cosine-law) ambient field, sharded per the canonical substream
-    /// scheme; the tally is identical for every thread count.
-    pub fn run_diffuse(&self, e: Energy, histories: u64, seed: u64) -> Tally {
-        self.run_sharded(
-            |rng| Neutron::diffuse_incident(e, rng),
+    /// Runs analog histories drawn from `source` through the event
+    /// kernel, recording every fate into a tally that starts as `empty`
+    /// (a [`Tally`], or a spectrum for [`crate::beam_spectrum`]).
+    pub(crate) fn run_analog<T, F>(&self, empty: T, source: F, histories: u64, seed: u64) -> T
+    where
+        T: Merge + Record,
+        F: Fn(&mut Rng) -> Neutron + Sync,
+    {
+        self.run_shards(
+            "transport.run",
+            "transport_run",
+            empty,
             histories,
             seed,
+            |slot, count, rng| event::run_shard_analog(self, &source, count, rng, slot),
         )
     }
 
-    /// Runs sharded *weighted* histories through the variance-reduced
-    /// event kernel. Identical shard decomposition, substream scheme,
-    /// merge order and instrumentation as [`Self::run_sharded`], so the
-    /// weighted tally is also byte-identical for every thread count.
-    fn run_weighted_sharded<F>(
+    /// Runs weighted histories drawn from `source` (entry state and
+    /// source weight) through the variance-reduced event kernel.
+    fn run_weighted<F>(
         &self,
         source: F,
         histories: u64,
@@ -673,69 +565,33 @@ impl Transport {
     where
         F: Fn(&mut Rng) -> (Neutron, f64) + Sync,
     {
-        if histories == 0 {
-            return WeightedTally::default();
-        }
-        let _span = tn_obs::span("transport.run_weighted");
-        let started = Instant::now();
-        let shards = histories.div_ceil(SHARD_SIZE) as usize;
-        let mut slots = vec![WeightedTally::default(); shards];
-        let shard_hist = stats::shard_histogram();
-        let shard_hist = &shard_hist;
-        let vr = &vr;
-        let run_shard = |shard: usize, slot: &mut WeightedTally| {
-            let shard_started = Instant::now();
-            let mut rng = Rng::seed_from_u64(seed).fork(shard as u64);
-            let lo = shard as u64 * SHARD_SIZE;
-            let count = SHARD_SIZE.min(histories - lo);
-            *slot = event::run_shard_weighted(self, &source, count, &mut rng, vr);
-            let shard_nanos = shard_started.elapsed().as_nanos() as u64;
-            shard_hist.observe(shard_nanos);
-            if tn_obs::enabled(tn_obs::Level::Trace) {
-                tn_obs::trace(
-                    "shard_done",
-                    &[
-                        ("shard", (shard as u64).into()),
-                        ("histories", count.into()),
-                        ("dur_ns", shard_nanos.into()),
-                    ],
-                );
-            }
-        };
-        let threads = self.config.threads.max(1).min(shards);
-        if threads <= 1 {
-            for (i, slot) in slots.iter_mut().enumerate() {
-                run_shard(i, slot);
-            }
-        } else {
-            let per_worker = shards.div_ceil(threads);
-            let run_shard = &run_shard;
-            std::thread::scope(|scope| {
-                for (worker, chunk) in slots.chunks_mut(per_worker).enumerate() {
-                    scope.spawn(move || {
-                        for (offset, slot) in chunk.iter_mut().enumerate() {
-                            run_shard(worker * per_worker + offset, slot);
-                        }
-                    });
-                }
-            });
-        }
-        let mut tally = WeightedTally::default();
-        for shard_tally in &slots {
-            tally.merge(shard_tally);
-        }
-        let elapsed = started.elapsed().as_nanos() as u64;
-        stats::record(histories, elapsed);
-        tn_obs::debug(
+        self.run_shards(
+            "transport.run_weighted",
             "transport_run_weighted",
-            &[
-                ("histories", histories.into()),
-                ("shards", (shards as u64).into()),
-                ("threads", self.config.threads.into()),
-                ("dur_ns", elapsed.into()),
-            ],
-        );
-        tally
+            WeightedTally::default(),
+            histories,
+            seed,
+            |slot, count, rng| *slot = event::run_shard_weighted(self, &source, count, rng, &vr),
+        )
+    }
+
+    /// Runs `histories` monoenergetic, normally-incident neutrons,
+    /// sharded per the canonical substream scheme (see the module docs);
+    /// the tally is identical for every thread count.
+    pub fn run_beam(&self, e: Energy, histories: u64, seed: u64) -> Tally {
+        self.run_analog(Tally::default(), |_| Neutron::incident(e), histories, seed)
+    }
+
+    /// Runs `histories` monoenergetic neutrons from a diffuse
+    /// (cosine-law) ambient field, sharded per the canonical substream
+    /// scheme; the tally is identical for every thread count.
+    pub fn run_diffuse(&self, e: Energy, histories: u64, seed: u64) -> Tally {
+        self.run_analog(
+            Tally::default(),
+            |rng| Neutron::diffuse_incident(e, rng),
+            histories,
+            seed,
+        )
     }
 
     /// Runs `histories` monoenergetic, normally-incident *weighted*
@@ -749,7 +605,7 @@ impl Transport {
         seed: u64,
         vr: VarianceReduction,
     ) -> WeightedTally {
-        self.run_weighted_sharded(|_| (Neutron::incident(e), 1.0), histories, seed, vr)
+        self.run_weighted(|_| (Neutron::incident(e), 1.0), histories, seed, vr)
     }
 
     /// Runs `histories` weighted neutrons from a diffuse ambient field
@@ -766,7 +622,7 @@ impl Transport {
         seed: u64,
         vr: VarianceReduction,
     ) -> WeightedTally {
-        self.run_weighted_sharded(
+        self.run_weighted(
             |rng: &mut Rng| {
                 let mu = rng.gen_f64().cbrt().max(1e-4);
                 (

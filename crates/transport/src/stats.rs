@@ -1,10 +1,11 @@
 //! Process-wide transport throughput instrumentation, backed by the
 //! shared [`tn_obs`] global registry.
 //!
-//! Every sharded run ([`crate::Transport::run_beam`] /
-//! [`crate::Transport::run_diffuse`]) records how many histories it ran
-//! and how long the run took; every *shard* additionally records its
-//! duration into a log-bucketed histogram. All of it lives in
+//! Every run through the shard scheduler — [`crate::Transport::run_beam`],
+//! [`crate::Transport::run_diffuse`], their `_weighted` variants and
+//! [`crate::beam_spectrum`] — records how many histories it ran and how
+//! long the run took; every *shard* additionally records its duration
+//! into a log-bucketed histogram. All of it lives in
 //! `tn_obs::global()`, the single source of truth the server's
 //! `/metrics` endpoint, the CLI `profile` report and the throughput
 //! bench read (`tn_transport_histories_total`,

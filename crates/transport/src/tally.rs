@@ -7,8 +7,7 @@
 //! population emerge from the same collision physics the rest of the
 //! workspace uses.
 
-use crate::mc::{Fate, Neutron, Transport};
-use tn_rng::Rng;
+use crate::mc::{Fate, Merge, Neutron, Record, Transport};
 use tn_physics::units::Energy;
 use tn_physics::{EnergyBand, EnergyGrid};
 
@@ -115,8 +114,34 @@ impl SpectrumTally {
     }
 }
 
-/// Pushes a monoenergetic beam through the transport problem and returns
-/// the energy-resolved exit tally.
+impl Record for SpectrumTally {
+    fn record(&mut self, fate: Fate) {
+        SpectrumTally::record(self, fate);
+    }
+}
+
+impl Merge for SpectrumTally {
+    fn merge(&mut self, other: &Self) {
+        debug_assert_eq!(self.edges, other.edges, "spectra on different grids");
+        self.histories += other.histories;
+        self.terminated += other.terminated;
+        for (mine, theirs) in [
+            (&mut self.transmitted, &other.transmitted),
+            (&mut self.reflected, &other.reflected),
+        ] {
+            for (a, b) in mine.iter_mut().zip(theirs) {
+                *a += b;
+            }
+        }
+    }
+}
+
+/// Pushes a monoenergetic, normally-incident beam through the transport
+/// problem and returns the energy-resolved exit tally.
+///
+/// Runs the same sharded analog kernel as [`Transport::run_beam`] — the
+/// same seed yields the same fates — so the spectrum is identical at any
+/// [`TransportConfig::threads`](crate::TransportConfig::threads).
 pub fn beam_spectrum(
     transport: &Transport,
     e: Energy,
@@ -124,12 +149,12 @@ pub fn beam_spectrum(
     grid: &EnergyGrid,
     seed: u64,
 ) -> SpectrumTally {
-    let mut rng = Rng::seed_from_u64(seed);
-    let mut tally = SpectrumTally::new(grid);
-    for _ in 0..histories {
-        tally.record(transport.run_history(Neutron::incident(e), &mut rng));
-    }
-    tally
+    transport.run_analog(
+        SpectrumTally::new(grid),
+        |_| Neutron::incident(e),
+        histories,
+        seed,
+    )
 }
 
 #[cfg(test)]

@@ -4,9 +4,10 @@
 
 use tn_rng::Rng;
 use tn_physics::units::{Energy, Length};
-use tn_physics::Material;
+use tn_physics::{EnergyGrid, Material};
 use tn_transport::{
-    Fate, Layer, Neutron, SlabStack, Transport, TransportConfig, VarianceReduction, SHARD_SIZE,
+    beam_spectrum, Layer, Neutron, SlabStack, Transport, TransportConfig, VarianceReduction,
+    SHARD_SIZE,
 };
 
 fn materials() -> Vec<Material> {
@@ -39,6 +40,10 @@ fn every_history_has_exactly_one_fate() {
     }
 }
 
+/// Elastic scattering only ever loses energy. The exit spectrum of the
+/// event kernel is binned on a grid whose middle edge sits at the
+/// incident energy (one part in 10¹² above it): every history leaves
+/// below that edge or is absorbed, and every bin above it stays empty.
 #[test]
 fn neutrons_never_gain_energy() {
     let mut rng = Rng::seed_from_u64(0x7a02);
@@ -49,16 +54,44 @@ fn neutrons_never_gain_energy() {
         let seed = rng.gen_range(0u64..500);
         let transport = Transport::new(SlabStack::single(material, Length(thickness)));
         let incident = Energy::from_mev(e_mev);
-        let mut history_rng = Rng::seed_from_u64(seed);
-        for _ in 0..100 {
-            let fate = transport.run_history(Neutron::incident(incident), &mut history_rng);
-            if let Fate::Transmitted { energy } | Fate::Reflected { energy } = fate {
-                assert!(
-                    energy.value() <= incident.value() * (1.0 + 1e-12),
-                    "exit {energy} above incident {incident}"
-                );
-            }
-        }
+        // The log-midpoint of [1 meV, edge²/1 meV] is the edge itself.
+        let edge = incident.value() * (1.0 + 1e-12);
+        let grid = EnergyGrid::log_spaced(Energy(1e-3), Energy(edge * edge / 1e-3), 21);
+        let mid = grid.points()[10].value();
+        assert!(mid > incident.value() && mid < incident.value() * (1.0 + 1e-11));
+
+        let spectrum = beam_spectrum(&transport, incident, 400, &grid, seed);
+        let counts: Vec<u64> = spectrum
+            .transmitted_histogram()
+            .iter()
+            .zip(spectrum.reflected_histogram())
+            .map(|(&(_, t), (_, r))| t + r)
+            .collect();
+        let (below, above) = counts.split_at(10);
+        assert!(
+            above.iter().all(|&c| c == 0),
+            "exits above the incident {incident}: {above:?}"
+        );
+        assert_eq!(below.iter().sum::<u64>() + spectrum.terminated, 400);
+    }
+}
+
+/// `beam_spectrum` runs on the sharded event kernel, so — like the
+/// scalar tallies — the spectrum is identical at any thread count,
+/// including a ragged final shard.
+#[test]
+fn spectra_are_identical_at_any_thread_count() {
+    let stack = SlabStack::single(Material::liquid_methane(), Length(6.0));
+    let grid = EnergyGrid::log_spaced(Energy(1e-3), Energy(1e7), 41);
+    let histories = 2 * SHARD_SIZE + 777;
+    let spectrum_at = |threads: usize| {
+        let t = Transport::with_config(stack.clone(), TransportConfig::with_threads(threads));
+        beam_spectrum(&t, Energy::from_mev(2.0), histories, &grid, 31)
+    };
+    let serial = spectrum_at(1);
+    assert_eq!(serial.histories, histories);
+    for threads in [3usize, 8] {
+        assert_eq!(spectrum_at(threads), serial, "{threads} threads diverged");
     }
 }
 

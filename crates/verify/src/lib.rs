@@ -10,11 +10,12 @@
 //!    the Tin-II detector and the beamline CI estimator. Fixed seeds and
 //!    documented critical values make every verdict deterministic.
 //! 2. **Differential oracles** ([`oracle`]) — reusable runners pitting
-//!    the memoising transport kernel against the direct baseline,
-//!    N-thread sharded tallies against 1-thread, `core::json`
-//!    write→parse→write against canonical form, and the precomputed
-//!    cross-section grid against direct evaluation, over rng-driven
-//!    input sweeps rather than single pinned cases.
+//!    the transport event kernel against the independent direct
+//!    per-history walk and against the closed-form pure-absorber
+//!    transmission `exp(-Σ_a·t)`, N-thread sharded tallies against
+//!    1-thread, `core::json` write→parse→write against canonical form,
+//!    and the precomputed cross-section grid against direct evaluation,
+//!    over rng-driven input sweeps rather than single pinned cases.
 //! 3. **Golden snapshots** ([`golden`]) — blessed JSON artefacts under
 //!    `tests/golden/` (full `StudyReport`, `/v1/fit` and
 //!    `/v1/cross-sections` bodies) compared field-by-field with

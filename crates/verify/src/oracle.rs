@@ -4,11 +4,15 @@
 //! against each other over tn-rng-driven input sweeps, instead of single
 //! pinned cases:
 //!
-//! * [`kernel_vs_direct_check`] — the memoising transport kernel
-//!   ([`Transport::run_history`]) against the direct baseline
-//!   (`run_history_direct`). The two are statistically equivalent, not
-//!   draw-for-draw identical, so agreement is judged by binomial z-scores
-//!   on escape/absorption fractions.
+//! * [`kernel_vs_direct_check`] — the production event kernel
+//!   ([`Transport::run_beam`]) against the independent per-history
+//!   oracle ([`Transport::run_history_direct`]). The two are
+//!   statistically equivalent, not draw-for-draw identical, so agreement
+//!   is judged by binomial z-scores on escape/absorption fractions.
+//! * [`absorber_closed_form_check`] — the event kernel against a closed
+//!   form rather than another implementation: a pure absorber transmits
+//!   a normally-incident neutron with probability exactly
+//!   `exp(-Σ_a(E)·t)`, scored by a one-sample binomial z.
 //! * [`sharding_check`] — N-thread sharded tallies against 1-thread.
 //!   These must be *byte-identical* for any thread count (the PR 3
 //!   determinism contract), including partial final shards.
@@ -28,8 +32,8 @@
 
 use crate::report::CheckResult;
 use tn_core::Json;
-use tn_physics::units::{Energy, Length};
-use tn_physics::{Material, MaterialXs};
+use tn_physics::units::{Barns, Energy, Length, NumberDensity};
+use tn_physics::{Constituent, Material, MaterialXs, Nuclide};
 use tn_rng::Rng;
 use tn_transport::{
     Neutron, SlabStack, Tally, Transport, TransportConfig, VarianceReduction,
@@ -137,7 +141,7 @@ fn binomial_z(p1: f64, p2: f64, n: f64) -> f64 {
     }
 }
 
-/// Memoising kernel vs direct baseline: worst binomial z-score across
+/// Event kernel vs direct oracle: worst binomial z-score across
 /// transmitted / absorbed / thermal-escape fractions over the sweep.
 pub fn kernel_vs_direct_check(seed: u64, cases: usize, histories: u64) -> CheckResult {
     run_oracle(
@@ -150,16 +154,14 @@ pub fn kernel_vs_direct_check(seed: u64, cases: usize, histories: u64) -> CheckR
             let stack = SlabStack::single(case.material.clone(), Length(case.thickness_cm));
             let t = Transport::new(stack);
             let e = Energy(case.energy_ev);
-            let mut kernel = Tally::default();
+            // Independent streams: the kernel's shard substreams fork
+            // from one seed and the direct walk draws from another, so
+            // the two never share draws and cannot correlate spuriously.
+            let kernel = t.run_beam(e, histories, seed ^ 0xbe11);
             let mut direct = Tally::default();
-            // Independent substreams per kernel: the implementations
-            // consume different numbers of draws per history, so sharing
-            // a stream would correlate them spuriously.
-            let mut rng_k = Rng::seed_from_u64(seed ^ 0xbe11).fork(1);
-            let mut rng_d = Rng::seed_from_u64(seed ^ 0xbe11).fork(2);
+            let mut rng = Rng::seed_from_u64(seed ^ 0xd1ec7);
             for _ in 0..histories {
-                kernel.record(t.run_history(Neutron::incident(e), &mut rng_k));
-                direct.record(t.run_history_direct(Neutron::incident(e), &mut rng_d));
+                direct.record(t.run_history_direct(Neutron::incident(e), &mut rng));
             }
             let n = histories as f64;
             [
@@ -178,6 +180,75 @@ pub fn kernel_vs_direct_check(seed: u64, cases: usize, histories: u64) -> CheckR
         // divergence (see the self-test) sits far beyond this.
         5.0,
         "binomial z on escape/absorption fractions, independent streams",
+    )
+}
+
+/// A slab material with one nuclide and no elastic channel: every
+/// collision absorbs, so a neutron crosses only on its first flight.
+fn pure_absorber() -> Material {
+    Material::new(
+        "pure absorber",
+        vec![Constituent {
+            nuclide: Nuclide {
+                elastic: Barns(0.0),
+                ..Nuclide::B10
+            },
+            density: NumberDensity(1e21),
+        }],
+    )
+}
+
+/// The closed-form Σ_a the production check expects: direct 1/v
+/// evaluation from the material data, never the [`MaterialXs`] grid the
+/// kernel reads.
+pub fn closed_form_sigma_a(material: &Material, e: Energy) -> f64 {
+    material.sigma_absorb(e)
+}
+
+/// Pure-absorber transmission vs `exp(-Σ_a(E)·t)`: worst one-sample
+/// binomial z of the analog transmitted fraction over the sweep.
+///
+/// Cases alternate between energies below the 25.3 meV thermal floor
+/// (2–25.3 meV, the kernel's thermal-walk path) and above it (25.3 meV –
+/// 2 MeV, the flight event), each through a slab 0.2–3 mean free paths
+/// thick. `sigma_a` supplies the expected Σ_a and is injected so the
+/// self-test can sabotage it; production passes [`closed_form_sigma_a`].
+pub fn absorber_closed_form_check(
+    name: impl Into<String>,
+    seed: u64,
+    cases: usize,
+    histories: u64,
+    sigma_a: impl Fn(&Material, Energy) -> f64,
+) -> CheckResult {
+    let absorber = pure_absorber();
+    let mut below_floor = false;
+    run_oracle(
+        "oracle",
+        name,
+        seed,
+        cases,
+        |rng| {
+            below_floor = !below_floor;
+            let (lo, hi) = if below_floor {
+                (2e-3f64, 0.0253f64)
+            } else {
+                (0.0253, 2e6)
+            };
+            let e = (lo.ln() + (hi.ln() - lo.ln()) * rng.gen_f64()).exp();
+            let mean_free_paths = 0.2 + 2.8 * rng.gen_f64();
+            (Energy(e), mean_free_paths)
+        },
+        |&(e, mean_free_paths)| {
+            let thickness = mean_free_paths / absorber.sigma_absorb(e);
+            let t = Transport::new(SlabStack::single(absorber.clone(), Length(thickness)));
+            let expected = (-sigma_a(&absorber, e) * thickness).exp();
+            let got = t
+                .run_beam(e, histories, seed ^ 0xab50)
+                .transmitted_fraction();
+            (got - expected).abs() / (expected * (1.0 - expected) / histories as f64).sqrt()
+        },
+        5.0,
+        "one-sample binomial z of pure-absorber transmission vs exp(-Sigma_a t)",
     )
 }
 
@@ -441,6 +512,15 @@ pub fn run_suite(seed: u64, config: OracleConfig) -> Vec<CheckResult> {
             production_xs_evaluator,
         ),
         weighted_vs_analog_check(seed ^ 0x05, config.cases, config.histories),
+        // One flight per history is cheap: run 8x the statistics so the
+        // check resolves a few-percent Σ_a error.
+        absorber_closed_form_check(
+            "transport.absorber_closed_form",
+            seed ^ 0x06,
+            config.cases,
+            config.histories * 8,
+            closed_form_sigma_a,
+        ),
     ]
 }
 
@@ -495,6 +575,18 @@ mod tests {
     fn kernel_vs_direct_agrees_on_a_small_sweep() {
         let r = kernel_vs_direct_check(7, 2, 2_000);
         assert!(r.passed, "{r:?}");
+    }
+
+    #[test]
+    fn sabotaged_absorber_expectation_is_detected() {
+        let r = absorber_closed_form_check("closed_form.injected_bug", 2020, 4, 24_000, |m, e| {
+            1.1 * m.sigma_absorb(e)
+        });
+        assert!(
+            !r.passed,
+            "a 10% Sigma_a error must breach the bound: {r:?}"
+        );
+        assert!(r.statistic > 1.5 * r.threshold, "{r:?}");
     }
 
     #[test]

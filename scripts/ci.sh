@@ -9,6 +9,9 @@ cargo build --release --offline
 cargo build --offline --examples
 cargo test -q --offline --workspace
 cargo clippy --offline --workspace --all-targets -- -D warnings
+# Rustdoc gate: a broken or private intra-doc link (say, to a deleted
+# public item) fails the build instead of rendering as dead text.
+RUSTDOCFLAGS="-D warnings" cargo doc --no-deps --offline --workspace
 
 # ---- perfbench build + smoke ----------------------------------------------
 # The benchmark is a workspace of its own (perfbench/Cargo.toml), so the

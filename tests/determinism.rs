@@ -99,6 +99,99 @@ fn transport_tally_is_invariant_across_thread_counts() {
     }
 }
 
+/// Pins the transport tallies themselves, not only their thread
+/// invariance: fixed-seed runs of all four sharded entry points through
+/// the paper's 2-inch water slab, at a history count that leaves a
+/// ragged final shard, must reproduce these exact counts and f64 bit
+/// patterns, and the quick risk surface (built from transport runs) its
+/// grid digest. A kernel or scheduler refactor that moves a single draw
+/// or reorders a single floating-point sum fails here.
+#[test]
+fn transport_tallies_and_surface_digest_are_pinned() {
+    use tn::physics::units::{Energy, Length};
+    use tn::physics::Material;
+    use tn::transport::{
+        SlabStack, Tally, Transport, TransportConfig, VarianceReduction, WeightedTally, SHARD_SIZE,
+    };
+
+    let t = Transport::with_config(
+        SlabStack::single(Material::water(), Length::from_inches(2.0)),
+        TransportConfig::with_threads(3),
+    );
+    let histories = 2 * SHARD_SIZE + 777;
+    let (fast, thermal) = (Energy::from_mev(2.0), Energy(0.0253));
+    let vr = VarianceReduction::default();
+    let bits = |w: WeightedTally| {
+        assert_eq!(w.histories, histories);
+        [
+            w.transmitted_thermal,
+            w.transmitted_fast,
+            w.reflected_thermal,
+            w.reflected_fast,
+            w.absorbed,
+            w.lost,
+            w.transmitted_thermal_sq,
+            w.absorbed_sq,
+        ]
+        .map(f64::to_bits)
+    };
+
+    assert_eq!(
+        t.run_beam(fast, histories, 2020),
+        Tally {
+            histories,
+            transmitted_thermal: 494,
+            transmitted_fast: 5424,
+            reflected_thermal: 461,
+            reflected_fast: 2316,
+            absorbed: 274,
+            lost: 0,
+        }
+    );
+    assert_eq!(
+        t.run_diffuse(thermal, histories, 2020),
+        Tally {
+            histories,
+            transmitted_thermal: 787,
+            transmitted_fast: 0,
+            reflected_thermal: 6713,
+            reflected_fast: 0,
+            absorbed: 1469,
+            lost: 0,
+        }
+    );
+    assert_eq!(
+        bits(t.run_beam_weighted(fast, histories, 2020, vr)),
+        [
+            0x407c_6bdb_1f20_ccae,
+            0x40b5_4bdb_753b_1efa,
+            0x407d_96f8_2331_f0e0,
+            0x40a1_ed90_5638_1597,
+            0x4071_db53_1e19_48c1,
+            0,
+            0x406d_120d_3651_a047,
+            0x4057_5f83_55be_2400,
+        ]
+    );
+    assert_eq!(
+        bits(t.run_diffuse_weighted(thermal, histories, 2020, vr)),
+        [
+            0x4088_82a2_f608_9e49,
+            0,
+            0x40ba_0e5a_3202_7cc2,
+            0,
+            0x4097_b099_be72_0539,
+            0,
+            0x4076_16c1_c06c_d905,
+            0x4084_c708_eb13_130b,
+        ]
+    );
+    assert_eq!(
+        tn_fleet::RiskSurface::build(tn_fleet::SurfaceConfig::quick(42)).grid_digest(),
+        0x8bb9_e97d_0e4e_0a16
+    );
+}
+
 /// Shard-math edge cases: zero histories produce a well-defined empty
 /// tally (fractions are 0.0, never NaN), and history counts that leave
 /// a ragged final shard — or less than one full shard — merge
