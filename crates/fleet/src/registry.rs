@@ -10,7 +10,13 @@
 //! deterministic. A generation counter bumps on every mutation; it is
 //! part of the server's cache key, so cached fleet responses can never
 //! outlive the registry state they were computed from.
+//!
+//! The entries live behind an `Arc` and are mutated copy-on-write, so a
+//! reader takes an O(1) [`FleetRegistry::snapshot`] and renders from it
+//! without holding the registry lock; a write while such a snapshot is
+//! alive copies the entries once and leaves the snapshot untouched.
 
+use std::sync::Arc;
 use tn_core::json::{self, Json};
 use tn_core::registry::find_device;
 
@@ -189,7 +195,7 @@ impl FleetEntry {
 /// The deterministic in-memory fleet store.
 #[derive(Debug, Clone, PartialEq)]
 pub struct FleetRegistry {
-    entries: Vec<FleetEntry>,
+    entries: Arc<Vec<FleetEntry>>,
     generation: u64,
 }
 
@@ -197,7 +203,7 @@ impl FleetRegistry {
     /// An empty registry at generation 0.
     pub fn new() -> Self {
         Self {
-            entries: Vec::new(),
+            entries: Arc::new(Vec::new()),
             generation: 0,
         }
     }
@@ -205,6 +211,12 @@ impl FleetRegistry {
     /// Entries sorted by id.
     pub fn entries(&self) -> &[FleetEntry] {
         &self.entries
+    }
+
+    /// The entries sorted by id, shared rather than copied: O(1) however
+    /// large the registry. Later writes do not change a snapshot.
+    pub fn snapshot(&self) -> Arc<Vec<FleetEntry>> {
+        Arc::clone(&self.entries)
     }
 
     /// Number of entries.
@@ -235,12 +247,10 @@ impl FleetRegistry {
     /// same id. Keeps the store sorted by id.
     pub fn upsert(&mut self, entry: FleetEntry) -> Result<(), FleetError> {
         let entry = entry.validate()?;
-        match self
-            .entries
-            .binary_search_by(|e| e.id.as_str().cmp(&entry.id))
-        {
-            Ok(i) => self.entries[i] = entry,
-            Err(i) => self.entries.insert(i, entry),
+        let entries = Arc::make_mut(&mut self.entries);
+        match entries.binary_search_by(|e| e.id.as_str().cmp(&entry.id)) {
+            Ok(i) => entries[i] = entry,
+            Err(i) => entries.insert(i, entry),
         }
         self.generation += 1;
         Ok(())
@@ -250,7 +260,7 @@ impl FleetRegistry {
     pub fn remove(&mut self, id: &str) -> bool {
         match self.entries.binary_search_by(|e| e.id.as_str().cmp(id)) {
             Ok(i) => {
-                self.entries.remove(i);
+                Arc::make_mut(&mut self.entries).remove(i);
                 self.generation += 1;
                 true
             }
@@ -339,6 +349,22 @@ mod tests {
         assert!(r.remove("a"));
         assert!(!r.remove("a"));
         assert_eq!(r.generation(), 4);
+
+        // Snapshots share the entries until a write, and a write leaves
+        // every earlier snapshot as it was.
+        let before_upsert = r.snapshot();
+        assert!(
+            Arc::ptr_eq(&before_upsert, &r.snapshot()),
+            "no write, no copy"
+        );
+        r.upsert(FleetEntry::new("c", "NVIDIA K20")).unwrap();
+        assert_eq!((before_upsert.len(), r.len()), (1, 2));
+        assert_eq!(before_upsert.as_slice(), &r.entries()[..1]);
+        let before_remove = r.snapshot();
+        assert!(r.remove("b"));
+        assert_eq!(before_remove.len(), 2);
+        let ids: Vec<&str> = before_remove.iter().map(|e| e.id.as_str()).collect();
+        assert_eq!(ids, ["b", "c"]);
     }
 
     #[test]

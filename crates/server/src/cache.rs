@@ -7,9 +7,15 @@
 //! recency is a monotone tick per entry and eviction scans for the
 //! minimum. Shards are small (capacity/num_shards entries), so the scan
 //! is a handful of comparisons, not a real LRU list.
+//!
+//! Bodies are stored as `Arc<str>`: a hit hands out another reference
+//! to the rendered bytes, never a copy, and the same allocation goes on
+//! to the socket writer. Callers that know a class of keys can no longer
+//! be requested drop them with [`ShardedCache::remove_if`] instead of
+//! waiting for eviction.
 
 use std::collections::HashMap;
-use std::sync::Mutex;
+use std::sync::{Arc, Mutex};
 
 const NUM_SHARDS: usize = 8;
 
@@ -26,7 +32,7 @@ pub fn fnv1a(bytes: &[u8]) -> u64 {
 
 #[derive(Debug)]
 struct Entry {
-    value: String,
+    value: Arc<str>,
     last_used: u64,
 }
 
@@ -58,19 +64,20 @@ impl ShardedCache {
         &self.shards[(fnv1a(key.as_bytes()) as usize) % NUM_SHARDS]
     }
 
-    /// Fetches a cached body, refreshing its recency.
-    pub fn get(&self, key: &str) -> Option<String> {
+    /// Fetches a cached body, refreshing its recency. The body is
+    /// shared with the cache, not copied.
+    pub fn get(&self, key: &str) -> Option<Arc<str>> {
         let mut shard = self.shard(key).lock().expect("cache shard poisoned");
         shard.tick += 1;
         let tick = shard.tick;
         let entry = shard.map.get_mut(key)?;
         entry.last_used = tick;
-        Some(entry.value.clone())
+        Some(Arc::clone(&entry.value))
     }
 
     /// Inserts a body, evicting the least-recently-used entry of the
     /// target shard when it is full.
-    pub fn insert(&self, key: String, value: String) {
+    pub fn insert(&self, key: String, value: Arc<str>) {
         let mut shard = self.shard(&key).lock().expect("cache shard poisoned");
         shard.tick += 1;
         let tick = shard.tick;
@@ -85,6 +92,15 @@ impl ShardedCache {
             }
         }
         shard.map.insert(key, Entry { value, last_used: tick });
+    }
+
+    /// Drops every entry whose key matches `dead`, in one pass over the
+    /// shards.
+    pub fn remove_if(&self, dead: impl Fn(&str) -> bool) {
+        for shard in &self.shards {
+            let mut shard = shard.lock().expect("cache shard poisoned");
+            shard.map.retain(|key, _| !dead(key));
+        }
     }
 
     /// Number of cached entries across all shards.
@@ -109,9 +125,24 @@ mod tests {
     fn get_after_insert() {
         let c = ShardedCache::new(16);
         assert!(c.get("k").is_none());
-        c.insert("k".into(), "v".into());
-        assert_eq!(c.get("k").as_deref(), Some("v"));
+        let body: Arc<str> = "v".into();
+        c.insert("k".into(), Arc::clone(&body));
+        let got = c.get("k").expect("inserted");
+        assert_eq!(&*got, "v");
+        assert!(Arc::ptr_eq(&got, &body), "a hit shares the inserted body");
         assert_eq!(c.len(), 1);
+    }
+
+    #[test]
+    fn remove_if_drops_only_matching_keys() {
+        let c = ShardedCache::new(64);
+        for i in 0..20 {
+            c.insert(format!("key-{i}"), "v".into());
+        }
+        c.remove_if(|k| k.ends_with('7'));
+        assert_eq!(c.len(), 18);
+        assert!(c.get("key-7").is_none() && c.get("key-17").is_none());
+        assert!(c.get("key-8").is_some());
     }
 
     #[test]

@@ -21,7 +21,7 @@
 //!      └─── MC-heavy handler ──> Handling (worker pool) │
 //!                                       │ response      │
 //!                                       v               │
-//!                                  Writing (drain buf) ─┘ keep-alive
+//!                         Writing (head + shared body) ─┘ keep-alive
 //!                                       │ close / cap / error
 //!                                       v
 //!                                    closed
@@ -37,7 +37,7 @@ use crate::handlers::AppState;
 use crate::http::{self, RequestParser, Response};
 use crate::{router, ConnLimits};
 use std::collections::{HashMap, VecDeque};
-use std::io::{Read, Write};
+use std::io::{IoSlice, Read, Write};
 use std::net::{SocketAddr, SocketAddrV4, TcpListener, TcpStream};
 use std::os::fd::AsRawFd;
 use std::sync::atomic::{AtomicBool, Ordering};
@@ -550,7 +550,8 @@ enum Phase {
     /// A request is parked on the worker pool; socket reads are paused
     /// (natural backpressure on pipelining clients).
     Handling,
-    /// Draining the serialized response as the socket accepts it.
+    /// Draining the staged head and shared body as the socket accepts
+    /// them.
     Writing,
 }
 
@@ -561,7 +562,13 @@ struct Conn {
     token: u64,
     parser: RequestParser,
     phase: Phase,
-    out: Vec<u8>,
+    /// Staged response head: status line, headers (per response) and,
+    /// for a chunked body, its framed payload.
+    head: Vec<u8>,
+    /// The full body, shared with the response cache; `None` for
+    /// chunked responses.
+    body: Option<Arc<str>>,
+    /// Bytes of `head` then `body` already written.
     out_pos: usize,
     keep_after_write: bool,
     /// Keep-alive decision carried across the Handling phase.
@@ -591,7 +598,8 @@ impl Conn {
             token,
             parser: RequestParser::new(),
             phase: Phase::Reading,
-            out: Vec::new(),
+            head: Vec::new(),
+            body: None,
             out_pos: 0,
             keep_after_write: false,
             pending_keep: false,
@@ -602,9 +610,10 @@ impl Conn {
         }
     }
 
-    /// Stages a response for the Writing phase.
+    /// Stages a response for the Writing phase: only the head is built
+    /// here; the body stays the shared allocation.
     fn stage(&mut self, response: &Response, keep: bool) {
-        self.out = response.to_bytes(keep);
+        (self.head, self.body) = response.head_and_body(keep);
         self.out_pos = 0;
         self.keep_after_write = keep;
         self.phase = Phase::Writing;
@@ -653,6 +662,35 @@ impl Conn {
             self.interest = desired;
         }
     }
+}
+
+/// Writes `head` then `body`, starting `*pos` bytes into the pair, for as
+/// long as `w` accepts bytes. While head bytes remain, both parts go out
+/// in one vectored write. Returns `Ok(true)` once everything is written
+/// and `Ok(false)` when `w` would block; `*pos` then records where to
+/// resume. Interrupted writes are retried.
+fn write_staged<W: Write>(
+    w: &mut W,
+    head: &[u8],
+    body: &[u8],
+    pos: &mut usize,
+) -> std::io::Result<bool> {
+    while *pos < head.len() + body.len() {
+        let written = match head.get(*pos..) {
+            Some(rest) if !rest.is_empty() => {
+                w.write_vectored(&[IoSlice::new(rest), IoSlice::new(body)])
+            }
+            _ => w.write(&body[*pos - head.len()..]),
+        };
+        match written {
+            Ok(0) => return Err(std::io::ErrorKind::WriteZero.into()),
+            Ok(n) => *pos += n,
+            Err(e) if e.kind() == std::io::ErrorKind::WouldBlock => return Ok(false),
+            Err(e) if e.kind() == std::io::ErrorKind::Interrupted => continue,
+            Err(e) => return Err(e),
+        }
+    }
+    Ok(true)
 }
 
 /// Whether a worker-pool job would be shed right now.
@@ -732,24 +770,22 @@ fn pump(conn: &mut Conn, ctx: &Ctx) -> Drive {
                 }
             },
             Phase::Writing => {
-                while conn.out_pos < conn.out.len() {
-                    match conn.stream.write(&conn.out[conn.out_pos..]) {
-                        Ok(0) => return Drive::Close,
-                        Ok(n) => conn.out_pos += n,
-                        Err(e) if e.kind() == std::io::ErrorKind::WouldBlock => {
-                            conn.update_interest(ctx.ep);
-                            return Drive::Keep;
-                        }
-                        Err(e) if e.kind() == std::io::ErrorKind::Interrupted => continue,
-                        Err(_) => return Drive::Close,
+                let body = conn.body.as_deref().unwrap_or_default().as_bytes();
+                match write_staged(&mut conn.stream, &conn.head, body, &mut conn.out_pos) {
+                    Ok(true) => {}
+                    Ok(false) => {
+                        conn.update_interest(ctx.ep);
+                        return Drive::Keep;
                     }
+                    Err(_) => return Drive::Close,
                 }
                 conn.served += 1;
                 conn.last_activity = Instant::now();
                 if !conn.keep_after_write {
                     return Drive::Close;
                 }
-                conn.out.clear();
+                conn.head.clear();
+                conn.body = None;
                 conn.out_pos = 0;
                 conn.phase = Phase::Reading;
             }
@@ -974,5 +1010,105 @@ fn sweep_idle(ep: &Epoll, conns: &mut HashMap<u64, Conn>, shared: &Shared, shard
         if let Drive::Close = pump(conn, &ctx) {
             close_conn(conns, token, shared);
         }
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use std::io;
+
+    /// A socket stand-in that accepts 1–7 bytes per call and fails some
+    /// calls with `WouldBlock` or `Interrupted` in between.
+    #[derive(Default)]
+    struct Trickle {
+        wire: Vec<u8>,
+        calls: usize,
+    }
+
+    impl Trickle {
+        /// How many bytes this call accepts, or the error it fails with.
+        fn room(&mut self) -> io::Result<usize> {
+            self.calls += 1;
+            match self.calls % 5 {
+                1 => Err(io::ErrorKind::WouldBlock.into()),
+                3 => Err(io::ErrorKind::Interrupted.into()),
+                _ => Ok(1 + self.calls % 7),
+            }
+        }
+    }
+
+    impl Write for Trickle {
+        fn write(&mut self, buf: &[u8]) -> io::Result<usize> {
+            let n = self.room()?.min(buf.len());
+            self.wire.extend_from_slice(&buf[..n]);
+            Ok(n)
+        }
+
+        fn write_vectored(&mut self, bufs: &[IoSlice<'_>]) -> io::Result<usize> {
+            let mut room = self.room()?;
+            let mut n = 0;
+            for buf in bufs {
+                let take = room.min(buf.len());
+                self.wire.extend_from_slice(&buf[..take]);
+                (n, room) = (n + take, room - take);
+            }
+            Ok(n)
+        }
+
+        fn flush(&mut self) -> io::Result<()> {
+            Ok(())
+        }
+    }
+
+    #[test]
+    fn staged_writes_resume_to_the_exact_wire_bytes() {
+        let large: String = (0..600_000u32)
+            .map(|i| char::from(b'a' + (i % 26) as u8))
+            .collect();
+        let chunks = vec!["{\"a\":1}\n".to_string(), String::new(), "b".repeat(70)];
+        let responses = [
+            Response::json(200, String::new()),
+            Response::json(200, "x".to_string()),
+            Response::json(200, large),
+            Response::chunked(200, "application/x-ndjson", chunks),
+        ];
+        for response in responses {
+            let response = response.with_header("x-request-id", "00ff00ff00ff00ff");
+            for keep in [true, false] {
+                let (head, body) = response.head_and_body(keep);
+                let body = body.as_deref().unwrap_or_default().as_bytes();
+                let mut socket = Trickle::default();
+                let (mut pos, mut blocked) = (0, 0);
+                while !write_staged(&mut socket, &head, body, &mut pos).expect("no hard error") {
+                    blocked += 1;
+                    assert!(blocked <= head.len() + body.len(), "no progress at {pos}");
+                }
+                assert!(blocked > 0, "the writer blocked at least once");
+                assert_eq!(pos, head.len() + body.len());
+                assert!(
+                    socket.wire == response.to_bytes(keep),
+                    "{}-byte body, keep {keep}: wire bytes differ from to_bytes",
+                    response.body_len()
+                );
+            }
+        }
+    }
+
+    #[test]
+    fn a_socket_that_takes_nothing_is_an_error() {
+        struct Full;
+        impl Write for Full {
+            fn write(&mut self, _: &[u8]) -> io::Result<usize> {
+                Ok(0)
+            }
+            fn flush(&mut self) -> io::Result<()> {
+                Ok(())
+            }
+        }
+        let mut pos = 0;
+        let err = write_staged(&mut Full, b"head", b"body", &mut pos).unwrap_err();
+        assert_eq!(err.kind(), io::ErrorKind::WriteZero);
+        assert_eq!(pos, 0);
     }
 }

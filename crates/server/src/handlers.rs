@@ -588,19 +588,26 @@ fn resolve_solar(doc: &Json) -> Result<(SolarActivity, &'static str), BadRequest
 
 /// Runs a cacheable POST handler: canonical key → cache → single-flight.
 fn cached(state: &AppState, key: &str, compute: impl FnOnce() -> String) -> Response {
+    Response::json(200, cached_body(state, key, compute))
+}
+
+/// The body cached under `key`, rendered by `compute` on a miss. The
+/// rendered `String` becomes an `Arc<str>` once, and that one allocation
+/// is what the cache, coalesced callers and the socket writer share.
+fn cached_body(state: &AppState, key: &str, compute: impl FnOnce() -> String) -> Arc<str> {
     if let Some(body) = state.cache.get(key) {
         state.metrics.cache_hit();
-        return Response::json(200, body);
+        return body;
     }
-    match state.flights.run(key, compute) {
+    match state.flights.run(key, || compute().into()) {
         Outcome::Led(body) => {
             state.metrics.cache_miss();
-            state.cache.insert(key.to_string(), body.clone());
-            Response::json(200, body)
+            state.cache.insert(key.to_string(), Arc::clone(&body));
+            body
         }
         Outcome::Coalesced(body) => {
             state.metrics.cache_coalesced();
-            Response::json(200, body)
+            body
         }
     }
 }
@@ -995,45 +1002,89 @@ fn push_fleet_result(out: &mut String, entry: &FleetEntry, assessment: &RiskAsse
     out.push('}');
 }
 
-/// Assesses every entry against the surface and renders the shared
-/// summary fields (count, per-path counts, totals, surface digest).
-fn assess_fleet(
+/// Assesses every entry against the surface, in entry order.
+fn assess_fleet(surface: &RiskSurface, entries: &[FleetEntry]) -> Vec<RiskAssessment> {
+    entries
+        .iter()
+        .map(|entry| {
+            let device = registry::find_device(&entry.device)
+                .expect("fleet entries hold validated catalog device names");
+            surface.assess(&device, &tn_fleet::SiteParams::from_entry(entry))
+        })
+        .collect()
+}
+
+/// Opens a fleet body: `{` and the fields shared by the bulk response and
+/// the stream's meta line (count, per-path counts, surface digest,
+/// totals, seed, quick and, in registry mode, the generation).
+fn push_fleet_summary(
+    out: &mut String,
     surface: &RiskSurface,
-    entries: &[FleetEntry],
-) -> (Vec<String>, String) {
-    let mut lines = Vec::with_capacity(entries.len());
+    assessments: &[RiskAssessment],
+    seed: u64,
+    quick: bool,
+    generation: Option<u64>,
+) {
     let mut surface_hits = 0u64;
     let mut mc_fallbacks = 0u64;
     let (mut sdc_total, mut due_total) = (0.0f64, 0.0f64);
-    for entry in entries {
-        let device = registry::find_device(&entry.device)
-            .expect("fleet entries hold validated catalog device names");
-        let assessment = surface.assess(&device, &tn_fleet::SiteParams::from_entry(entry));
+    for assessment in assessments {
         match assessment.source {
             tn_fleet::RiskSource::Surface => surface_hits += 1,
             tn_fleet::RiskSource::MonteCarlo => mc_fallbacks += 1,
         }
         sdc_total += assessment.sdc.total().value();
         due_total += assessment.due.total().value();
-        let mut line = String::with_capacity(512);
-        push_fleet_result(&mut line, entry, &assessment);
-        lines.push(line);
     }
-    let mut summary = String::with_capacity(256);
-    summary.push_str("\"count\":");
-    summary.push_str(&entries.len().to_string());
-    summary.push_str(",\"surface_hits\":");
-    summary.push_str(&surface_hits.to_string());
-    summary.push_str(",\"mc_fallbacks\":");
-    summary.push_str(&mc_fallbacks.to_string());
-    summary.push_str(",\"surface_digest\":");
-    push_json_str(&mut summary, &format!("{:016x}", surface.grid_digest()));
-    summary.push_str(",\"totals\":{\"sdc_fit\":");
-    push_json_f64(&mut summary, sdc_total);
-    summary.push_str(",\"due_fit\":");
-    push_json_f64(&mut summary, due_total);
-    summary.push('}');
-    (lines, summary)
+    out.push_str("{\"count\":");
+    out.push_str(&assessments.len().to_string());
+    out.push_str(",\"surface_hits\":");
+    out.push_str(&surface_hits.to_string());
+    out.push_str(",\"mc_fallbacks\":");
+    out.push_str(&mc_fallbacks.to_string());
+    out.push_str(",\"surface_digest\":");
+    push_json_str(out, &format!("{:016x}", surface.grid_digest()));
+    out.push_str(",\"totals\":{\"sdc_fit\":");
+    push_json_f64(out, sdc_total);
+    out.push_str(",\"due_fit\":");
+    push_json_f64(out, due_total);
+    out.push_str("},\"seed\":");
+    out.push_str(&seed.to_string());
+    out.push_str(",\"quick\":");
+    out.push_str(if quick { "true" } else { "false" });
+    if let Some(generation) = generation {
+        out.push_str(",\"generation\":");
+        out.push_str(&generation.to_string());
+    }
+}
+
+/// Whether `key` caches a registry-mode fleet body (bulk or stream) of a
+/// generation older than `generation`. Such a body can never be served
+/// again once the registry has reached `generation`, because every
+/// registry-mode key ends in the generation it was rendered from and
+/// generations only grow; each successful registry write therefore drops
+/// these bodies at once instead of leaving them to LRU eviction. Inline
+/// keys never match: their third field is `inline`, and nothing after it
+/// is read.
+fn is_dead_registry_key(key: &str, generation: u64) -> bool {
+    let rendered_at = if let Some(rest) = key.strip_prefix("fleet|") {
+        // fleet|{seed}|{quick}|registry|{all or canonical ids}|{generation}
+        let mut fields = rest.splitn(3, '|');
+        match (fields.next(), fields.next(), fields.next()) {
+            (Some(_seed), Some(_quick), Some(mode)) if mode.starts_with("registry|") => {
+                mode.rsplit('|').next()
+            }
+            _ => None,
+        }
+    } else if let Some(rest) = key.strip_prefix("fleet-stream|") {
+        // fleet-stream|{seed}|{quick}|{generation}
+        rest.splitn(3, '|').nth(2)
+    } else {
+        None
+    };
+    rendered_at
+        .and_then(|g| g.parse::<u64>().ok())
+        .is_some_and(|g| g < generation)
 }
 
 /// `POST /v1/fleet` — bulk risk assessment.
@@ -1067,7 +1118,8 @@ fn fleet_inner(state: &AppState, doc: &Json) -> Result<Response, BadRequest> {
     // Inline mode carries the entries in the request; registry mode
     // snapshots (a subset of) the server fleet, with the registry
     // generation folded into the cache key so cached responses can
-    // never outlive the registry state they were computed from.
+    // never outlive the registry state they were computed from. The
+    // whole-registry snapshot is O(1): it shares the registry's entries.
     let (entries, mode_key, generation) = match doc.get("devices") {
         Some(devices) => {
             let array = devices
@@ -1094,7 +1146,7 @@ fn fleet_inner(state: &AppState, doc: &Json) -> Result<Response, BadRequest> {
             }
             let canonical =
                 Json::Array(entries.iter().map(FleetEntry::to_json).collect()).to_canonical_string();
-            (entries, format!("inline|{canonical}"), None)
+            (Arc::new(entries), format!("inline|{canonical}"), None)
         }
         None => state.with_fleet(|fleet| {
             if fleet.is_empty() {
@@ -1103,7 +1155,7 @@ fn fleet_inner(state: &AppState, doc: &Json) -> Result<Response, BadRequest> {
             let generation = fleet.generation();
             match doc.get("ids") {
                 None => Ok((
-                    fleet.entries().to_vec(),
+                    fleet.snapshot(),
                     format!("registry|all|{generation}"),
                     Some(generation),
                 )),
@@ -1128,7 +1180,7 @@ fn fleet_inner(state: &AppState, doc: &Json) -> Result<Response, BadRequest> {
                     }
                     let canonical = Json::Array(key_ids).to_canonical_string();
                     Ok((
-                        entries,
+                        Arc::new(entries),
                         format!("registry|{canonical}|{generation}"),
                         Some(generation),
                     ))
@@ -1140,24 +1192,15 @@ fn fleet_inner(state: &AppState, doc: &Json) -> Result<Response, BadRequest> {
     let key = format!("fleet|{seed}|{quick}|{mode_key}");
     Ok(cached(state, &key, || {
         let surface = state.surface(seed, quick);
-        let (lines, summary) = assess_fleet(&surface, &entries);
-        let mut out = String::with_capacity(1024 + 512 * lines.len());
-        out.push('{');
-        out.push_str(&summary);
-        out.push_str(",\"seed\":");
-        out.push_str(&seed.to_string());
-        out.push_str(",\"quick\":");
-        out.push_str(if quick { "true" } else { "false" });
-        if let Some(generation) = generation {
-            out.push_str(",\"generation\":");
-            out.push_str(&generation.to_string());
-        }
+        let assessments = assess_fleet(&surface, &entries);
+        let mut out = String::with_capacity(1024 + 512 * entries.len());
+        push_fleet_summary(&mut out, &surface, &assessments, seed, quick, generation);
         out.push_str(",\"results\":[");
-        for (i, line) in lines.iter().enumerate() {
+        for (i, (entry, assessment)) in entries.iter().zip(&assessments).enumerate() {
             if i > 0 {
                 out.push(',');
             }
-            out.push_str(line);
+            push_fleet_result(&mut out, entry, assessment);
         }
         out.push_str("]}");
         out
@@ -1230,49 +1273,31 @@ pub fn fleet_surface_key(state: &AppState, request: &Request) -> Option<(u64, bo
 fn fleet_stream_inner(state: &AppState, path: &str) -> Result<Response, BadRequest> {
     let _span = tn_obs::span("fleet.stream");
     let (seed, quick) = stream_params(state.seed, path)?;
-    let (entries, generation) = state.with_fleet(|fleet| {
-        (fleet.entries().to_vec(), fleet.generation())
-    });
+    let (entries, generation) = state.with_fleet(|fleet| (fleet.snapshot(), fleet.generation()));
     if entries.is_empty() {
         return Err(BadRequest::new(400, "fleet registry is empty"));
     }
 
     let key = format!("fleet-stream|{seed}|{quick}|{generation}");
-    let text = if let Some(text) = state.cache.get(&key) {
-        state.metrics.cache_hit();
-        text
-    } else {
-        let compute = || {
-            let surface = state.surface(seed, quick);
-            let (lines, summary) = assess_fleet(&surface, &entries);
-            let mut out = String::with_capacity(256 + 512 * lines.len());
-            out.push('{');
-            out.push_str(&summary);
-            out.push_str(",\"seed\":");
-            out.push_str(&seed.to_string());
-            out.push_str(",\"quick\":");
-            out.push_str(if quick { "true" } else { "false" });
-            out.push_str(",\"generation\":");
-            out.push_str(&generation.to_string());
-            out.push_str("}\n");
-            for line in &lines {
-                out.push_str(line);
-                out.push('\n');
-            }
-            out
-        };
-        match state.flights.run(&key, compute) {
-            Outcome::Led(text) => {
-                state.metrics.cache_miss();
-                state.cache.insert(key, text.clone());
-                text
-            }
-            Outcome::Coalesced(text) => {
-                state.metrics.cache_coalesced();
-                text
-            }
+    let text = cached_body(state, &key, || {
+        let surface = state.surface(seed, quick);
+        let assessments = assess_fleet(&surface, &entries);
+        let mut out = String::with_capacity(256 + 512 * entries.len());
+        push_fleet_summary(
+            &mut out,
+            &surface,
+            &assessments,
+            seed,
+            quick,
+            Some(generation),
+        );
+        out.push_str("}\n");
+        for (entry, assessment) in entries.iter().zip(&assessments) {
+            push_fleet_result(&mut out, entry, assessment);
+            out.push('\n');
         }
-    };
+        out
+    });
     // One HTTP chunk per JSONL line.
     let chunks = text.split_inclusive('\n').map(String::from).collect();
     Ok(Response::chunked(200, "application/x-ndjson", chunks))
@@ -1302,6 +1327,9 @@ fn fleet_entry_upsert_inner(state: &AppState, body: &[u8]) -> Result<Response, B
             .map(|()| (fleet.generation(), fleet.len()))
             .map_err(BadRequest::from)
     })?;
+    state
+        .cache
+        .remove_if(|key| is_dead_registry_key(key, generation));
     tn_obs::info(
         "fleet_entry_upsert",
         &[("id", id.as_str().into()), ("generation", generation.into())],
@@ -1327,6 +1355,9 @@ pub fn fleet_entry_delete(state: &AppState, id: &str) -> Response {
     });
     match removed {
         Some((generation, count)) => {
+            state
+                .cache
+                .remove_if(|key| is_dead_registry_key(key, generation));
             tn_obs::info(
                 "fleet_entry_delete",
                 &[("id", id.into()), ("generation", generation.into())],
@@ -1960,6 +1991,73 @@ mod tests {
         let doc = json::parse(&c.body_text()).unwrap();
         assert_eq!(doc.get("generation").and_then(Json::as_f64), Some(1.0));
         assert_ne!(a.body_text(), c.body_text());
+    }
+
+    #[test]
+    fn dead_registry_keys_are_exactly_older_registry_generations() {
+        // Bulk registry mode: the whole registry and an id subset whose
+        // canonical ids hold `|` and digits of their own.
+        assert!(is_dead_registry_key("fleet|7|true|registry|all|3", 4));
+        assert!(!is_dead_registry_key("fleet|7|true|registry|all|4", 4));
+        let subset = r#"fleet|7|false|registry|["n|9","registry|all|0"]|2"#;
+        assert!(is_dead_registry_key(subset, 3));
+        assert!(!is_dead_registry_key(subset, 2));
+        // The stream.
+        assert!(is_dead_registry_key("fleet-stream|7|true|0", 1));
+        assert!(!is_dead_registry_key("fleet-stream|7|true|1", 1));
+        // Inline keys never match, whatever their canonical JSON holds.
+        for inline in [
+            r#"fleet|7|true|inline|[{"device":"NVIDIA K20","id":"x|registry|all|0"}]"#,
+            r#"fleet|7|true|inline|[{"site":"|registry|"}]|0"#,
+            "fleet|7|true|inline|registry|all|0",
+        ] {
+            assert!(!is_dead_registry_key(inline, u64::MAX), "{inline}");
+        }
+        // Other endpoints' keys never match.
+        for other in ["fit|{}", "scenario/run|normal|0", "transport|{}"] {
+            assert!(!is_dead_registry_key(other, u64::MAX), "{other}");
+        }
+    }
+
+    #[test]
+    fn registry_writes_drop_older_generation_bodies() {
+        let s = state();
+        let inline = br#"{"devices":[{"device":"NVIDIA K20"}],"quick":true}"#;
+        for body in [
+            &inline[..],
+            br#"{"quick":true}"#,
+            br#"{"ids":["node-0003"]}"#,
+        ] {
+            assert_eq!(fleet(&s, &fleet_post(body)).status, 200);
+        }
+        assert_eq!(fleet_stream(&s, "/v1/fleet/stream?quick=true").status, 200);
+        let generation_0 = [
+            "fleet|2020|true|registry|all|0",
+            r#"fleet|2020|true|registry|["node-0003"]|0"#,
+            "fleet-stream|2020|true|0",
+        ];
+        for key in generation_0 {
+            assert!(s.cache.get(key).is_some(), "{key} was cached");
+        }
+        assert_eq!(s.cache.len(), 4);
+
+        let up = fleet_entry_upsert(&s, br#"{"id":"zz","device":"NVIDIA K20"}"#);
+        assert_eq!(up.status, 200, "{}", up.body_text());
+        for key in generation_0 {
+            assert!(s.cache.get(key).is_none(), "{key} outlived its generation");
+        }
+        assert_eq!(s.cache.len(), 1, "only the inline body is left");
+
+        // A body of the current generation survives until the next write.
+        assert_eq!(fleet(&s, &fleet_post(br#"{"quick":true}"#)).status, 200);
+        assert!(s.cache.get("fleet|2020|true|registry|all|1").is_some());
+        assert_eq!(fleet_entry_delete(&s, "zz").status, 200);
+        assert!(s.cache.get("fleet|2020|true|registry|all|1").is_none());
+        // A failed write changes nothing, so it drops nothing.
+        assert_eq!(fleet(&s, &fleet_post(br#"{"quick":true}"#)).status, 200);
+        assert_eq!(fleet_entry_delete(&s, "zz").status, 404);
+        assert!(s.cache.get("fleet|2020|true|registry|all|2").is_some());
+        assert_eq!(s.cache.len(), 2);
     }
 
     #[test]

@@ -11,7 +11,7 @@
 
 use std::io::{Read, Write};
 use std::net::TcpStream;
-use std::sync::OnceLock;
+use std::sync::{Arc, OnceLock};
 use std::time::Duration;
 use tn_core::json::{self, Json};
 
@@ -365,8 +365,10 @@ fn find_header_end(buf: &[u8]) -> Option<usize> {
 /// JSONL line of a fleet stream).
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub enum Body {
-    /// One contiguous body, framed by `Content-Length`.
-    Full(String),
+    /// One contiguous body, framed by `Content-Length`. Shared, not
+    /// copied, between the response cache, coalesced callers and the
+    /// socket writer.
+    Full(Arc<str>),
     /// Streamed chunks, framed by `Transfer-Encoding: chunked`. Empty
     /// chunks are skipped on the wire — a zero-size chunk is the
     /// protocol's end-of-body marker, so emitting one mid-stream would
@@ -392,7 +394,7 @@ impl Body {
     /// golden snapshots that inspect response content.
     pub fn text(&self) -> String {
         match self {
-            Body::Full(s) => s.clone(),
+            Body::Full(s) => s.to_string(),
             Body::Chunked(chunks) => chunks.concat(),
         }
     }
@@ -413,11 +415,11 @@ pub struct Response {
 
 impl Response {
     /// A JSON response.
-    pub fn json(status: u16, body: String) -> Self {
+    pub fn json(status: u16, body: impl Into<Arc<str>>) -> Self {
         Self {
             status,
             content_type: "application/json",
-            body: Body::Full(body),
+            body: Body::Full(body.into()),
             extra_headers: Vec::new(),
         }
     }
@@ -472,23 +474,35 @@ impl Response {
         Self {
             status: 200,
             content_type: "text/plain; version=0.0.4",
-            body: Body::Full(body),
+            body: Body::Full(body.into()),
             extra_headers: Vec::new(),
         }
     }
 
-    /// Serialises the whole response (status line, headers, framed body)
-    /// into one buffer — what the nonblocking event loop writes out as
-    /// the socket accepts it. Full bodies are framed with
-    /// `Content-Length`; chunked bodies with `Transfer-Encoding:
-    /// chunked` (`{size:x}\r\n{chunk}\r\n` per non-empty chunk,
-    /// `0\r\n\r\n` terminator).
-    pub fn to_bytes(&self, keep_alive: bool) -> Vec<u8> {
+    /// The response in two wire parts. The head is built per response
+    /// (so `Connection` and `x-request-id` stay per request): the status
+    /// line and headers, plus the whole framed payload of a chunked body.
+    /// A full body comes back beside it as the shared `Arc`, so writers
+    /// send it after the head without copying it.
+    pub(crate) fn head_and_body(&self, keep_alive: bool) -> (Vec<u8>, Option<Arc<str>>) {
+        let mut head = Vec::with_capacity(256);
+        self.push_head(&mut head, keep_alive);
+        match &self.body {
+            Body::Full(body) => (head, Some(Arc::clone(body))),
+            Body::Chunked(_) => (head, None),
+        }
+    }
+
+    /// Appends the status line, the headers and, for a chunked body, the
+    /// framed chunks. Full bodies are framed with `Content-Length`;
+    /// chunked bodies with `Transfer-Encoding: chunked`
+    /// (`{size:x}\r\n{chunk}\r\n` per non-empty chunk, `0\r\n\r\n`
+    /// terminator).
+    fn push_head(&self, out: &mut Vec<u8>, keep_alive: bool) {
         let framing = match &self.body {
             Body::Full(body) => format!("Content-Length: {}\r\n", body.len()),
             Body::Chunked(_) => "Transfer-Encoding: chunked\r\n".to_string(),
         };
-        let mut out = Vec::with_capacity(256 + self.body_len());
         out.extend_from_slice(
             format!(
                 "HTTP/1.1 {} {}\r\nContent-Type: {}\r\n{}Connection: {}\r\n",
@@ -507,23 +521,37 @@ impl Response {
             out.extend_from_slice(b"\r\n");
         }
         out.extend_from_slice(b"\r\n");
-        match &self.body {
-            Body::Full(body) => out.extend_from_slice(body.as_bytes()),
-            Body::Chunked(chunks) => {
-                for chunk in chunks.iter().filter(|c| !c.is_empty()) {
-                    out.extend_from_slice(format!("{:x}\r\n", chunk.len()).as_bytes());
-                    out.extend_from_slice(chunk.as_bytes());
-                    out.extend_from_slice(b"\r\n");
-                }
-                out.extend_from_slice(b"0\r\n\r\n");
+        if let Body::Chunked(chunks) = &self.body {
+            for chunk in chunks.iter().filter(|c| !c.is_empty()) {
+                out.extend_from_slice(format!("{:x}\r\n", chunk.len()).as_bytes());
+                out.extend_from_slice(chunk.as_bytes());
+                out.extend_from_slice(b"\r\n");
             }
+            out.extend_from_slice(b"0\r\n\r\n");
+        }
+    }
+
+    /// Serialises the whole response (status line, headers, framed body)
+    /// into one buffer. The socket writers send the head and a full body
+    /// as two parts without joining them; this contiguous form is the
+    /// exact byte sequence they produce.
+    pub fn to_bytes(&self, keep_alive: bool) -> Vec<u8> {
+        let mut out = Vec::with_capacity(256 + self.body_len());
+        self.push_head(&mut out, keep_alive);
+        if let Body::Full(body) = &self.body {
+            out.extend_from_slice(body.as_bytes());
         }
         out
     }
 
-    /// Writes the response with an explicit connection disposition.
+    /// Writes the response with an explicit connection disposition: the
+    /// head, then the shared body.
     pub fn write_conn<W: Write>(&self, stream: &mut W, keep_alive: bool) -> std::io::Result<()> {
-        stream.write_all(&self.to_bytes(keep_alive))?;
+        let (head, body) = self.head_and_body(keep_alive);
+        stream.write_all(&head)?;
+        if let Some(body) = body {
+            stream.write_all(body.as_bytes())?;
+        }
         stream.flush()
     }
 

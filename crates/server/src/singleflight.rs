@@ -6,14 +6,15 @@
 //! *follower* and blocks on a condvar until the leader publishes the
 //! result. Pipeline runs are deterministic, so handing every follower
 //! the leader's bytes is not an approximation — it is exactly the
-//! response they would have computed.
+//! response they would have computed. Followers share the leader's
+//! `Arc<str>`; no caller copies the body.
 
 use std::collections::HashMap;
 use std::sync::{Arc, Condvar, Mutex};
 
 #[derive(Debug, Default)]
 struct Call {
-    result: Mutex<Option<String>>,
+    result: Mutex<Option<Arc<str>>>,
     ready: Condvar,
 }
 
@@ -21,14 +22,14 @@ struct Call {
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub enum Outcome {
     /// This caller ran the computation.
-    Led(String),
+    Led(Arc<str>),
     /// This caller waited on an identical in-flight computation.
-    Coalesced(String),
+    Coalesced(Arc<str>),
 }
 
 impl Outcome {
     /// The computed value, however it was obtained.
-    pub fn into_value(self) -> String {
+    pub fn into_value(self) -> Arc<str> {
         match self {
             Outcome::Led(v) | Outcome::Coalesced(v) => v,
         }
@@ -50,7 +51,7 @@ impl SingleFlight {
     /// Runs `compute` for `key`, unless an identical call is already in
     /// flight — then blocks until that call finishes and returns its
     /// value.
-    pub fn run(&self, key: &str, compute: impl FnOnce() -> String) -> Outcome {
+    pub fn run(&self, key: &str, compute: impl FnOnce() -> Arc<str>) -> Outcome {
         let (call, leader) = {
             let mut calls = self.calls.lock().expect("singleflight map poisoned");
             match calls.get(key) {
@@ -67,7 +68,7 @@ impl SingleFlight {
             let value = compute();
             {
                 let mut slot = call.result.lock().expect("singleflight call poisoned");
-                *slot = Some(value.clone());
+                *slot = Some(Arc::clone(&value));
             }
             call.ready.notify_all();
             self.calls
@@ -97,11 +98,11 @@ mod tests {
     #[test]
     fn solo_caller_leads() {
         let sf = SingleFlight::new();
-        let out = sf.run("k", || "v".to_string());
-        assert_eq!(out, Outcome::Led("v".to_string()));
+        let out = sf.run("k", || "v".into());
+        assert_eq!(out, Outcome::Led("v".into()));
         // The key is released afterwards: the next caller leads again.
-        let out = sf.run("k", || "v2".to_string());
-        assert_eq!(out, Outcome::Led("v2".to_string()));
+        let out = sf.run("k", || "v2".into());
+        assert_eq!(out, Outcome::Led("v2".into()));
     }
 
     #[test]
@@ -122,7 +123,7 @@ mod tests {
                         // Hold the flight open long enough for the other
                         // callers to pile in.
                         std::thread::sleep(std::time::Duration::from_millis(50));
-                        "shared".to_string()
+                        "shared".into()
                     })
                 })
             })
@@ -140,8 +141,22 @@ mod tests {
             computations.load(Ordering::SeqCst),
             "exactly one computation per leader"
         );
+        let led: Vec<&Arc<str>> = outcomes
+            .iter()
+            .filter_map(|o| match o {
+                Outcome::Led(v) => Some(v),
+                Outcome::Coalesced(_) => None,
+            })
+            .collect();
         for o in &outcomes {
-            assert_eq!(o.clone().into_value(), "shared");
+            assert_eq!(&*o.clone().into_value(), "shared");
+            // A follower holds its leader's allocation, not a copy.
+            if let Outcome::Coalesced(v) = o {
+                assert!(
+                    led.iter().any(|l| Arc::ptr_eq(l, v)),
+                    "coalesced value is shared with a leader"
+                );
+            }
         }
     }
 

@@ -956,6 +956,83 @@ fn fleet_entries_mutate_then_assess(io: IoModel) {
     server.stop();
 }
 
+/// A 1,000-entry registry makes each fleet body about 0.5 MB. A miss,
+/// nine hits and a small response go pipelined on one connection and
+/// must come back whole and in order. Loopback buffers a few MB for a
+/// peer that is not reading (about 3.8 MB on a 2-vCPU Linux VM), so ten
+/// such bodies outgrow it and the server's writes resume across
+/// `WouldBlock` on a real socket.
+fn large_fleet_bodies_survive_pipelining_and_writes(io: IoModel) {
+    const HITS: usize = 9;
+    let path = std::env::temp_dir().join(format!(
+        "tn-fleet-1000-{}-{}.jsonl",
+        std::process::id(),
+        io.label()
+    ));
+    std::fs::write(&path, tn_fleet::FleetRegistry::demo(3, 1000).to_jsonl())
+        .expect("write the fleet snapshot");
+    let mut cfg = config(io, 2);
+    cfg.fleet_path = Some(path.to_string_lossy().into_owned());
+    let server = start_config(&cfg);
+    let addr = server.addr();
+
+    let mut conn = Conn::open(addr);
+    let fleet = "POST /v1/fleet HTTP/1.1\r\nHost: t\r\nContent-Length: 2\r\n\r\n{}";
+    conn.send(&format!(
+        "{}GET /healthz HTTP/1.1\r\nHost: t\r\n\r\n",
+        fleet.repeat(1 + HITS)
+    ));
+    // Not reading for a moment lets the server fill the socket and block
+    // mid-body. The checks below hold however the writes interleave.
+    std::thread::sleep(Duration::from_millis(200));
+    let (status, head, miss) = conn.read_response();
+    assert_eq!(status, 200, "{head}");
+    assert!(miss.len() > 400_000, "{} bytes", miss.len());
+    assert!(miss.contains("\"count\":1000,"), "{}", &miss[..200]);
+    let length = format!("Content-Length: {}", miss.len());
+    assert!(head.lines().any(|l| l == length), "{head}");
+    for i in 0..HITS {
+        let (status, head, hit) = conn.read_response();
+        assert_eq!(status, 200, "{head}");
+        assert!(head.lines().any(|l| l == length), "{head}");
+        assert!(hit == miss, "hit {i} differs from the miss");
+    }
+    let (status, _, health) = conn.read_response();
+    assert_eq!(status, 200);
+    assert!(health.contains("\"status\":\"ok\""), "{health}");
+    assert!(conn.buf.is_empty(), "stale tail bytes after /healthz");
+    let metrics = get(addr, "/metrics").2;
+    assert_eq!(metric(&metrics, "tn_cache_misses_total"), 1);
+    assert_eq!(metric(&metrics, "tn_cache_hits_total"), HITS as u64);
+
+    // A registry write drops the generation-0 body from the cache.
+    let generation_0 = "fleet|2020|true|registry|all|0";
+    assert!(server.state().cache.get(generation_0).is_some());
+    conn.post(
+        "/v1/fleet/entries",
+        r#"{"id":"zz-new","device":"NVIDIA K20"}"#,
+        false,
+    );
+    let (status, _, body) = conn.read_response();
+    assert_eq!(status, 200, "{body}");
+    assert!(server.state().cache.get(generation_0).is_none());
+    conn.post("/v1/fleet", "{}", true);
+    let (status, _, after) = conn.read_response();
+    assert_eq!(status, 200);
+    assert!(after.contains("\"count\":1001,"), "{}", &after[..200]);
+    assert!(after.contains("\"generation\":1,"), "{}", &after[..200]);
+    conn.assert_eof();
+    server.stop();
+
+    // A fresh daemon on the same snapshot answers with the same bytes.
+    let fresh = start_config(&cfg);
+    let (status, _, again) = post(fresh.addr(), "/v1/fleet", "{}");
+    fresh.stop();
+    let _ = std::fs::remove_file(&path);
+    assert_eq!(status, 200);
+    assert!(again == miss, "a fresh daemon renders different bytes");
+}
+
 fn max_requests_per_conn_caps_reuse(io: IoModel) {
     let mut cfg = config(io, 2);
     cfg.max_requests_per_conn = 2;
@@ -1355,6 +1432,10 @@ macro_rules! io_model_suite {
         #[test]
         fn fleet_entries_mutate_then_assess() {
             super::fleet_entries_mutate_then_assess($model)
+        }
+        #[test]
+        fn large_fleet_bodies_survive_pipelining_and_writes() {
+            super::large_fleet_bodies_survive_pipelining_and_writes($model)
         }
         #[test]
         fn max_requests_per_conn_caps_reuse() {

@@ -19,10 +19,12 @@ RUSTDOCFLAGS="-D warnings" cargo doc --no-deps --offline --workspace
 # RequestParser -> router::wants_worker -> router::handle path. Build it,
 # then run each of its three workloads for one second: every one must
 # end in a JSON line with "correct": true (its output checks; the
-# timings of so short a run are not gated).
+# timings of so short a run are not gated). The smoke runs traced, so
+# the in-process replay behind the per-layer table (perfbench's own
+# Response::to_bytes, Body::Full and component calls) runs too.
 cargo build --release --offline --manifest-path perfbench/Cargo.toml
 if ! perf_out="$(cargo run --release --offline --quiet --manifest-path perfbench/Cargo.toml -- \
-    --workload all --seed 1 --seconds 1 --trace 0)" ||
+    --workload all --seed 1 --seconds 1 --trace 1)" ||
     [ "$(grep -c '^{"correct": true' <<<"$perf_out")" -ne 3 ]; then
     echo "perfbench smoke FAILED: every workload must report \"correct\": true" >&2
     echo "$perf_out" >&2
