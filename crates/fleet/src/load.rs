@@ -73,7 +73,7 @@ impl Default for LoadConfig {
             seed: 7,
             quick_surfaces: true,
             keep_alive: false,
-            io_model: "threads".to_string(),
+            io_model: "epoll".to_string(),
         }
     }
 }

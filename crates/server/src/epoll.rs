@@ -713,7 +713,6 @@ fn pump(conn: &mut Conn, ctx: &Ctx) -> Drive {
                 Err(http::HttpError::TooLarge(why)) => {
                     conn.stage(&Response::error(413, why), false);
                 }
-                Err(http::HttpError::Io(_)) => return Drive::Close,
                 Ok(Some(request)) => {
                     conn.last_activity = Instant::now();
                     if !request.keep_alive && !conn.parser.is_empty() {
@@ -874,7 +873,7 @@ fn shard_loop(shard: usize, listener: Option<TcpListener>, shared: &Shared) {
         loop {
             let stream = inbox.injected.lock().expect("inject queue poisoned").pop_front();
             let Some(stream) = stream else { break };
-            register_conn(stream, &ep, &mut conns, &mut next_token, shared, shard);
+            register_conn(stream, &ep, &mut conns, &mut next_token, shared);
         }
 
         for event in &events[..n] {
@@ -882,7 +881,7 @@ fn shard_loop(shard: usize, listener: Option<TcpListener>, shared: &Shared) {
             match token {
                 TOKEN_LISTENER => {
                     if let Some(listener) = &listener {
-                        accept_ready(listener, &ep, &mut conns, &mut next_token, shared, shard);
+                        accept_ready(listener, &ep, &mut conns, &mut next_token, shared);
                     }
                 }
                 TOKEN_WAKE => inbox.wake.drain(),
@@ -919,11 +918,10 @@ fn accept_ready(
     conns: &mut HashMap<u64, Conn>,
     next_token: &mut u64,
     shared: &Shared,
-    shard: usize,
 ) {
     loop {
         match listener.accept() {
-            Ok((stream, _)) => register_conn(stream, ep, conns, next_token, shared, shard),
+            Ok((stream, _)) => register_conn(stream, ep, conns, next_token, shared),
             Err(e) if e.kind() == std::io::ErrorKind::WouldBlock => break,
             Err(e) if e.kind() == std::io::ErrorKind::Interrupted => continue,
             Err(_) => break,
@@ -937,7 +935,6 @@ fn register_conn(
     conns: &mut HashMap<u64, Conn>,
     next_token: &mut u64,
     shared: &Shared,
-    shard: usize,
 ) {
     if stream.set_nonblocking(true).is_err() {
         return;
@@ -958,7 +955,6 @@ fn register_conn(
     // The socket may already carry a full request (common with
     // keep-alive clients reconnecting under load); readiness will fire,
     // no need to speculate here.
-    let _ = shard;
 }
 
 fn close_conn(conns: &mut HashMap<u64, Conn>, token: u64, shared: &Shared) {

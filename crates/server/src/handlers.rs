@@ -1,13 +1,15 @@
 //! Endpoint implementations and the shared application state.
 //!
-//! Every POST endpoint follows the same shape: parse the body with
-//! `tn_core::json`, resolve defaults, canonicalise the resolved request
-//! into a cache key, then go through the result cache and the
+//! Every POST endpoint follows the same shape: read the request's
+//! decoded JSON body, resolve defaults, canonicalise the resolved
+//! request into a cache key, then go through the result cache and the
 //! single-flight layer. Because the pipeline is deterministic in
 //! (config, seed), a cached body is byte-identical to a recomputed one.
+//! A handler that can reject its request returns
+//! `Result<Response, BadRequest>`; the router renders the error.
 
 use crate::cache::ShardedCache;
-use crate::http::{self, Request, Response};
+use crate::http::{Request, Response};
 use crate::metrics::Metrics;
 use crate::singleflight::{Outcome, SingleFlight};
 use std::sync::{Arc, Mutex};
@@ -351,12 +353,12 @@ impl AppState {
 }
 
 /// `GET /healthz`.
-pub fn healthz() -> Response {
+pub(crate) fn healthz() -> Response {
     Response::json(200, "{\"service\":\"tn-server\",\"status\":\"ok\"}".to_string())
 }
 
 /// `GET /v1/devices` — the device registry with per-device workloads.
-pub fn devices(state: &AppState) -> Response {
+pub(crate) fn devices(state: &AppState) -> Response {
     let roster = registry::full_roster(state.seed);
     let mut body = String::with_capacity(1024);
     body.push_str("{\"count\":");
@@ -386,31 +388,28 @@ pub fn devices(state: &AppState) -> Response {
 }
 
 /// `GET /metrics` — Prometheus text exposition.
-pub fn metrics(state: &AppState) -> Response {
+pub(crate) fn metrics(state: &AppState) -> Response {
     Response::metrics_text(state.metrics.render())
 }
 
 /// A request that failed validation, carrying the status it maps to.
-struct BadRequest {
+pub(crate) struct BadRequest {
     status: u16,
     message: String,
 }
 
 impl BadRequest {
-    fn new(status: u16, message: impl Into<String>) -> Self {
+    pub(crate) fn new(status: u16, message: impl Into<String>) -> Self {
         Self {
             status,
             message: message.into(),
         }
     }
 
-    fn response(&self) -> Response {
+    /// The JSON error response this rejection earns.
+    pub(crate) fn response(&self) -> Response {
         Response::error(self.status, &self.message)
     }
-}
-
-fn parse_body(body: &[u8]) -> Result<Json, BadRequest> {
-    http::decode_json(body).map_err(|message| BadRequest::new(400, message))
 }
 
 /// One line of the surface-cache file: `{"quick":bool,"surface":{...}}`.
@@ -633,24 +632,17 @@ fn push_fit_fields(out: &mut String, fit: &DeviceFit) {
 /// "weather": <preset>, "surroundings": <preset>,
 /// "solar_activity": <preset>, "seed": <u64>, "quick": <bool>}`
 /// (everything but `device` optional).
-pub fn fit(state: &AppState, body: &[u8]) -> Response {
-    match fit_inner(state, body) {
-        Ok(r) => r,
-        Err(bad) => bad.response(),
-    }
-}
-
-fn fit_inner(state: &AppState, body: &[u8]) -> Result<Response, BadRequest> {
-    let doc = parse_body(body)?;
-    let device_name = required_str(&doc, "device")?;
+pub(crate) fn fit(state: &AppState, request: &Request) -> Result<Response, BadRequest> {
+    let doc = request.json().map_err(|e| BadRequest::new(400, e))?;
+    let device_name = required_str(doc, "device")?;
     let device = registry::find_device(device_name)
         .ok_or_else(|| BadRequest::new(404, format!("unknown device `{device_name}`")))?;
-    let (location, canonical_location) = resolve_location(&doc)?;
-    let weather = resolve_weather(&doc)?;
-    let seed = optional_u64(&doc, "seed", state.seed)?;
-    let (surroundings, surroundings_name) = resolve_surroundings(&doc, seed)?;
-    let (solar, solar_name) = resolve_solar(&doc)?;
-    let quick = optional_bool(&doc, "quick", true)?;
+    let (location, canonical_location) = resolve_location(doc)?;
+    let weather = resolve_weather(doc)?;
+    let seed = optional_u64(doc, "seed", state.seed)?;
+    let (surroundings, surroundings_name) = resolve_surroundings(doc, seed)?;
+    let (solar, solar_name) = resolve_solar(doc)?;
+    let quick = optional_bool(doc, "quick", true)?;
 
     let resolved = Json::Object(vec![
         ("device".into(), Json::Str(device.name().to_string())),
@@ -705,18 +697,11 @@ fn fit_inner(state: &AppState, body: &[u8]) -> Result<Response, BadRequest> {
 ///
 /// Request: `{"due_fit_per_node": <f64>, "nodes": <u64>,
 /// "checkpoint_cost_s": <f64>}` (`nodes` optional, default 1).
-pub fn checkpoint(state: &AppState, body: &[u8]) -> Response {
-    match checkpoint_inner(state, body) {
-        Ok(r) => r,
-        Err(bad) => bad.response(),
-    }
-}
-
-fn checkpoint_inner(state: &AppState, body: &[u8]) -> Result<Response, BadRequest> {
-    let doc = parse_body(body)?;
-    let per_node = positive_f64(&doc, "due_fit_per_node")?;
-    let cost_s = positive_f64(&doc, "checkpoint_cost_s")?;
-    let nodes = optional_u64(&doc, "nodes", 1)?;
+pub(crate) fn checkpoint(state: &AppState, request: &Request) -> Result<Response, BadRequest> {
+    let doc = request.json().map_err(|e| BadRequest::new(400, e))?;
+    let per_node = positive_f64(doc, "due_fit_per_node")?;
+    let cost_s = positive_f64(doc, "checkpoint_cost_s")?;
+    let nodes = optional_u64(doc, "nodes", 1)?;
     if nodes == 0 {
         return Err(BadRequest::new(400, "field `nodes` must be >= 1"));
     }
@@ -758,19 +743,12 @@ fn checkpoint_inner(state: &AppState, body: &[u8]) -> Result<Response, BadReques
 /// confidence intervals, plus the Figure-5 ratios.
 ///
 /// Request: `{"device": <name>, "seed": <u64>}` (`seed` optional).
-pub fn cross_sections(state: &AppState, body: &[u8]) -> Response {
-    match cross_sections_inner(state, body) {
-        Ok(r) => r,
-        Err(bad) => bad.response(),
-    }
-}
-
-fn cross_sections_inner(state: &AppState, body: &[u8]) -> Result<Response, BadRequest> {
-    let doc = parse_body(body)?;
-    let device_name = required_str(&doc, "device")?;
+pub(crate) fn cross_sections(state: &AppState, request: &Request) -> Result<Response, BadRequest> {
+    let doc = request.json().map_err(|e| BadRequest::new(400, e))?;
+    let device_name = required_str(doc, "device")?;
     let device = registry::find_device(device_name)
         .ok_or_else(|| BadRequest::new(404, format!("unknown device `{device_name}`")))?;
-    let seed = optional_u64(&doc, "seed", state.seed)?;
+    let seed = optional_u64(doc, "seed", state.seed)?;
 
     let resolved = Json::Object(vec![
         ("device".into(), Json::Str(device.name().to_string())),
@@ -822,20 +800,13 @@ fn resolve_material(name: &str) -> Result<tn_physics::Material, BadRequest> {
 }
 
 /// `POST /v1/transport` — slab-stack Monte-Carlo transport on demand.
-pub fn transport(state: &AppState, body: &[u8]) -> Response {
-    match transport_inner(state, body) {
-        Ok(r) => r,
-        Err(bad) => bad.response(),
-    }
-}
-
-fn transport_inner(state: &AppState, body: &[u8]) -> Result<Response, BadRequest> {
+pub(crate) fn transport(state: &AppState, request: &Request) -> Result<Response, BadRequest> {
     use tn_core::transport::{
         Layer, SlabStack, Transport, VarianceReduction,
     };
     use tn_physics::units::{Energy, Length};
 
-    let doc = parse_body(body)?;
+    let doc = request.json().map_err(|e| BadRequest::new(400, e))?;
     let layers_doc = doc
         .get("layers")
         .and_then(Json::as_array)
@@ -878,14 +849,14 @@ fn transport_inner(state: &AppState, body: &[u8]) -> Result<Response, BadRequest
                 BadRequest::new(400, "field `energy_ev` must be finite and > 0")
             })?,
     };
-    let histories = optional_u64(&doc, "histories", 10_000)?;
+    let histories = optional_u64(doc, "histories", 10_000)?;
     if histories > TRANSPORT_MAX_HISTORIES {
         return Err(BadRequest::new(
             400,
             format!("field `histories` must be ≤ {TRANSPORT_MAX_HISTORIES}"),
         ));
     }
-    let seed = optional_u64(&doc, "seed", state.seed)?;
+    let seed = optional_u64(doc, "seed", state.seed)?;
     let source = match doc.get("source") {
         None => "beam",
         Some(Json::Str(s)) if s == "beam" || s == "diffuse" => s.as_str(),
@@ -896,7 +867,7 @@ fn transport_inner(state: &AppState, body: &[u8]) -> Result<Response, BadRequest
             ))
         }
     };
-    let vr = optional_bool(&doc, "variance_reduction", false)?;
+    let vr = optional_bool(doc, "variance_reduction", false)?;
 
     let resolved = Json::Object(vec![
         ("layers".into(), Json::Array(canonical_layers)),
@@ -1099,19 +1070,9 @@ fn is_dead_registry_key(key: &str, generation: u64) -> bool {
 ///
 /// The body is decoded once per request: a request the router already
 /// inspected (see [`fleet_surface_key`]) is not parsed again.
-pub fn fleet(state: &AppState, request: &Request) -> Response {
+pub(crate) fn fleet(state: &AppState, request: &Request) -> Result<Response, BadRequest> {
     let _span = tn_obs::span("fleet.bulk");
-    let outcome = request
-        .json()
-        .map_err(|message| BadRequest::new(400, message))
-        .and_then(|doc| fleet_inner(state, doc));
-    match outcome {
-        Ok(r) => r,
-        Err(bad) => bad.response(),
-    }
-}
-
-fn fleet_inner(state: &AppState, doc: &Json) -> Result<Response, BadRequest> {
+    let doc = request.json().map_err(|e| BadRequest::new(400, e))?;
     let seed = optional_u64(doc, "seed", state.seed)?;
     let quick = optional_bool(doc, "quick", true)?;
 
@@ -1211,11 +1172,37 @@ fn fleet_inner(state: &AppState, doc: &Json) -> Result<Response, BadRequest> {
 /// one metadata line, then one result line per entry, streamed with
 /// `Transfer-Encoding: chunked` so a poller can process entries as they
 /// arrive. Query parameters: `seed=<u64>`, `quick=<bool>`.
-pub fn fleet_stream(state: &AppState, path: &str) -> Response {
-    match fleet_stream_inner(state, path) {
-        Ok(r) => r,
-        Err(bad) => bad.response(),
+pub(crate) fn fleet_stream(state: &AppState, path: &str) -> Result<Response, BadRequest> {
+    let _span = tn_obs::span("fleet.stream");
+    let (seed, quick) = stream_params(state.seed, path)?;
+    let (entries, generation) = state.with_fleet(|fleet| (fleet.snapshot(), fleet.generation()));
+    if entries.is_empty() {
+        return Err(BadRequest::new(400, "fleet registry is empty"));
     }
+
+    let key = format!("fleet-stream|{seed}|{quick}|{generation}");
+    let text = cached_body(state, &key, || {
+        let surface = state.surface(seed, quick);
+        let assessments = assess_fleet(&surface, &entries);
+        let mut out = String::with_capacity(256 + 512 * entries.len());
+        push_fleet_summary(
+            &mut out,
+            &surface,
+            &assessments,
+            seed,
+            quick,
+            Some(generation),
+        );
+        out.push_str("}\n");
+        for (entry, assessment) in entries.iter().zip(&assessments) {
+            push_fleet_result(&mut out, entry, assessment);
+            out.push('\n');
+        }
+        out
+    });
+    // One HTTP chunk per JSONL line.
+    let chunks = text.split_inclusive('\n').map(String::from).collect();
+    Ok(Response::chunked(200, "application/x-ndjson", chunks))
 }
 
 /// Parses the `seed`/`quick` query parameters shared by the stream
@@ -1270,56 +1257,19 @@ pub fn fleet_surface_key(state: &AppState, request: &Request) -> Option<(u64, bo
     Some((seed, quick))
 }
 
-fn fleet_stream_inner(state: &AppState, path: &str) -> Result<Response, BadRequest> {
-    let _span = tn_obs::span("fleet.stream");
-    let (seed, quick) = stream_params(state.seed, path)?;
-    let (entries, generation) = state.with_fleet(|fleet| (fleet.snapshot(), fleet.generation()));
-    if entries.is_empty() {
-        return Err(BadRequest::new(400, "fleet registry is empty"));
-    }
-
-    let key = format!("fleet-stream|{seed}|{quick}|{generation}");
-    let text = cached_body(state, &key, || {
-        let surface = state.surface(seed, quick);
-        let assessments = assess_fleet(&surface, &entries);
-        let mut out = String::with_capacity(256 + 512 * entries.len());
-        push_fleet_summary(
-            &mut out,
-            &surface,
-            &assessments,
-            seed,
-            quick,
-            Some(generation),
-        );
-        out.push_str("}\n");
-        for (entry, assessment) in entries.iter().zip(&assessments) {
-            push_fleet_result(&mut out, entry, assessment);
-            out.push('\n');
-        }
-        out
-    });
-    // One HTTP chunk per JSONL line.
-    let chunks = text.split_inclusive('\n').map(String::from).collect();
-    Ok(Response::chunked(200, "application/x-ndjson", chunks))
-}
-
 /// `POST /v1/fleet/entries` — inserts or replaces one registry entry.
 /// The body is a single fleet-entry object (same schema as inline
 /// `devices` items, but `id` is required). Bumps the registry
 /// generation, which invalidates every cached registry-mode response.
-pub fn fleet_entry_upsert(state: &AppState, body: &[u8]) -> Response {
-    match fleet_entry_upsert_inner(state, body) {
-        Ok(r) => r,
-        Err(bad) => bad.response(),
-    }
-}
-
-fn fleet_entry_upsert_inner(state: &AppState, body: &[u8]) -> Result<Response, BadRequest> {
-    let doc = parse_body(body)?;
+pub(crate) fn fleet_entry_upsert(
+    state: &AppState,
+    request: &Request,
+) -> Result<Response, BadRequest> {
+    let doc = request.json().map_err(|e| BadRequest::new(400, e))?;
     if doc.get("id").and_then(Json::as_str).is_none() {
         return Err(BadRequest::new(400, "field `id` (string) is required"));
     }
-    let entry = FleetEntry::from_json(&doc).map_err(BadRequest::from)?;
+    let entry = FleetEntry::from_json(doc).map_err(BadRequest::from)?;
     let id = entry.id.clone();
     let (generation, count) = state.with_fleet(|fleet| {
         fleet
@@ -1345,33 +1295,24 @@ fn fleet_entry_upsert_inner(state: &AppState, body: &[u8]) -> Result<Response, B
 
 /// `DELETE /v1/fleet/entries/{id}` — removes one registry entry; 404
 /// when the id is unknown. Bumps the registry generation on success.
-pub fn fleet_entry_delete(state: &AppState, id: &str) -> Response {
-    let removed = state.with_fleet(|fleet| {
-        if fleet.remove(id) {
-            Some((fleet.generation(), fleet.len()))
-        } else {
-            None
-        }
-    });
-    match removed {
-        Some((generation, count)) => {
-            state
-                .cache
-                .remove_if(|key| is_dead_registry_key(key, generation));
-            tn_obs::info(
-                "fleet_entry_delete",
-                &[("id", id.into()), ("generation", generation.into())],
-            );
-            Response::json(
-                200,
-                format!(
-                    "{{\"op\":\"delete\",\"id\":{},\"generation\":{generation},\"count\":{count}}}",
-                    Json::Str(id.to_string()).to_canonical_string()
-                ),
-            )
-        }
-        None => Response::error(404, &format!("unknown fleet entry `{id}`")),
-    }
+pub(crate) fn fleet_entry_delete(state: &AppState, id: &str) -> Result<Response, BadRequest> {
+    let (generation, count) = state
+        .with_fleet(|fleet| fleet.remove(id).then(|| (fleet.generation(), fleet.len())))
+        .ok_or_else(|| BadRequest::new(404, format!("unknown fleet entry `{id}`")))?;
+    state
+        .cache
+        .remove_if(|key| is_dead_registry_key(key, generation));
+    tn_obs::info(
+        "fleet_entry_delete",
+        &[("id", id.into()), ("generation", generation.into())],
+    );
+    Ok(Response::json(
+        200,
+        format!(
+            "{{\"op\":\"delete\",\"id\":{},\"generation\":{generation},\"count\":{count}}}",
+            Json::Str(id.to_string()).to_canonical_string()
+        ),
+    ))
 }
 
 /// Renders one timeline point as a JSON object (array element in the
@@ -1492,14 +1433,7 @@ fn push_timeline_summary(out: &mut String, snap: &TimelineSnapshot) {
 /// trailing `limit` (default 256) windowed rate points plus every alert
 /// raised so far. Never cached: the series is live state, not a
 /// deterministic function of the request.
-pub fn timeline(state: &AppState, path: &str) -> Response {
-    match timeline_inner(state, path) {
-        Ok(r) => r,
-        Err(bad) => bad.response(),
-    }
-}
-
-fn timeline_inner(state: &AppState, path: &str) -> Result<Response, BadRequest> {
+pub(crate) fn timeline(state: &AppState, path: &str) -> Result<Response, BadRequest> {
     let limit = timeline_limit(path)?;
     let snap = timeline_snapshot(state, limit);
     let mut out = String::with_capacity(256 + 192 * snap.points.len());
@@ -1526,14 +1460,7 @@ fn timeline_inner(state: &AppState, path: &str) -> Result<Response, BadRequest> 
 /// `GET /v1/timeline/stream` — the same series as chunked JSONL: one
 /// summary line, then one line per point, then one line per alert
 /// (alert lines carry a `kind` field, point lines an `index` field).
-pub fn timeline_stream(state: &AppState, path: &str) -> Response {
-    match timeline_stream_inner(state, path) {
-        Ok(r) => r,
-        Err(bad) => bad.response(),
-    }
-}
-
-fn timeline_stream_inner(state: &AppState, path: &str) -> Result<Response, BadRequest> {
+pub(crate) fn timeline_stream(state: &AppState, path: &str) -> Result<Response, BadRequest> {
     let limit = timeline_limit(path)?;
     let snap = timeline_snapshot(state, limit);
     let mut text = String::with_capacity(256 + 192 * snap.points.len());
@@ -1585,15 +1512,8 @@ fn timeline_sample(doc: &Json, ctx: &str) -> Result<(u64, f64), BadRequest> {
 /// monitor. Request: `{"count": <u64>, "exposure_seconds": <f64>}` for
 /// one sample, or `{"samples": [{...}, ...]}` for an ordered batch.
 /// Responds with the alerts this ingest raised.
-pub fn timeline_ingest(state: &AppState, body: &[u8]) -> Response {
-    match timeline_ingest_inner(state, body) {
-        Ok(r) => r,
-        Err(bad) => bad.response(),
-    }
-}
-
-fn timeline_ingest_inner(state: &AppState, body: &[u8]) -> Result<Response, BadRequest> {
-    let doc = parse_body(body)?;
+pub(crate) fn timeline_ingest(state: &AppState, request: &Request) -> Result<Response, BadRequest> {
+    let doc = request.json().map_err(|e| BadRequest::new(400, e))?;
     let samples = match doc.get("samples") {
         Some(v) => {
             let array = v
@@ -1614,7 +1534,7 @@ fn timeline_ingest_inner(state: &AppState, body: &[u8]) -> Result<Response, BadR
                 .map(|(i, s)| timeline_sample(s, &format!("samples[{i}]")))
                 .collect::<Result<Vec<_>, _>>()?
         }
-        None => vec![timeline_sample(&doc, "request")?],
+        None => vec![timeline_sample(doc, "request")?],
     };
     let mut alerts = Vec::new();
     for &(count, exposure) in &samples {
@@ -1641,7 +1561,7 @@ fn timeline_ingest_inner(state: &AppState, body: &[u8]) -> Result<Response, BadR
 
 /// `GET /v1/scenarios` — lists the built-in scenario campaigns with
 /// their headline parameters, plus the seed a run defaults to.
-pub fn scenarios(state: &AppState) -> Response {
+pub(crate) fn scenarios(state: &AppState) -> Response {
     let list: Vec<Json> = tn_scenario::builtin_names()
         .iter()
         .map(|name| {
@@ -1671,17 +1591,10 @@ pub fn scenarios(state: &AppState) -> Response {
 /// returns its full report. Request: `{"name": <built-in>,
 /// "seed": <u64>}` (`seed` optional, defaults to the server seed).
 /// Reports are byte-deterministic, so repeats are LRU cache hits.
-pub fn scenario_run(state: &AppState, body: &[u8]) -> Response {
-    match scenario_run_inner(state, body) {
-        Ok(r) => r,
-        Err(bad) => bad.response(),
-    }
-}
-
-fn scenario_run_inner(state: &AppState, body: &[u8]) -> Result<Response, BadRequest> {
-    let doc = parse_body(body)?;
-    let name = required_str(&doc, "name")?;
-    let seed = optional_u64(&doc, "seed", state.seed)?;
+pub(crate) fn scenario_run(state: &AppState, request: &Request) -> Result<Response, BadRequest> {
+    let doc = request.json().map_err(|e| BadRequest::new(400, e))?;
+    let name = required_str(doc, "name")?;
+    let seed = optional_u64(doc, "seed", state.seed)?;
     let scenario = tn_scenario::builtin(name).ok_or_else(|| {
         BadRequest::new(
             404,
@@ -1705,21 +1618,29 @@ mod tests {
         AppState::new(2020, 64, 2)
     }
 
-    /// A bulk fleet request carrying `body`, as the router hands it over.
-    fn fleet_post(body: &[u8]) -> Request {
-        Request::new("POST", "/v1/fleet", body.to_vec(), true)
+    /// Sends a request through the router, as the server does.
+    fn call(s: &AppState, method: &str, path: &str, body: &[u8]) -> Response {
+        crate::router::handle(s, &Request::new(method, path, body.to_vec(), true))
+    }
+
+    fn get(s: &AppState, path: &str) -> Response {
+        call(s, "GET", path, b"")
+    }
+
+    fn post(s: &AppState, path: &str, body: &[u8]) -> Response {
+        call(s, "POST", path, body)
     }
 
     #[test]
     fn healthz_is_static_json() {
-        let r = healthz();
+        let r = get(&state(), "/healthz");
         assert_eq!(r.status, 200);
         assert!(r.body_text().contains("\"status\":\"ok\""));
     }
 
     #[test]
     fn devices_lists_the_whole_catalog() {
-        let r = devices(&state());
+        let r = get(&state(), "/v1/devices");
         assert_eq!(r.status, 200);
         assert!(r.body_text().contains("\"count\":8"));
         assert!(r.body_text().contains("Intel Xeon Phi"));
@@ -1729,7 +1650,7 @@ mod tests {
 
     #[test]
     fn scenarios_lists_the_builtin_campaigns() {
-        let r = scenarios(&state());
+        let r = get(&state(), "/v1/scenarios");
         assert_eq!(r.status, 200);
         let doc = json::parse(&r.body_text()).expect("valid JSON");
         assert_eq!(doc.get("count").and_then(|v| v.as_u64()), Some(4));
@@ -1750,20 +1671,27 @@ mod tests {
     #[test]
     fn scenario_run_validates_name_and_caches_reports() {
         let s = state();
-        assert_eq!(scenario_run(&s, b"{oops").status, 400);
-        assert_eq!(scenario_run(&s, b"{}").status, 400);
-        let unknown = scenario_run(&s, br#"{"name":"nope"}"#);
+        assert_eq!(post(&s, "/v1/scenario/run", b"{oops").status, 400);
+        assert_eq!(post(&s, "/v1/scenario/run", b"{}").status, 400);
+        let unknown = post(&s, "/v1/scenario/run", br#"{"name":"nope"}"#);
         assert_eq!(unknown.status, 404);
-        assert!(unknown.body_text().contains("built-ins:"), "{}", unknown.body_text());
-        assert_eq!(scenario_run(&s, br#"{"name":"normal","seed":"x"}"#).status, 400);
+        assert!(
+            unknown.body_text().contains("built-ins:"),
+            "{}",
+            unknown.body_text()
+        );
+        assert_eq!(
+            post(&s, "/v1/scenario/run", br#"{"name":"normal","seed":"x"}"#).status,
+            400
+        );
 
-        let a = scenario_run(&s, br#"{"name":"normal","seed":7}"#);
+        let a = post(&s, "/v1/scenario/run", br#"{"name":"normal","seed":7}"#);
         assert_eq!(a.status, 200, "{}", a.body_text());
         let doc = json::parse(&a.body_text()).expect("valid JSON");
         assert_eq!(doc.get("seed").and_then(|v| v.as_u64()), Some(7));
         assert_eq!(doc.get("conformant").and_then(|v| v.as_bool()), Some(true));
         // Identical request: byte-identical body served from the cache.
-        let b = scenario_run(&s, br#"{"name":"normal","seed":7}"#);
+        let b = post(&s, "/v1/scenario/run", br#"{"name":"normal","seed":7}"#);
         assert_eq!(a.body_text(), b.body_text());
         assert!(s.metrics.render().contains("tn_cache_hits_total 1"));
     }
@@ -1771,19 +1699,29 @@ mod tests {
     #[test]
     fn transport_validates_geometry_and_parameters() {
         let s = state();
-        assert_eq!(transport(&s, b"{oops").status, 400);
-        assert_eq!(transport(&s, b"{}").status, 400);
-        let empty = transport(&s, br#"{"layers":[]}"#);
+        assert_eq!(post(&s, "/v1/transport", b"{oops").status, 400);
+        assert_eq!(post(&s, "/v1/transport", b"{}").status, 400);
+        let empty = post(&s, "/v1/transport", br#"{"layers":[]}"#);
         assert_eq!(empty.status, 400);
-        assert!(empty.body_text().contains("at least one layer"), "{}", empty.body_text());
-        let zero = transport(
+        assert!(
+            empty.body_text().contains("at least one layer"),
+            "{}",
+            empty.body_text()
+        );
+        let zero = post(
             &s,
+            "/v1/transport",
             br#"{"layers":[{"material":"water","thickness_cm":0}]}"#,
         );
         assert_eq!(zero.status, 400);
-        assert!(zero.body_text().contains("must be positive"), "{}", zero.body_text());
-        let ok = transport(
+        assert!(
+            zero.body_text().contains("must be positive"),
+            "{}",
+            zero.body_text()
+        );
+        let ok = post(
             &s,
+            "/v1/transport",
             br#"{"layers":[{"material":"cadmium","thickness_cm":0.1}],"histories":2000}"#,
         );
         assert_eq!(ok.status, 200, "{}", ok.body_text());
@@ -1794,27 +1732,38 @@ mod tests {
     #[test]
     fn fit_rejects_malformed_and_unknown() {
         let s = state();
-        assert_eq!(fit(&s, b"{oops").status, 400);
-        assert_eq!(fit(&s, b"{}").status, 400);
-        assert_eq!(fit(&s, br#"{"device":"PDP-11"}"#).status, 404);
+        assert_eq!(post(&s, "/v1/fit", b"{oops").status, 400);
+        assert_eq!(post(&s, "/v1/fit", b"{}").status, 400);
+        assert_eq!(post(&s, "/v1/fit", br#"{"device":"PDP-11"}"#).status, 404);
         assert_eq!(
-            fit(&s, br#"{"device":"NVIDIA K20","weather":"hail"}"#).status,
-            400
-        );
-        assert_eq!(
-            fit(&s, br#"{"device":"NVIDIA K20","location":"atlantis"}"#).status,
-            400
-        );
-        assert_eq!(
-            fit(
+            post(
                 &s,
+                "/v1/fit",
+                br#"{"device":"NVIDIA K20","weather":"hail"}"#
+            )
+            .status,
+            400
+        );
+        assert_eq!(
+            post(
+                &s,
+                "/v1/fit",
+                br#"{"device":"NVIDIA K20","location":"atlantis"}"#
+            )
+            .status,
+            400
+        );
+        assert_eq!(
+            post(
+                &s,
+                "/v1/fit",
                 br#"{"device":"NVIDIA K20","location":{"altitude_m":99999}}"#
             )
             .status,
             400
         );
         assert_eq!(
-            fit(&s, br#"{"device":"NVIDIA K20","seed":-1}"#).status,
+            post(&s, "/v1/fit", br#"{"device":"NVIDIA K20","seed":-1}"#).status,
             400
         );
     }
@@ -1822,8 +1771,9 @@ mod tests {
     #[test]
     fn checkpoint_computes_young_and_daly() {
         let s = state();
-        let r = checkpoint(
+        let r = post(
             &s,
+            "/v1/checkpoint",
             br#"{"due_fit_per_node": 500.0, "nodes": 100, "checkpoint_cost_s": 120}"#,
         );
         assert_eq!(r.status, 200);
@@ -1845,7 +1795,12 @@ mod tests {
             br#"{"due_fit_per_node":1,"checkpoint_cost_s":60,"nodes":0}"#,
             br#"{"checkpoint_cost_s":60}"#,
         ] {
-            assert_eq!(checkpoint(&s, bad).status, 400, "{:?}", std::str::from_utf8(bad));
+            assert_eq!(
+                post(&s, "/v1/checkpoint", bad).status,
+                400,
+                "{:?}",
+                std::str::from_utf8(bad)
+            );
         }
     }
 
@@ -1854,12 +1809,14 @@ mod tests {
         let s = state();
         // Same request, different member order / number spelling /
         // explicit defaults: second one must be a cache hit.
-        let a = fit(
+        let a = post(
             &s,
+            "/v1/fit",
             br#"{"device":"NVIDIA K20","seed":7,"weather":"sunny","quick":true}"#,
         );
-        let b = fit(
+        let b = post(
             &s,
+            "/v1/fit",
             br#"{"weather":"sunny","device":"NVIDIA K20","seed":7e0}"#,
         );
         assert_eq!(a.status, 200);
@@ -1872,10 +1829,7 @@ mod tests {
     fn fleet_inline_assesses_from_the_surface() {
         let s = state();
         let before = tn_core::transport::stats::histories_total();
-        let r = fleet(
-            &s,
-            &fleet_post(br#"{"devices":[{"device":"NVIDIA K20","altitude_m":1609,"b10_areal_cm2":1e19,"avf":0.5}],"seed":3}"#),
-        );
+        let r = post(&s, "/v1/fleet", br#"{"devices":[{"device":"NVIDIA K20","altitude_m":1609,"b10_areal_cm2":1e19,"avf":0.5}],"seed":3}"#);
         assert_eq!(r.status, 200, "{}", r.body_text());
         let doc = json::parse(&r.body_text()).unwrap();
         assert_eq!(doc.get("count").and_then(Json::as_f64), Some(1.0));
@@ -1894,10 +1848,7 @@ mod tests {
         // same query must not touch the transport kernel at all.
         let after_build = tn_core::transport::stats::histories_total();
         assert!(after_build > before, "surface build runs the kernel once");
-        let again = fleet(
-            &s,
-            &fleet_post(br#"{"seed":3,"devices":[{"avf":0.5,"device":"NVIDIA K20","altitude_m":1609,"b10_areal_cm2":1e19}]}"#),
-        );
+        let again = post(&s, "/v1/fleet", br#"{"seed":3,"devices":[{"avf":0.5,"device":"NVIDIA K20","altitude_m":1609,"b10_areal_cm2":1e19}]}"#);
         assert_eq!(again.body_text(), r.body_text());
         assert_eq!(tn_core::transport::stats::histories_total(), after_build);
     }
@@ -1905,11 +1856,10 @@ mod tests {
     #[test]
     fn inline_ids_default_by_position_and_share_cache_keys() {
         let s = state();
-        let r = fleet(
+        let r = post(
             &s,
-            &fleet_post(
-                br#"{"devices":[{"device":"NVIDIA K20","id":"mine"},{"device":"NVIDIA K20"}]}"#,
-            ),
+            "/v1/fleet",
+            br#"{"devices":[{"device":"NVIDIA K20","id":"mine"},{"device":"NVIDIA K20"}]}"#,
         );
         assert_eq!(r.status, 200, "{}", r.body_text());
         let doc = json::parse(&r.body_text()).unwrap();
@@ -1923,16 +1873,14 @@ mod tests {
         assert_eq!(ids, ["mine", "inline-0001"]);
         // Spelling the default id out gives the same entry, so the same
         // cache key and a hit.
-        let spelled = fleet(
-            &s,
-            &fleet_post(br#"{"devices":[{"id":"mine","device":"NVIDIA K20"},{"id":"inline-0001","device":"NVIDIA K20"}]}"#),
-        );
+        let spelled = post(&s, "/v1/fleet", br#"{"devices":[{"id":"mine","device":"NVIDIA K20"},{"id":"inline-0001","device":"NVIDIA K20"}]}"#);
         assert_eq!(spelled.body_text(), r.body_text());
         assert!(s.metrics.render().contains("tn_cache_hits_total 1"));
         // A present id must be a string; it is never replaced.
-        let numeric = fleet(
+        let numeric = post(
             &s,
-            &fleet_post(br#"{"devices":[{"device":"NVIDIA K20","id":7}]}"#),
+            "/v1/fleet",
+            br#"{"devices":[{"device":"NVIDIA K20","id":7}]}"#,
         );
         assert_eq!(numeric.status, 400, "{}", numeric.body_text());
         assert!(
@@ -1940,44 +1888,49 @@ mod tests {
             "{}",
             numeric.body_text()
         );
-        let scalar = fleet(&s, &fleet_post(br#"{"devices":[3]}"#));
+        let scalar = post(&s, "/v1/fleet", br#"{"devices":[3]}"#);
         assert_eq!(scalar.status, 400, "{}", scalar.body_text());
     }
 
     #[test]
     fn fleet_validates_entries() {
         let s = state();
-        assert_eq!(fleet(&s, &fleet_post(b"{oops")).status, 400);
-        assert_eq!(fleet(&s, &fleet_post(br#"{"devices":[]}"#)).status, 400);
+        assert_eq!(post(&s, "/v1/fleet", b"{oops").status, 400);
+        assert_eq!(post(&s, "/v1/fleet", br#"{"devices":[]}"#).status, 400);
         assert_eq!(
-            fleet(&s, &fleet_post(br#"{"devices":"NVIDIA K20"}"#)).status,
+            post(&s, "/v1/fleet", br#"{"devices":"NVIDIA K20"}"#).status,
             400
         );
-        let unknown = fleet(&s, &fleet_post(br#"{"devices":[{"device":"PDP-11"}]}"#));
+        let unknown = post(&s, "/v1/fleet", br#"{"devices":[{"device":"PDP-11"}]}"#);
         assert_eq!(unknown.status, 404);
-        assert!(unknown.body_text().contains("devices[0]"), "{}", unknown.body_text());
-        let bad_avf = fleet(
+        assert!(
+            unknown.body_text().contains("devices[0]"),
+            "{}",
+            unknown.body_text()
+        );
+        let bad_avf = post(
             &s,
-            &fleet_post(br#"{"devices":[{"device":"NVIDIA K20","avf":2}]}"#),
+            "/v1/fleet",
+            br#"{"devices":[{"device":"NVIDIA K20","avf":2}]}"#,
         );
         assert_eq!(bad_avf.status, 400);
         assert_eq!(
-            fleet(&s, &fleet_post(br#"{"ids":["no-such-node"]}"#)).status,
+            post(&s, "/v1/fleet", br#"{"ids":["no-such-node"]}"#).status,
             404
         );
-        assert_eq!(fleet(&s, &fleet_post(br#"{"ids":[]}"#)).status, 400);
+        assert_eq!(post(&s, "/v1/fleet", br#"{"ids":[]}"#).status, 400);
     }
 
     #[test]
     fn fleet_registry_mode_keys_cache_by_generation() {
         let s = state();
-        let a = fleet(&s, &fleet_post(br#"{"quick":true}"#));
+        let a = post(&s, "/v1/fleet", br#"{"quick":true}"#);
         assert_eq!(a.status, 200, "{}", a.body_text());
         let doc = json::parse(&a.body_text()).unwrap();
         assert_eq!(doc.get("count").and_then(Json::as_f64), Some(24.0));
         assert_eq!(doc.get("generation").and_then(Json::as_f64), Some(0.0));
         // Identical repeat: served from cache.
-        let b = fleet(&s, &fleet_post(br#"{"quick":true}"#));
+        let b = post(&s, "/v1/fleet", br#"{"quick":true}"#);
         assert_eq!(a.body_text(), b.body_text());
         assert!(s.metrics.render().contains("tn_cache_hits_total 1"));
         // A mutation bumps the generation, so the same request misses.
@@ -1986,7 +1939,7 @@ mod tests {
             entry.avf = 0.9;
             fleet.upsert(entry).unwrap();
         });
-        let c = fleet(&s, &fleet_post(br#"{"quick":true}"#));
+        let c = post(&s, "/v1/fleet", br#"{"quick":true}"#);
         assert_eq!(c.status, 200);
         let doc = json::parse(&c.body_text()).unwrap();
         assert_eq!(doc.get("generation").and_then(Json::as_f64), Some(1.0));
@@ -2028,9 +1981,9 @@ mod tests {
             br#"{"quick":true}"#,
             br#"{"ids":["node-0003"]}"#,
         ] {
-            assert_eq!(fleet(&s, &fleet_post(body)).status, 200);
+            assert_eq!(post(&s, "/v1/fleet", body).status, 200);
         }
-        assert_eq!(fleet_stream(&s, "/v1/fleet/stream?quick=true").status, 200);
+        assert_eq!(get(&s, "/v1/fleet/stream?quick=true").status, 200);
         let generation_0 = [
             "fleet|2020|true|registry|all|0",
             r#"fleet|2020|true|registry|["node-0003"]|0"#,
@@ -2041,7 +1994,11 @@ mod tests {
         }
         assert_eq!(s.cache.len(), 4);
 
-        let up = fleet_entry_upsert(&s, br#"{"id":"zz","device":"NVIDIA K20"}"#);
+        let up = post(
+            &s,
+            "/v1/fleet/entries",
+            br#"{"id":"zz","device":"NVIDIA K20"}"#,
+        );
         assert_eq!(up.status, 200, "{}", up.body_text());
         for key in generation_0 {
             assert!(s.cache.get(key).is_none(), "{key} outlived its generation");
@@ -2049,13 +2006,13 @@ mod tests {
         assert_eq!(s.cache.len(), 1, "only the inline body is left");
 
         // A body of the current generation survives until the next write.
-        assert_eq!(fleet(&s, &fleet_post(br#"{"quick":true}"#)).status, 200);
+        assert_eq!(post(&s, "/v1/fleet", br#"{"quick":true}"#).status, 200);
         assert!(s.cache.get("fleet|2020|true|registry|all|1").is_some());
-        assert_eq!(fleet_entry_delete(&s, "zz").status, 200);
+        assert_eq!(call(&s, "DELETE", "/v1/fleet/entries/zz", b"").status, 200);
         assert!(s.cache.get("fleet|2020|true|registry|all|1").is_none());
         // A failed write changes nothing, so it drops nothing.
-        assert_eq!(fleet(&s, &fleet_post(br#"{"quick":true}"#)).status, 200);
-        assert_eq!(fleet_entry_delete(&s, "zz").status, 404);
+        assert_eq!(post(&s, "/v1/fleet", br#"{"quick":true}"#).status, 200);
+        assert_eq!(call(&s, "DELETE", "/v1/fleet/entries/zz", b"").status, 404);
         assert!(s.cache.get("fleet|2020|true|registry|all|2").is_some());
         assert_eq!(s.cache.len(), 2);
     }
@@ -2063,7 +2020,7 @@ mod tests {
     #[test]
     fn fleet_stream_is_chunked_jsonl() {
         let s = state();
-        let r = fleet_stream(&s, "/v1/fleet/stream?seed=5&quick=true");
+        let r = get(&s, "/v1/fleet/stream?seed=5&quick=true");
         assert_eq!(r.status, 200, "{}", r.body_text());
         assert_eq!(r.content_type, "application/x-ndjson");
         let crate::http::Body::Chunked(chunks) = &r.body else {
@@ -2099,29 +2056,33 @@ mod tests {
     #[test]
     fn fleet_stream_rejects_bad_queries() {
         let s = state();
-        assert_eq!(fleet_stream(&s, "/v1/fleet/stream?seed=x").status, 400);
-        assert_eq!(fleet_stream(&s, "/v1/fleet/stream?quick=maybe").status, 400);
-        assert_eq!(fleet_stream(&s, "/v1/fleet/stream?nope=1").status, 400);
+        assert_eq!(get(&s, "/v1/fleet/stream?seed=x").status, 400);
+        assert_eq!(get(&s, "/v1/fleet/stream?quick=maybe").status, 400);
+        assert_eq!(get(&s, "/v1/fleet/stream?nope=1").status, 400);
     }
 
     #[test]
     fn timeline_starts_empty_and_tracks_ingest() {
         let s = state();
-        let r = timeline(&s, "/v1/timeline");
+        let r = get(&s, "/v1/timeline");
         assert_eq!(r.status, 200, "{}", r.body_text());
         let doc = json::parse(&r.body_text()).unwrap();
         assert_eq!(doc.get("samples").and_then(Json::as_f64), Some(0.0));
         assert_eq!(doc.get("armed").and_then(Json::as_bool), Some(false));
         assert_eq!(doc.get("points").and_then(Json::as_array).unwrap().len(), 0);
 
-        let r = timeline_ingest(&s, br#"{"count":480,"exposure_seconds":3600}"#);
+        let r = post(
+            &s,
+            "/v1/timeline/ingest",
+            br#"{"count":480,"exposure_seconds":3600}"#,
+        );
         assert_eq!(r.status, 200, "{}", r.body_text());
         let doc = json::parse(&r.body_text()).unwrap();
         assert_eq!(doc.get("ingested").and_then(Json::as_f64), Some(1.0));
         assert_eq!(doc.get("samples").and_then(Json::as_f64), Some(1.0));
         assert_eq!(doc.get("alerts").and_then(Json::as_array).unwrap().len(), 0);
 
-        let r = timeline(&s, "/v1/timeline?limit=8");
+        let r = get(&s, "/v1/timeline?limit=8");
         let doc = json::parse(&r.body_text()).unwrap();
         assert_eq!(doc.get("samples").and_then(Json::as_f64), Some(1.0));
         let points = doc.get("points").and_then(Json::as_array).unwrap();
@@ -2149,7 +2110,7 @@ mod tests {
             body.push_str(&format!("{{\"count\":{count}}}"));
         }
         body.push_str("]}");
-        let r = timeline_ingest(&s, body.as_bytes());
+        let r = post(&s, "/v1/timeline/ingest", body.as_bytes());
         assert_eq!(r.status, 200, "{}", r.body_text());
         let doc = json::parse(&r.body_text()).unwrap();
         let alerts = doc.get("alerts").and_then(Json::as_array).unwrap();
@@ -2158,13 +2119,13 @@ mod tests {
         let onset = alerts[0].get("onset_index").and_then(Json::as_f64).unwrap();
         assert!((59.0..=62.0).contains(&onset), "onset {onset}");
         // The alert shows up in both GET views and in /metrics.
-        let bulk = timeline(&s, "/v1/timeline");
+        let bulk = get(&s, "/v1/timeline");
         let bulk_doc = json::parse(&bulk.body_text()).unwrap();
         assert_eq!(
             bulk_doc.get("alerts").and_then(Json::as_array).unwrap().len(),
             1
         );
-        let stream = timeline_stream(&s, "/v1/timeline/stream?limit=100");
+        let stream = get(&s, "/v1/timeline/stream?limit=100");
         let crate::http::Body::Chunked(chunks) = &stream.body else {
             panic!("stream response must be chunked");
         };
@@ -2185,12 +2146,12 @@ mod tests {
         let s = state();
         for count in [400u64, 410, 395, 420, 405] {
             let body = format!("{{\"count\":{count},\"exposure_seconds\":60}}");
-            assert_eq!(timeline_ingest(&s, body.as_bytes()).status, 200);
+            assert_eq!(post(&s, "/v1/timeline/ingest", body.as_bytes()).status, 200);
         }
-        let bulk = timeline(&s, "/v1/timeline");
+        let bulk = get(&s, "/v1/timeline");
         let doc = json::parse(&bulk.body_text()).unwrap();
         let points = doc.get("points").and_then(Json::as_array).unwrap();
-        let stream = timeline_stream(&s, "/v1/timeline/stream");
+        let stream = get(&s, "/v1/timeline/stream");
         let crate::http::Body::Chunked(chunks) = &stream.body else {
             panic!("stream response must be chunked");
         };
@@ -2206,35 +2167,58 @@ mod tests {
     #[test]
     fn timeline_validates_inputs() {
         let s = state();
-        assert_eq!(timeline(&s, "/v1/timeline?limit=0").status, 400);
-        assert_eq!(timeline(&s, "/v1/timeline?limit=x").status, 400);
-        assert_eq!(timeline(&s, "/v1/timeline?nope=1").status, 400);
-        assert_eq!(timeline_stream(&s, "/v1/timeline/stream?nope=1").status, 400);
-        assert_eq!(timeline_ingest(&s, b"{oops").status, 400);
-        assert_eq!(timeline_ingest(&s, b"{}").status, 400);
-        assert_eq!(timeline_ingest(&s, br#"{"count":-3}"#).status, 400);
+        assert_eq!(get(&s, "/v1/timeline?limit=0").status, 400);
+        assert_eq!(get(&s, "/v1/timeline?limit=x").status, 400);
+        assert_eq!(get(&s, "/v1/timeline?nope=1").status, 400);
+        assert_eq!(get(&s, "/v1/timeline/stream?nope=1").status, 400);
+        assert_eq!(post(&s, "/v1/timeline/ingest", b"{oops").status, 400);
+        assert_eq!(post(&s, "/v1/timeline/ingest", b"{}").status, 400);
         assert_eq!(
-            timeline_ingest(&s, br#"{"count":5,"exposure_seconds":0}"#).status,
+            post(&s, "/v1/timeline/ingest", br#"{"count":-3}"#).status,
             400
         );
-        assert_eq!(timeline_ingest(&s, br#"{"samples":[]}"#).status, 400);
         assert_eq!(
-            timeline_ingest(&s, br#"{"samples":[{"count":1},{"count":-1}]}"#).status,
+            post(
+                &s,
+                "/v1/timeline/ingest",
+                br#"{"count":5,"exposure_seconds":0}"#
+            )
+            .status,
+            400
+        );
+        assert_eq!(
+            post(&s, "/v1/timeline/ingest", br#"{"samples":[]}"#).status,
+            400
+        );
+        assert_eq!(
+            post(
+                &s,
+                "/v1/timeline/ingest",
+                br#"{"samples":[{"count":1},{"count":-1}]}"#
+            )
+            .status,
             400
         );
         let too_many = format!(
             "{{\"samples\":[{}]}}",
             vec!["{\"count\":1}"; TIMELINE_MAX_SAMPLES + 1].join(",")
         );
-        assert_eq!(timeline_ingest(&s, too_many.as_bytes()).status, 400);
+        assert_eq!(
+            post(&s, "/v1/timeline/ingest", too_many.as_bytes()).status,
+            400
+        );
     }
 
     #[test]
     fn study_memo_is_shared_between_endpoints() {
         let s = state();
-        let f = fit(&s, br#"{"device":"NVIDIA K20","seed":9}"#);
+        let f = post(&s, "/v1/fit", br#"{"device":"NVIDIA K20","seed":9}"#);
         assert_eq!(f.status, 200);
-        let x = cross_sections(&s, br#"{"device":"Intel Xeon Phi","seed":9}"#);
+        let x = post(
+            &s,
+            "/v1/cross-sections",
+            br#"{"device":"Intel Xeon Phi","seed":9}"#,
+        );
         assert_eq!(x.status, 200);
         // One pipeline run serves both endpoints.
         assert!(s.metrics.render().contains("tn_study_cache_misses_total 1"));

@@ -1,16 +1,16 @@
-//! A deliberately small HTTP/1.1 layer over `std::net::TcpStream`.
+//! A deliberately small HTTP/1.1 layer: request parsing and response
+//! framing, with no socket code (the event loop in `epoll` owns the
+//! sockets).
 //!
 //! Only what the API needs: request-line + headers + `Content-Length`
-//! bodies in, fixed-header responses out. Since PR 8 the parser is
-//! **resumable**: [`RequestParser`] accumulates bytes across partial
-//! reads and yields complete requests one at a time, so a connection can
-//! carry many requests (`Connection: keep-alive`, the HTTP/1.1 default)
-//! and clients may pipeline — bytes buffered past one request simply
-//! begin the next. Size limits keep a hostile peer from holding a
-//! worker: 8 KiB of headers, 1 MiB of body.
+//! bodies in, fixed-header responses out. The parser is **resumable**:
+//! [`RequestParser`] accumulates bytes across partial reads and yields
+//! complete requests one at a time, so a connection can carry many
+//! requests (`Connection: keep-alive`, the HTTP/1.1 default) and clients
+//! may pipeline — bytes buffered past one request simply begin the next.
+//! Size limits bound what a hostile peer can make the server buffer:
+//! 8 KiB of headers, 1 MiB of body.
 
-use std::io::{Read, Write};
-use std::net::TcpStream;
 use std::sync::{Arc, OnceLock};
 use std::time::Duration;
 use tn_core::json::{self, Json};
@@ -19,7 +19,8 @@ use tn_core::json::{self, Json};
 pub const MAX_HEADER_BYTES: usize = 8 * 1024;
 /// Maximum request body size.
 pub const MAX_BODY_BYTES: usize = 1024 * 1024;
-/// Per-connection socket read/write timeout for one request exchange.
+/// How long a staged response may go undrained before the event loop
+/// drops the connection (a peer that stopped reading).
 pub const IO_TIMEOUT: Duration = Duration::from_secs(10);
 
 /// A parsed request: method, path, raw body and connection disposition.
@@ -105,14 +106,6 @@ pub enum HttpError {
     Malformed(&'static str),
     /// Headers or body exceed the fixed limits.
     TooLarge(&'static str),
-    /// The socket failed mid-exchange; no response can be delivered.
-    Io(std::io::Error),
-}
-
-impl From<std::io::Error> for HttpError {
-    fn from(e: std::io::Error) -> Self {
-        HttpError::Io(e)
-    }
 }
 
 /// RFC 7230 connection disposition from the version and the
@@ -260,101 +253,6 @@ impl RequestParser {
     }
 }
 
-/// Outcome of waiting for the next request on a (possibly reused)
-/// blocking connection.
-#[derive(Debug)]
-pub enum NextRequest {
-    /// A complete request.
-    Request(Request),
-    /// The peer closed (EOF) *between* requests: close the connection
-    /// without a response.
-    Closed,
-    /// The connection sat idle past the read timeout *between*
-    /// requests: close cleanly without a response. Distinguished from
-    /// [`NextRequest::Closed`] so the teardown-cause metrics can tell a
-    /// server-side idle reap from a client hang-up.
-    IdleExpired,
-}
-
-/// True for the error kinds a timed-out blocking read produces (platform
-/// dependent: `WouldBlock` on Unix, `TimedOut` on Windows).
-fn is_timeout(e: &std::io::Error) -> bool {
-    matches!(
-        e.kind(),
-        std::io::ErrorKind::WouldBlock | std::io::ErrorKind::TimedOut
-    )
-}
-
-/// Blocks until `parser` yields the next request from `stream`.
-///
-/// The read timeout already set on the stream doubles as the idle
-/// timeout: expiry with an empty parse buffer is a clean
-/// [`NextRequest::Closed`], while a peer that stalls *mid-request* —
-/// most commonly by declaring a `Content-Length` larger than what it
-/// sends — is a *malformed request*, not a transport failure: the
-/// caller answers 400 instead of silently dropping the connection.
-pub fn next_request(
-    stream: &mut TcpStream,
-    parser: &mut RequestParser,
-) -> Result<NextRequest, HttpError> {
-    let mut chunk = [0u8; 4096];
-    loop {
-        if let Some(request) = parser.try_next()? {
-            return Ok(NextRequest::Request(request));
-        }
-        match stream.read(&mut chunk) {
-            Ok(0) => {
-                return if parser.is_empty() {
-                    Ok(NextRequest::Closed)
-                } else {
-                    Err(HttpError::Malformed(parser.eof_error()))
-                }
-            }
-            Ok(n) => parser.push(&chunk[..n]),
-            Err(e) if is_timeout(&e) => {
-                return if parser.is_empty() {
-                    Ok(NextRequest::IdleExpired)
-                } else {
-                    Err(HttpError::Malformed(parser.stall_error()))
-                }
-            }
-            Err(e) if e.kind() == std::io::ErrorKind::Interrupted => continue,
-            Err(e) => return Err(e.into()),
-        }
-    }
-}
-
-/// Reads and parses one request from the stream with the default
-/// timeout, enforcing one-request-per-connection semantics (trailing
-/// bytes are a protocol violation, not a pipelined follow-up).
-pub fn read_request(stream: &mut TcpStream) -> Result<Request, HttpError> {
-    read_request_with_timeout(stream, IO_TIMEOUT)
-}
-
-/// [`read_request`] with an explicit timeout (unit tests use a short one).
-pub fn read_request_with_timeout(
-    stream: &mut TcpStream,
-    timeout: Duration,
-) -> Result<Request, HttpError> {
-    stream.set_read_timeout(Some(timeout))?;
-    stream.set_write_timeout(Some(timeout))?;
-    let mut parser = RequestParser::new();
-    match next_request(stream, &mut parser)? {
-        NextRequest::Closed | NextRequest::IdleExpired => {
-            Err(HttpError::Malformed("connection closed before a request"))
-        }
-        NextRequest::Request(request) => {
-            if parser.is_empty() {
-                Ok(request)
-            } else {
-                Err(HttpError::Malformed(
-                    "request body longer than declared Content-Length",
-                ))
-            }
-        }
-    }
-}
-
 fn find_header_end(buf: &[u8]) -> Option<usize> {
     buf.windows(4).position(|w| w == b"\r\n\r\n")
 }
@@ -451,8 +349,9 @@ impl Response {
         self
     }
 
-    /// The 503 shed response the acceptor sends when the worker pool and
-    /// queue are saturated; tells well-behaved clients when to retry.
+    /// The 503 an event-loop shard answers a Monte-Carlo request with
+    /// when every worker is busy and the queue is full; tells
+    /// well-behaved clients when to retry.
     pub fn overload() -> Self {
         Self::json(
             503,
@@ -532,9 +431,9 @@ impl Response {
     }
 
     /// Serialises the whole response (status line, headers, framed body)
-    /// into one buffer. The socket writers send the head and a full body
-    /// as two parts without joining them; this contiguous form is the
-    /// exact byte sequence they produce.
+    /// into one buffer. The event loop sends the head and a full body as
+    /// two parts without joining them; this contiguous form is the exact
+    /// byte sequence it produces.
     pub fn to_bytes(&self, keep_alive: bool) -> Vec<u8> {
         let mut out = Vec::with_capacity(256 + self.body_len());
         self.push_head(&mut out, keep_alive);
@@ -542,23 +441,6 @@ impl Response {
             out.extend_from_slice(body.as_bytes());
         }
         out
-    }
-
-    /// Writes the response with an explicit connection disposition: the
-    /// head, then the shared body.
-    pub fn write_conn<W: Write>(&self, stream: &mut W, keep_alive: bool) -> std::io::Result<()> {
-        let (head, body) = self.head_and_body(keep_alive);
-        stream.write_all(&head)?;
-        if let Some(body) = body {
-            stream.write_all(body.as_bytes())?;
-        }
-        stream.flush()
-    }
-
-    /// Serialises the response with `Connection: close` (the one-shot
-    /// path: shed responses, transport-error responses).
-    pub fn write_to<W: Write>(&self, stream: &mut W) -> std::io::Result<()> {
-        self.write_conn(stream, false)
     }
 }
 
@@ -614,10 +496,7 @@ mod tests {
 
     #[test]
     fn full_body_is_framed_with_content_length() {
-        let mut wire = Vec::new();
-        Response::json(200, "{\"ok\":true}".to_string())
-            .write_to(&mut wire)
-            .unwrap();
+        let wire = Response::json(200, "{\"ok\":true}".to_string()).to_bytes(false);
         let text = String::from_utf8(wire).unwrap();
         assert!(text.starts_with("HTTP/1.1 200 OK\r\n"), "{text}");
         assert!(text.contains("Content-Length: 11\r\n"), "{text}");
@@ -640,9 +519,7 @@ mod tests {
         let r = Response::chunked(200, "application/x-ndjson", chunks);
         assert_eq!(r.body_len(), 17);
         assert_eq!(r.body_text(), "{\"a\":1}\n{\"b\":22}\n");
-        let mut wire = Vec::new();
-        r.write_to(&mut wire).unwrap();
-        let text = String::from_utf8(wire).unwrap();
+        let text = String::from_utf8(r.to_bytes(false)).unwrap();
         assert!(text.contains("Transfer-Encoding: chunked\r\n"), "{text}");
         assert!(!text.contains("Content-Length"), "{text}");
         // 8 bytes -> "8", 9 bytes -> "9", then the 0-size terminator.
@@ -663,9 +540,7 @@ mod tests {
             "application/x-ndjson",
             vec![String::new(), long.clone(), String::new()],
         );
-        let mut wire = Vec::new();
-        r.write_to(&mut wire).unwrap();
-        let text = String::from_utf8(wire).unwrap();
+        let text = String::from_utf8(r.to_bytes(false)).unwrap();
         let body_start = text.find("\r\n\r\n").unwrap() + 4;
         assert_eq!(&text[body_start..], format!("1a\r\n{long}\r\n0\r\n\r\n"));
     }
@@ -674,17 +549,12 @@ mod tests {
     fn chunked_with_no_chunks_is_just_the_terminator() {
         let r = Response::chunked(200, "application/x-ndjson", Vec::new());
         assert!(r.body.is_empty());
-        let mut wire = Vec::new();
-        r.write_to(&mut wire).unwrap();
-        let text = String::from_utf8(wire).unwrap();
+        let text = String::from_utf8(r.to_bytes(false)).unwrap();
         assert!(text.ends_with("\r\n\r\n0\r\n\r\n"), "{text}");
     }
 
     // ---- resumable parser ---------------------------------------------
 
-    const PIPELINED: &[u8] = b"POST /v1/fit HTTP/1.1\r\nHost: t\r\nContent-Length: 9\r\n\r\n{\"seed\":1}GET /healthz HTTP/1.1\r\nHost: t\r\nConnection: close\r\n\r\n";
-
-    /// Wait — `{"seed":1}` is 10 bytes; keep the declared length honest.
     fn pipelined_two_requests() -> Vec<u8> {
         let first_body = "{\"seed\":1}";
         let mut wire = format!(
@@ -799,102 +669,5 @@ mod tests {
         assert!(parser.try_next().unwrap().is_none());
         assert!(parser.stall_error().contains("mid-body"));
         assert!(parser.eof_error().contains("mid-body"));
-    }
-
-    #[test]
-    fn pipelined_const_sanity() {
-        // Keep the doc-comment example honest: the const above is only
-        // illustrative; the tests use `pipelined_two_requests`.
-        assert!(PIPELINED.starts_with(b"POST"));
-    }
-
-    /// Accepts one connection, feeds it to `read_request_with_timeout`
-    /// with a short timeout while the client runs `send`.
-    fn with_client(send: impl FnOnce(TcpStream) + Send + 'static) -> Result<Request, HttpError> {
-        let listener = std::net::TcpListener::bind("127.0.0.1:0").unwrap();
-        let addr = listener.local_addr().unwrap();
-        let client = std::thread::spawn(move || {
-            send(TcpStream::connect(addr).unwrap());
-        });
-        let (mut conn, _) = listener.accept().unwrap();
-        let result = read_request_with_timeout(&mut conn, Duration::from_millis(150));
-        client.join().unwrap();
-        result
-    }
-
-    #[test]
-    fn underdeclared_body_is_malformed_not_a_drop() {
-        // Content-Length promises 100 bytes; the client sends 5 and holds
-        // the connection open. The old code surfaced the read timeout as
-        // HttpError::Io, which made the worker drop the connection with
-        // no response at all.
-        let err = with_client(|mut s| {
-            s.write_all(b"POST /v1/fit HTTP/1.1\r\nContent-Length: 100\r\n\r\nshort")
-                .unwrap();
-            std::thread::sleep(Duration::from_millis(400));
-        })
-        .unwrap_err();
-        assert!(
-            matches!(err, HttpError::Malformed(m) if m.contains("timed out mid-body")),
-            "{err:?}"
-        );
-    }
-
-    #[test]
-    fn overlong_body_is_malformed_not_truncated() {
-        let err = with_client(|mut s| {
-            s.write_all(b"POST /v1/fit HTTP/1.1\r\nContent-Length: 4\r\n\r\nmore-than-four")
-                .unwrap();
-        })
-        .unwrap_err();
-        assert!(
-            matches!(err, HttpError::Malformed(m) if m.contains("longer than declared")),
-            "{err:?}"
-        );
-    }
-
-    #[test]
-    fn stalled_headers_are_malformed() {
-        let err = with_client(|mut s| {
-            s.write_all(b"POST /v1/fit HTT").unwrap();
-            std::thread::sleep(Duration::from_millis(400));
-        })
-        .unwrap_err();
-        assert!(
-            matches!(err, HttpError::Malformed(m) if m.contains("timed out waiting")),
-            "{err:?}"
-        );
-    }
-
-    #[test]
-    fn well_formed_request_still_parses() {
-        let req = with_client(|mut s| {
-            s.write_all(b"POST /v1/fit HTTP/1.1\r\nContent-Length: 2\r\n\r\n{}")
-                .unwrap();
-        })
-        .unwrap();
-        assert_eq!(req.method, "POST");
-        assert_eq!(req.path, "/v1/fit");
-        assert_eq!(req.body(), b"{}");
-        assert!(req.keep_alive);
-    }
-
-    /// Idle-timeout expiry with an *empty* buffer is a clean close, not
-    /// a 400 — the satellite contract the keep-alive loop builds on.
-    #[test]
-    fn idle_timeout_between_requests_is_a_clean_close() {
-        let listener = std::net::TcpListener::bind("127.0.0.1:0").unwrap();
-        let addr = listener.local_addr().unwrap();
-        let client = std::thread::spawn(move || {
-            let s = TcpStream::connect(addr).unwrap();
-            std::thread::sleep(Duration::from_millis(400));
-            drop(s);
-        });
-        let (mut conn, _) = listener.accept().unwrap();
-        conn.set_read_timeout(Some(Duration::from_millis(100))).unwrap();
-        let mut parser = RequestParser::new();
-        let got = next_request(&mut conn, &mut parser).unwrap();
-        assert!(matches!(got, NextRequest::IdleExpired), "{got:?}");
-        client.join().unwrap();
     }
 }

@@ -17,20 +17,15 @@
 //! | `/v1/fleet/stream` | GET | whole fleet registry as chunked JSONL |
 //! | `/metrics` | GET | Prometheus text: requests, latencies, cache, workers |
 //!
-//! ## Connections and I/O models
+//! ## Connections
 //!
-//! Since PR 8 connections are **persistent** (HTTP/1.1 keep-alive per
-//! RFC 7230, with an idle timeout and a per-connection request cap) and
-//! the server offers two transports selected by
-//! [`ServerConfig::io_model`]:
-//!
-//! * [`IoModel::Epoll`] (default on Linux) — N event-loop shards drive
-//!   nonblocking sockets through `epoll_wait` readiness, accepting via
-//!   `SO_REUSEPORT`; the worker pool is retained only for handlers that
-//!   may run Monte-Carlo transport, so the loop never blocks.
-//! * [`IoModel::Threads`] — the original blocking model (acceptor +
-//!   worker pool, one connection per worker at a time), kept as the
-//!   differential baseline; the e2e suite runs against both.
+//! Connections are **persistent** (HTTP/1.1 keep-alive per RFC 7230,
+//! with an idle timeout and a per-connection request cap) and run on one
+//! transport, the [`epoll`] event loop: N shards drive nonblocking
+//! sockets through `epoll_wait` readiness, accepting via `SO_REUSEPORT`.
+//! A worker pool runs only the handlers that may run Monte-Carlo
+//! transport, so a shard never blocks. The server runs on Linux only;
+//! elsewhere [`Server::bind`] returns [`std::io::ErrorKind::Unsupported`].
 //!
 //! ## Determinism and caching
 //!
@@ -68,63 +63,17 @@ pub mod singleflight;
 
 pub use handlers::AppState;
 
-use std::collections::VecDeque;
-use std::net::{SocketAddr, TcpListener, TcpStream};
-use std::sync::atomic::{AtomicBool, Ordering};
-use std::sync::{Arc, Condvar, Mutex};
-use std::thread::JoinHandle;
+use std::net::{SocketAddr, TcpListener};
+use std::sync::Arc;
 use std::time::Duration;
-
-/// Which transport drives connections.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum IoModel {
-    /// Blocking acceptor + worker pool; one connection per worker at a
-    /// time. The pre-PR-8 model, kept as the differential baseline.
-    Threads,
-    /// Nonblocking readiness event loop over `epoll` with `SO_REUSEPORT`
-    /// shards; the worker pool only runs Monte-Carlo-heavy handlers.
-    /// Falls back to [`IoModel::Threads`] off Linux.
-    Epoll,
-}
-
-impl IoModel {
-    /// The platform default: epoll on Linux, threads elsewhere.
-    pub fn platform_default() -> Self {
-        if cfg!(target_os = "linux") {
-            IoModel::Epoll
-        } else {
-            IoModel::Threads
-        }
-    }
-
-    /// The CLI/bench label.
-    pub fn label(&self) -> &'static str {
-        match self {
-            IoModel::Threads => "threads",
-            IoModel::Epoll => "epoll",
-        }
-    }
-}
-
-impl std::str::FromStr for IoModel {
-    type Err = String;
-
-    fn from_str(s: &str) -> Result<Self, Self::Err> {
-        match s {
-            "threads" => Ok(IoModel::Threads),
-            "epoll" => Ok(IoModel::Epoll),
-            other => Err(format!("unknown io model {other:?} (use threads|epoll)")),
-        }
-    }
-}
 
 /// Server tuning knobs.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct ServerConfig {
     /// Bind address; port 0 asks the OS for an ephemeral port.
     pub addr: String,
-    /// Worker threads serving requests (and, under epoll, the number of
-    /// event-loop shards).
+    /// Event-loop shards, and also the worker threads that run the
+    /// Monte-Carlo handlers.
     pub threads: usize,
     /// Default RNG seed for requests that do not carry one.
     pub seed: u64,
@@ -134,16 +83,15 @@ pub struct ServerConfig {
     /// process-wide transport default at bind time). Tallies are
     /// identical for any value; this only trades CPU for latency.
     pub transport_threads: usize,
-    /// Maximum connections waiting for a worker. When every worker is
-    /// busy *and* this many connections are already queued, new
-    /// connections are shed immediately with `503` + `Retry-After`
-    /// instead of piling up behind a saturated pool.
+    /// Maximum Monte-Carlo requests waiting for a worker. When every
+    /// worker is busy *and* this many are already queued, the next such
+    /// request is shed with `503` + `Retry-After` instead of piling up
+    /// behind a saturated pool. Shedding is per request; requests the
+    /// shards answer inline are never shed.
     pub max_queue: usize,
     /// Path to a fleet-registry JSONL snapshot. `None` seeds the
     /// deterministic demo fleet instead.
     pub fleet_path: Option<String>,
-    /// Connection transport (see [`IoModel`]).
-    pub io_model: IoModel,
     /// How long a keep-alive connection may sit idle between requests
     /// before the server closes it (cleanly — no 400).
     pub idle_timeout: Duration,
@@ -167,7 +115,6 @@ impl Default for ServerConfig {
             transport_threads: 1,
             max_queue: 128,
             fleet_path: None,
-            io_model: IoModel::platform_default(),
             idle_timeout: Duration::from_secs(5),
             max_requests_per_conn: 10_000,
             surface_cache: None,
@@ -175,7 +122,7 @@ impl Default for ServerConfig {
     }
 }
 
-/// Per-connection lifecycle limits shared by both I/O models.
+/// Per-connection lifecycle limits the event loop enforces.
 #[derive(Debug, Clone, Copy)]
 pub(crate) struct ConnLimits {
     pub idle_timeout: Duration,
@@ -197,13 +144,6 @@ impl ConnLimits {
     }
 }
 
-/// Connection queue shared between the acceptor and the workers.
-#[derive(Debug, Default)]
-struct Queue {
-    connections: Mutex<VecDeque<TcpStream>>,
-    ready: Condvar,
-}
-
 /// A bound (but not yet serving) server.
 #[derive(Debug)]
 pub struct Server {
@@ -211,7 +151,6 @@ pub struct Server {
     state: Arc<AppState>,
     threads: usize,
     max_queue: usize,
-    io_model: IoModel,
     limits: ConnLimits,
     /// Whether the listener was bound with `SO_REUSEPORT`, allowing the
     /// epoll shards to each bind their own same-port listener.
@@ -221,7 +160,16 @@ pub struct Server {
 impl Server {
     /// Binds the listener and builds the shared state. No thread is
     /// started yet: call [`Server::run`] or [`Server::spawn`].
+    ///
+    /// Off Linux this fails with [`std::io::ErrorKind::Unsupported`]:
+    /// the server's only transport is the epoll event loop.
     pub fn bind(config: &ServerConfig) -> std::io::Result<Self> {
+        if cfg!(not(target_os = "linux")) {
+            return Err(std::io::Error::new(
+                std::io::ErrorKind::Unsupported,
+                "tn-server runs on Linux only (epoll transport)",
+            ));
+        }
         let threads = config.threads.max(1);
         tn_core::transport::set_default_threads(config.transport_threads);
         let fleet = match &config.fleet_path {
@@ -236,8 +184,7 @@ impl Server {
                 })?
             }
         };
-        let io_model = Self::effective_io_model(config.io_model);
-        let (listener, reuseport) = Self::bind_listener(&config.addr, io_model)?;
+        let (listener, reuseport) = Self::bind_listener(&config.addr)?;
         let mut state = AppState::with_registry(config.seed, config.cache_capacity, threads, fleet);
         if let Some(path) = &config.surface_cache {
             state.set_surface_cache(path);
@@ -246,7 +193,6 @@ impl Server {
             "server_bound",
             &[
                 ("addr", format!("{}", listener.local_addr()?).into()),
-                ("io_model", io_model.label().into()),
                 ("threads", threads.into()),
                 ("max_queue", config.max_queue.into()),
                 ("fleet_entries", state.fleet_len().into()),
@@ -257,32 +203,19 @@ impl Server {
             state: Arc::new(state),
             threads,
             max_queue: config.max_queue,
-            io_model,
             limits: ConnLimits::from_config(config),
             reuseport,
         })
     }
 
-    /// Downgrades the requested model to what the platform supports.
-    fn effective_io_model(requested: IoModel) -> IoModel {
-        match requested {
-            IoModel::Threads => IoModel::Threads,
-            IoModel::Epoll if cfg!(target_os = "linux") => IoModel::Epoll,
-            IoModel::Epoll => {
-                tn_obs::warn("io_model_fallback", &[("requested", "epoll".into())]);
-                IoModel::Threads
-            }
-        }
-    }
-
-    /// Binds the listening socket. Under epoll the socket carries
-    /// `SO_REUSEPORT` so every shard can bind its own same-port listener
-    /// and the kernel load-balances accepts across them; when that bind
-    /// is unavailable (non-IPv4 address, exotic platform) the server
-    /// falls back to a plain listener plus round-robin fd handoff.
-    fn bind_listener(addr: &str, io_model: IoModel) -> std::io::Result<(TcpListener, bool)> {
+    /// Binds the listening socket with `SO_REUSEPORT`, so every shard
+    /// can bind its own same-port listener and the kernel load-balances
+    /// accepts across them. When that bind is unavailable (a non-IPv4
+    /// address, say) the server falls back to a plain listener plus
+    /// round-robin fd handoff.
+    fn bind_listener(addr: &str) -> std::io::Result<(TcpListener, bool)> {
         #[cfg(target_os = "linux")]
-        if io_model == IoModel::Epoll {
+        {
             use std::net::ToSocketAddrs;
             let resolved = addr.to_socket_addrs()?.find(SocketAddr::is_ipv4);
             if let Some(SocketAddr::V4(v4)) = resolved {
@@ -294,7 +227,6 @@ impl Server {
                 }
             }
         }
-        let _ = io_model;
         Ok((TcpListener::bind(addr)?, false))
     }
 
@@ -303,231 +235,31 @@ impl Server {
         self.listener.local_addr()
     }
 
-    /// The io model this server will actually run (the configured one,
-    /// downgraded to `Threads` on platforms without epoll).
-    pub fn io_model(&self) -> IoModel {
-        self.io_model
-    }
-
     /// Serves until the process exits.
     pub fn run(self) {
-        let handle = self.spawn();
-        handle.join();
+        self.spawn().join();
     }
 
-    /// Starts the transport threads and returns a handle that can wait
-    /// for or shut down the server.
+    /// Starts the shard, worker and (in handoff mode) acceptor threads
+    /// and returns a handle that can wait for or shut down the server.
     pub fn spawn(self) -> ServerHandle {
         let addr = self.listener.local_addr().expect("listener has a local address");
-        match self.io_model {
-            IoModel::Threads => self.spawn_threads(addr),
-            #[cfg(target_os = "linux")]
-            IoModel::Epoll => self.spawn_epoll(addr),
-            #[cfg(not(target_os = "linux"))]
-            IoModel::Epoll => self.spawn_threads(addr),
-        }
-    }
-
-    #[cfg(target_os = "linux")]
-    fn spawn_epoll(self, addr: SocketAddr) -> ServerHandle {
-        let state = Arc::clone(&self.state);
-        let inner = epoll::spawn(epoll::EpollConfig {
-            listener: self.listener,
+        ServerHandle {
             addr,
             state: Arc::clone(&self.state),
-            shards: self.threads,
-            workers: self.threads,
-            max_queue: self.max_queue,
-            limits: self.limits,
-            reuseport: self.reuseport,
-        });
-        ServerHandle {
-            addr,
-            state,
-            inner: HandleInner::Epoll(inner),
+            #[cfg(target_os = "linux")]
+            transport: epoll::spawn(epoll::EpollConfig {
+                listener: self.listener,
+                addr,
+                state: self.state,
+                shards: self.threads,
+                workers: self.threads,
+                max_queue: self.max_queue,
+                limits: self.limits,
+                reuseport: self.reuseport,
+            }),
         }
     }
-
-    fn spawn_threads(self, addr: SocketAddr) -> ServerHandle {
-        let shutdown = Arc::new(AtomicBool::new(false));
-        let queue = Arc::new(Queue::default());
-        let limits = self.limits;
-
-        let workers: Vec<JoinHandle<()>> = (0..self.threads)
-            .map(|i| {
-                let queue = Arc::clone(&queue);
-                let state = Arc::clone(&self.state);
-                let shutdown = Arc::clone(&shutdown);
-                std::thread::Builder::new()
-                    .name(format!("tn-server-worker-{i}"))
-                    .spawn(move || worker_loop(&queue, &state, &shutdown, limits))
-                    .expect("spawn worker thread")
-            })
-            .collect();
-
-        let acceptor = {
-            let queue = Arc::clone(&queue);
-            let state = Arc::clone(&self.state);
-            let shutdown = Arc::clone(&shutdown);
-            let listener = self.listener;
-            let max_queue = self.max_queue;
-            std::thread::Builder::new()
-                .name("tn-server-accept".to_string())
-                .spawn(move || {
-                    for stream in listener.incoming() {
-                        if shutdown.load(Ordering::SeqCst) {
-                            break;
-                        }
-                        let Ok(stream) = stream else { continue };
-                        state.metrics.connection();
-                        let mut connections =
-                            queue.connections.lock().expect("queue poisoned");
-                        // Shed when the pool is saturated and the backlog
-                        // is full: a fast 503 beats an unbounded queue.
-                        let saturated = state.metrics.workers_busy()
-                            >= state.metrics.workers_total()
-                            && connections.len() >= max_queue;
-                        if saturated {
-                            drop(connections);
-                            state.metrics.overload();
-                            tn_obs::warn(
-                                "connection_shed",
-                                &[("queued", max_queue.into())],
-                            );
-                            // Answer off-thread: the 503 must be followed
-                            // by draining the unread request, or closing
-                            // the socket RSTs the response away before
-                            // the client reads it — and the acceptor
-                            // must not block on a slow peer.
-                            std::thread::Builder::new()
-                                .name("tn-server-shed".to_string())
-                                .spawn(move || shed_connection(stream))
-                                .map(|_| ())
-                                .unwrap_or_default();
-                            continue;
-                        }
-                        connections.push_back(stream);
-                        drop(connections);
-                        queue.ready.notify_one();
-                    }
-                })
-                .expect("spawn acceptor thread")
-        };
-
-        ServerHandle {
-            addr,
-            state: self.state,
-            inner: HandleInner::Threads {
-                shutdown,
-                queue,
-                acceptor,
-                workers,
-            },
-        }
-    }
-}
-
-/// Writes the overload response and drains the client's request bytes
-/// until EOF (bounded by the socket timeout), so the close is graceful.
-fn shed_connection(mut stream: TcpStream) {
-    use std::io::Read;
-    let _ = stream.set_read_timeout(Some(http::IO_TIMEOUT));
-    let _ = stream.set_write_timeout(Some(http::IO_TIMEOUT));
-    if http::Response::overload().write_to(&mut stream).is_err() {
-        return;
-    }
-    let _ = stream.shutdown(std::net::Shutdown::Write);
-    let mut sink = [0u8; 1024];
-    while let Ok(n) = stream.read(&mut sink) {
-        if n == 0 {
-            break;
-        }
-    }
-}
-
-fn worker_loop(queue: &Queue, state: &AppState, shutdown: &AtomicBool, limits: ConnLimits) {
-    loop {
-        let stream = {
-            let mut connections = queue.connections.lock().expect("queue poisoned");
-            loop {
-                if let Some(stream) = connections.pop_front() {
-                    break stream;
-                }
-                if shutdown.load(Ordering::SeqCst) {
-                    return;
-                }
-                connections = queue.ready.wait(connections).expect("queue poisoned");
-            }
-        };
-        state.metrics.worker_busy();
-        serve_connection(stream, state, limits);
-        state.metrics.worker_idle();
-    }
-}
-
-/// Serves one (possibly long-lived) connection on a worker thread:
-/// requests loop through the resumable parser until the client asks for
-/// `Connection: close`, goes idle past the timeout, hits the
-/// per-connection request cap, or violates the protocol.
-fn serve_connection(mut stream: TcpStream, state: &AppState, limits: ConnLimits) {
-    // Nagle + delayed-ACK costs ~40 ms per extra segment on the small
-    // sequential writes below; this server always has a complete
-    // response to send, so there is nothing for Nagle to batch.
-    stream.set_nodelay(true).ok();
-    // The read timeout doubles as the keep-alive idle timeout: expiry
-    // between requests is a clean close, mid-request it is a 400 stall.
-    if stream.set_read_timeout(Some(limits.idle_timeout)).is_err()
-        || stream.set_write_timeout(Some(http::IO_TIMEOUT)).is_err()
-    {
-        return;
-    }
-    state.metrics.conn_open();
-    let mut parser = http::RequestParser::new();
-    let mut served = 0u64;
-    loop {
-        let (response, keep) = match http::next_request(&mut stream, &mut parser) {
-            Ok(http::NextRequest::Closed) => break,
-            Ok(http::NextRequest::IdleExpired) => {
-                state.metrics.conn_idle_closed();
-                break;
-            }
-            Ok(http::NextRequest::Request(request)) => {
-                if !request.keep_alive && !parser.is_empty() {
-                    // The client asked to close *and* sent bytes past the
-                    // declared body: that is an overlong body, not a
-                    // pipelined follow-up.
-                    (
-                        http::Response::error(
-                            400,
-                            "request body longer than declared Content-Length",
-                        ),
-                        false,
-                    )
-                } else {
-                    let capped = !limits.allows_another(served + 1);
-                    if request.keep_alive && capped {
-                        state.metrics.conn_cap_closed();
-                    }
-                    let keep = request.keep_alive && !capped;
-                    (router::handle(state, &request), keep)
-                }
-            }
-            Err(http::HttpError::Malformed(why)) => (http::Response::error(400, why), false),
-            Err(http::HttpError::TooLarge(why)) => (http::Response::error(413, why), false),
-            // The socket is gone; nothing can be written back.
-            Err(http::HttpError::Io(_)) => break,
-        };
-        served += 1;
-        // Buffer the head/body/chunk-framing writes into few syscalls. A
-        // peer that vanished mid-write is its own problem.
-        let ok = response
-            .write_conn(&mut std::io::BufWriter::new(&mut stream), keep)
-            .is_ok();
-        if !ok || !keep {
-            break;
-        }
-    }
-    state.metrics.conn_close(served);
 }
 
 /// A running server: join it or shut it down.
@@ -535,19 +267,8 @@ fn serve_connection(mut stream: TcpStream, state: &AppState, limits: ConnLimits)
 pub struct ServerHandle {
     addr: SocketAddr,
     state: Arc<AppState>,
-    inner: HandleInner,
-}
-
-#[derive(Debug)]
-enum HandleInner {
-    Threads {
-        shutdown: Arc<AtomicBool>,
-        queue: Arc<Queue>,
-        acceptor: JoinHandle<()>,
-        workers: Vec<JoinHandle<()>>,
-    },
     #[cfg(target_os = "linux")]
-    Epoll(epoll::EpollHandle),
+    transport: epoll::EpollHandle,
 }
 
 impl ServerHandle {
@@ -566,41 +287,13 @@ impl ServerHandle {
     /// [`ServerHandle::stop`] from another thread, so this normally
     /// blocks forever).
     pub fn join(self) {
-        match self.inner {
-            HandleInner::Threads {
-                acceptor, workers, ..
-            } => {
-                let _ = acceptor.join();
-                for worker in workers {
-                    let _ = worker.join();
-                }
-            }
-            #[cfg(target_os = "linux")]
-            HandleInner::Epoll(inner) => inner.join(),
-        }
+        #[cfg(target_os = "linux")]
+        self.transport.join();
     }
 
     /// Stops accepting, drains the workers and joins every thread.
     pub fn stop(self) {
-        match self.inner {
-            HandleInner::Threads {
-                shutdown,
-                queue,
-                acceptor,
-                workers,
-            } => {
-                shutdown.store(true, Ordering::SeqCst);
-                // The acceptor is parked in accept(); poke it with a
-                // throwaway connection so it re-checks the flag.
-                let _ = TcpStream::connect(self.addr);
-                let _ = acceptor.join();
-                queue.ready.notify_all();
-                for worker in workers {
-                    let _ = worker.join();
-                }
-            }
-            #[cfg(target_os = "linux")]
-            HandleInner::Epoll(inner) => inner.stop(self.addr),
-        }
+        #[cfg(target_os = "linux")]
+        self.transport.stop(self.addr);
     }
 }

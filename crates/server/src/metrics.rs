@@ -154,7 +154,7 @@ impl Metrics {
         let overload = registry.counter(
             "tn_server_overload_total",
             &[],
-            "Connections shed with 503 because pool and queue were full.",
+            "Requests shed with 503 because pool and queue were full.",
             CounterUnit::Count,
         );
         let conn_reuse = registry.counter(
@@ -288,12 +288,12 @@ impl Metrics {
         self.size_hist[endpoint.index()].observe(response_bytes);
     }
 
-    /// Counts a connection shed with 503 (pool and queue saturated).
+    /// Counts a request shed with 503 (pool and queue saturated).
     pub fn overload(&self) {
         self.overload.inc();
     }
 
-    /// Worker threads currently serving a connection.
+    /// Worker threads currently running a Monte-Carlo handler.
     pub fn workers_busy(&self) -> u64 {
         self.workers_busy.load(Ordering::Relaxed)
     }

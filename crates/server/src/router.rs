@@ -1,6 +1,6 @@
 //! Route dispatch plus per-request instrumentation.
 
-use crate::handlers::{self, AppState};
+use crate::handlers::{self, AppState, BadRequest};
 use crate::http::{Request, Response};
 use crate::metrics::Endpoint;
 use std::time::Instant;
@@ -57,6 +57,8 @@ pub fn wants_worker(state: &AppState, request: &Request) -> bool {
 }
 
 /// Dispatches one request and records count, latency and size for it.
+/// A handler's `BadRequest`, and the router's own 404 and 405, become
+/// the JSON error response here and nowhere else.
 ///
 /// Each request gets a fresh id, attached both to the `x-request-id`
 /// response header and to the request-scoped trace event, so a JSONL
@@ -66,7 +68,7 @@ pub fn handle(state: &AppState, request: &Request) -> Response {
     let request_id = state.next_request_id();
     let started = Instant::now();
     let endpoint = endpoint_of(&request.path);
-    let response = dispatch(state, request, endpoint);
+    let response = dispatch(state, request, endpoint).unwrap_or_else(|bad| bad.response());
     let elapsed_us = started.elapsed().as_micros().min(u128::from(u64::MAX)) as u64;
     state.metrics.record_request(
         endpoint,
@@ -90,84 +92,58 @@ pub fn handle(state: &AppState, request: &Request) -> Response {
     response.with_header("x-request-id", request_id)
 }
 
-fn dispatch(state: &AppState, request: &Request, endpoint: Endpoint) -> Response {
-    let method = request.method.as_str();
-    match endpoint {
-        Endpoint::Healthz => match method {
-            "GET" => handlers::healthz(),
-            _ => method_not_allowed("GET"),
-        },
-        Endpoint::Devices => match method {
-            "GET" => handlers::devices(state),
-            _ => method_not_allowed("GET"),
-        },
-        Endpoint::Metrics => match method {
-            "GET" => handlers::metrics(state),
-            _ => method_not_allowed("GET"),
-        },
-        Endpoint::Fit => match method {
-            "POST" => handlers::fit(state, request.body()),
-            _ => method_not_allowed("POST"),
-        },
-        Endpoint::Checkpoint => match method {
-            "POST" => handlers::checkpoint(state, request.body()),
-            _ => method_not_allowed("POST"),
-        },
-        Endpoint::CrossSections => match method {
-            "POST" => handlers::cross_sections(state, request.body()),
-            _ => method_not_allowed("POST"),
-        },
-        Endpoint::Transport => match method {
-            "POST" => handlers::transport(state, request.body()),
-            _ => method_not_allowed("POST"),
-        },
-        Endpoint::Fleet => match method {
-            "POST" => handlers::fleet(state, request),
-            _ => method_not_allowed("POST"),
-        },
-        Endpoint::FleetEntries => {
-            let path = request.path.split(['?', '#']).next().unwrap_or("");
-            let suffix = path.strip_prefix("/v1/fleet/entries").unwrap_or("");
-            match (method, suffix.strip_prefix('/')) {
-                ("POST", None) => handlers::fleet_entry_upsert(state, request.body()),
-                ("POST", Some(_)) => {
-                    Response::error(400, "POST /v1/fleet/entries takes the id in the body")
-                }
-                ("DELETE", Some(id)) if !id.is_empty() => handlers::fleet_entry_delete(state, id),
-                ("DELETE", _) => Response::error(400, "DELETE needs /v1/fleet/entries/{id}"),
-                _ => method_not_allowed("POST, DELETE"),
+fn dispatch(
+    state: &AppState,
+    request: &Request,
+    endpoint: Endpoint,
+) -> Result<Response, BadRequest> {
+    use Endpoint as E;
+    let path = request.path.as_str();
+    match (endpoint, request.method.as_str()) {
+        (E::Healthz, "GET") => Ok(handlers::healthz()),
+        (E::Devices, "GET") => Ok(handlers::devices(state)),
+        (E::Metrics, "GET") => Ok(handlers::metrics(state)),
+        (E::Scenarios, "GET") => Ok(handlers::scenarios(state)),
+        (E::FleetStream, "GET") => handlers::fleet_stream(state, path),
+        (E::Timeline, "GET") => handlers::timeline(state, path),
+        (E::TimelineStream, "GET") => handlers::timeline_stream(state, path),
+        (E::Fit, "POST") => handlers::fit(state, request),
+        (E::Checkpoint, "POST") => handlers::checkpoint(state, request),
+        (E::CrossSections, "POST") => handlers::cross_sections(state, request),
+        (E::Transport, "POST") => handlers::transport(state, request),
+        (E::Fleet, "POST") => handlers::fleet(state, request),
+        (E::TimelineIngest, "POST") => handlers::timeline_ingest(state, request),
+        (E::ScenarioRun, "POST") => handlers::scenario_run(state, request),
+        (E::FleetEntries, method @ ("POST" | "DELETE")) => {
+            let path = path.split(['?', '#']).next().unwrap_or("");
+            match (method, path.strip_prefix("/v1/fleet/entries/")) {
+                ("POST", None) => handlers::fleet_entry_upsert(state, request),
+                ("POST", Some(_)) => Err(BadRequest::new(
+                    400,
+                    "POST /v1/fleet/entries takes the id in the body",
+                )),
+                (_, Some(id)) if !id.is_empty() => handlers::fleet_entry_delete(state, id),
+                _ => Err(BadRequest::new(400, "DELETE needs /v1/fleet/entries/{id}")),
             }
         }
-        Endpoint::FleetStream => match method {
-            "GET" => handlers::fleet_stream(state, &request.path),
-            _ => method_not_allowed("GET"),
-        },
-        Endpoint::Timeline => match method {
-            "GET" => handlers::timeline(state, &request.path),
-            _ => method_not_allowed("GET"),
-        },
-        Endpoint::TimelineStream => match method {
-            "GET" => handlers::timeline_stream(state, &request.path),
-            _ => method_not_allowed("GET"),
-        },
-        Endpoint::TimelineIngest => match method {
-            "POST" => handlers::timeline_ingest(state, request.body()),
-            _ => method_not_allowed("POST"),
-        },
-        Endpoint::Scenarios => match method {
-            "GET" => handlers::scenarios(state),
-            _ => method_not_allowed("GET"),
-        },
-        Endpoint::ScenarioRun => match method {
-            "POST" => handlers::scenario_run(state, request.body()),
-            _ => method_not_allowed("POST"),
-        },
-        Endpoint::Other => Response::error(404, &format!("no route for `{}`", request.path)),
+        (E::Other, _) => Err(BadRequest::new(404, format!("no route for `{path}`"))),
+        (E::FleetEntries, _) => Err(method_not_allowed("POST, DELETE")),
+        (
+            E::Fit
+            | E::Checkpoint
+            | E::CrossSections
+            | E::Transport
+            | E::Fleet
+            | E::TimelineIngest
+            | E::ScenarioRun,
+            _,
+        ) => Err(method_not_allowed("POST")),
+        _ => Err(method_not_allowed("GET")),
     }
 }
 
-fn method_not_allowed(allowed: &str) -> Response {
-    Response::error(405, &format!("method not allowed (use {allowed})"))
+fn method_not_allowed(allowed: &str) -> BadRequest {
+    BadRequest::new(405, format!("method not allowed (use {allowed})"))
 }
 
 #[cfg(test)]

@@ -1,29 +1,26 @@
 //! End-to-end tests: a real daemon on an ephemeral port, exercised with
 //! raw `TcpStream` requests — no HTTP client library, by policy.
 //!
-//! Every test below runs against BOTH io models (the threaded
-//! connection-per-worker baseline and the epoll event loop) via the
-//! `io_model_suite!` macro at the bottom, so the two transports stay
-//! behaviourally identical. Threads-only tests (worker-occupancy
-//! semantics) live outside the macro.
+//! The server runs on Linux only (its transport is the epoll event
+//! loop), so these tests do too.
+#![cfg(target_os = "linux")]
 
 use std::io::{Read, Write};
 use std::net::{SocketAddr, TcpStream};
 use std::sync::{Arc, Barrier};
 use std::time::{Duration, Instant};
-use tn_server::{IoModel, Server, ServerConfig, ServerHandle};
+use tn_server::{Server, ServerConfig, ServerHandle};
 
-fn config(io_model: IoModel, threads: usize) -> ServerConfig {
+fn config(threads: usize) -> ServerConfig {
     ServerConfig {
         addr: "127.0.0.1:0".to_string(),
         threads,
-        io_model,
         ..ServerConfig::default()
     }
 }
 
-fn start(io_model: IoModel, threads: usize) -> ServerHandle {
-    Server::bind(&config(io_model, threads))
+fn start(threads: usize) -> ServerHandle {
+    Server::bind(&config(threads))
         .expect("bind ephemeral port")
         .spawn()
 }
@@ -230,8 +227,9 @@ impl Conn {
     }
 }
 
-fn healthz_devices_and_metrics_respond(io: IoModel) {
-    let server = start(io, 2);
+#[test]
+fn healthz_devices_and_metrics_respond() {
+    let server = start(2);
     let addr = server.addr();
 
     let (status, head, body) = get(addr, "/healthz");
@@ -260,8 +258,9 @@ fn healthz_devices_and_metrics_respond(io: IoModel) {
     server.stop();
 }
 
-fn error_paths_return_json_errors(io: IoModel) {
-    let server = start(io, 2);
+#[test]
+fn error_paths_return_json_errors() {
+    let server = start(2);
     let addr = server.addr();
 
     // Malformed JSON → 400.
@@ -291,8 +290,9 @@ fn error_paths_return_json_errors(io: IoModel) {
     server.stop();
 }
 
-fn fit_endpoint_is_deterministic_and_counts_cache_hits(io: IoModel) {
-    let server = start(io, 2);
+#[test]
+fn fit_endpoint_is_deterministic_and_counts_cache_hits() {
+    let server = start(2);
     let addr = server.addr();
     let request =
         r#"{"device":"NVIDIA K20","location":"leadville","weather":"thunderstorm","seed":7}"#;
@@ -317,8 +317,9 @@ fn fit_endpoint_is_deterministic_and_counts_cache_hits(io: IoModel) {
 /// `derived_*` surroundings run the seeded Monte-Carlo room derivation
 /// in-process: the response must be deterministic and the transport
 /// counters in `/metrics` must actually move.
-fn derived_surroundings_run_transport_and_count_histories(io: IoModel) {
-    let server = start(io, 2);
+#[test]
+fn derived_surroundings_run_transport_and_count_histories() {
+    let server = start(2);
     let addr = server.addr();
     let request =
         r#"{"device":"NVIDIA K20","surroundings":"derived_air_cooled","quick":true,"seed":11}"#;
@@ -338,8 +339,9 @@ fn derived_surroundings_run_transport_and_count_histories(io: IoModel) {
     server.stop();
 }
 
-fn two_concurrent_identical_fit_posts_cause_exactly_one_miss(io: IoModel) {
-    let server = start(io, 4);
+#[test]
+fn two_concurrent_identical_fit_posts_cause_exactly_one_miss() {
+    let server = start(4);
     let addr = server.addr();
     let request = r#"{"device":"Intel Xeon Phi","location":"new_york","seed":11}"#;
 
@@ -369,8 +371,9 @@ fn two_concurrent_identical_fit_posts_cause_exactly_one_miss(io: IoModel) {
     server.stop();
 }
 
-fn checkpoint_and_cross_sections_endpoints(io: IoModel) {
-    let server = start(io, 2);
+#[test]
+fn checkpoint_and_cross_sections_endpoints() {
+    let server = start(2);
     let addr = server.addr();
 
     let (status, _, body) = post(
@@ -404,8 +407,9 @@ fn checkpoint_and_cross_sections_endpoints(io: IoModel) {
     server.stop();
 }
 
-fn every_response_carries_a_request_id(io: IoModel) {
-    let server = start(io, 2);
+#[test]
+fn every_response_carries_a_request_id() {
+    let server = start(2);
     let addr = server.addr();
 
     let (_, head_a, _) = get(addr, "/healthz");
@@ -426,8 +430,9 @@ fn every_response_carries_a_request_id(io: IoModel) {
 
 /// Unknown paths must all fold into the single `other` endpoint series:
 /// probing many bogus paths may not grow the label space.
-fn path_scans_cannot_inflate_metric_cardinality(io: IoModel) {
-    let server = start(io, 2);
+#[test]
+fn path_scans_cannot_inflate_metric_cardinality() {
+    let server = start(2);
     let addr = server.addr();
 
     for path in [
@@ -511,8 +516,9 @@ fn path_scans_cannot_inflate_metric_cardinality(io: IoModel) {
 
 /// `/metrics` must expose the tn-obs histograms: per-endpoint latency
 /// and size, plus the process-wide transport shard histogram.
-fn metrics_expose_obs_histograms(io: IoModel) {
-    let server = start(io, 2);
+#[test]
+fn metrics_expose_obs_histograms() {
+    let server = start(2);
     let addr = server.addr();
 
     let (status, _, _) = get(addr, "/healthz");
@@ -534,14 +540,15 @@ fn metrics_expose_obs_histograms(io: IoModel) {
     server.stop();
 }
 
-fn responses_are_deterministic_across_server_instances(io: IoModel) {
+#[test]
+fn responses_are_deterministic_across_server_instances() {
     let request = r#"{"device":"NVIDIA K20","location":"leadville","seed":5}"#;
     let body_of = |server: &ServerHandle| post(server.addr(), "/v1/fit", request).2;
 
-    let a = start(io, 2);
+    let a = start(2);
     let first = body_of(&a);
     a.stop();
-    let b = start(io, 3);
+    let b = start(3);
     let second = body_of(&b);
     b.stop();
     assert_eq!(first, second, "fresh daemons agree byte-for-byte");
@@ -573,8 +580,9 @@ fn decode_chunked(body: &str) -> String {
     out
 }
 
-fn fleet_bulk_endpoint_serves_from_the_surface(io: IoModel) {
-    let server = start(io, 2);
+#[test]
+fn fleet_bulk_endpoint_serves_from_the_surface() {
+    let server = start(2);
     let addr = server.addr();
     let request = r#"{"devices":[{"device":"NVIDIA K20","altitude_m":1609,"b10_areal_cm2":1e19,"avf":0.5},{"device":"Intel Xeon Phi","altitude_m":10}],"seed":4}"#;
 
@@ -604,8 +612,9 @@ fn fleet_bulk_endpoint_serves_from_the_surface(io: IoModel) {
     server.stop();
 }
 
-fn fleet_stream_is_chunked_ndjson_on_the_wire(io: IoModel) {
-    let server = start(io, 2);
+#[test]
+fn fleet_stream_is_chunked_ndjson_on_the_wire() {
+    let server = start(2);
     let addr = server.addr();
 
     let (status, head, body) = get(addr, "/v1/fleet/stream?seed=9&quick=true");
@@ -634,8 +643,9 @@ fn fleet_stream_is_chunked_ndjson_on_the_wire(io: IoModel) {
 /// Regression test for the empty / zero-thickness stack panic: a bad
 /// geometry must come back as a 400 with the validation message, not
 /// kill a worker thread — and the daemon must keep serving afterwards.
-fn transport_rejects_bad_geometry_with_400_and_survives(io: IoModel) {
-    let server = start(io, 2);
+#[test]
+fn transport_rejects_bad_geometry_with_400_and_survives() {
+    let server = start(2);
     let addr = server.addr();
     for (body, needle) in [
         (r#"{"layers":[]}"#, "at least one layer"),
@@ -687,8 +697,9 @@ fn transport_rejects_bad_geometry_with_400_and_survives(io: IoModel) {
     server.stop();
 }
 
-fn malformed_json_gets_400_on_every_post_endpoint(io: IoModel) {
-    let server = start(io, 2);
+#[test]
+fn malformed_json_gets_400_on_every_post_endpoint() {
+    let server = start(2);
     let addr = server.addr();
     for path in POST_ENDPOINTS {
         for bad in ["{not json", "", "[1,2", "{\"device\":}", "\u{1}"] {
@@ -703,8 +714,9 @@ fn malformed_json_gets_400_on_every_post_endpoint(io: IoModel) {
 /// The documented ingest batch cap is a hard edge: exactly 10 000
 /// samples are accepted, 10 001 are rejected as a 400 — with the monitor
 /// left untouched by the rejected batch.
-fn timeline_ingest_batch_boundary_is_exact(io: IoModel) {
-    let server = start(io, 2);
+#[test]
+fn timeline_ingest_batch_boundary_is_exact() {
+    let server = start(2);
     let addr = server.addr();
 
     let batch = |n: usize| format!("{{\"samples\":[{}]}}", vec!["{\"count\":500}"; n].join(","));
@@ -727,8 +739,9 @@ fn timeline_ingest_batch_boundary_is_exact(io: IoModel) {
 /// `GET /v1/scenarios` lists the built-ins; `POST /v1/scenario/run`
 /// serves byte-identical reports (second hit from the LRU cache) and
 /// 404s an unknown name without dying.
-fn scenario_endpoints_list_run_and_cache(io: IoModel) {
-    let server = start(io, 2);
+#[test]
+fn scenario_endpoints_list_run_and_cache() {
+    let server = start(2);
     let addr = server.addr();
 
     let (status, _, body) = get(addr, "/v1/scenarios");
@@ -764,10 +777,11 @@ fn scenario_endpoints_list_run_and_cache(io: IoModel) {
     server.stop();
 }
 
-fn underdeclared_content_length_gets_400_not_a_hang(io: IoModel) {
+#[test]
+fn underdeclared_content_length_gets_400_not_a_hang() {
     // The client promises 50 bytes, sends 5 and half-closes. The server
     // must answer 400 immediately instead of dropping the connection.
-    let server = start(io, 2);
+    let server = start(2);
     let addr = server.addr();
     for path in POST_ENDPOINTS {
         let mut stream = TcpStream::connect(addr).expect("connect");
@@ -797,10 +811,11 @@ fn underdeclared_content_length_gets_400_not_a_hang(io: IoModel) {
     server.stop();
 }
 
-fn overlong_body_gets_400_on_every_post_endpoint(io: IoModel) {
+#[test]
+fn overlong_body_gets_400_on_every_post_endpoint() {
     // More body bytes than Content-Length declares on a `close`
     // request: a protocol violation, not something to silently ignore.
-    let server = start(io, 2);
+    let server = start(2);
     let addr = server.addr();
     for path in POST_ENDPOINTS {
         let (status, _, body) = raw(
@@ -816,8 +831,9 @@ fn overlong_body_gets_400_on_every_post_endpoint(io: IoModel) {
     server.stop();
 }
 
-fn keep_alive_reuses_a_connection_and_counts_it(io: IoModel) {
-    let server = start(io, 2);
+#[test]
+fn keep_alive_reuses_a_connection_and_counts_it() {
+    let server = start(2);
     let addr = server.addr();
 
     let mut conn = Conn::open(addr);
@@ -844,8 +860,9 @@ fn keep_alive_reuses_a_connection_and_counts_it(io: IoModel) {
     server.stop();
 }
 
-fn pipelined_requests_are_answered_in_order(io: IoModel) {
-    let server = start(io, 2);
+#[test]
+fn pipelined_requests_are_answered_in_order() {
+    let server = start(2);
     let addr = server.addr();
 
     let mut conn = Conn::open(addr);
@@ -868,8 +885,9 @@ fn pipelined_requests_are_answered_in_order(io: IoModel) {
     server.stop();
 }
 
-fn chunked_stream_works_on_a_reused_connection(io: IoModel) {
-    let server = start(io, 2);
+#[test]
+fn chunked_stream_works_on_a_reused_connection() {
+    let server = start(2);
     let addr = server.addr();
 
     let mut conn = Conn::open(addr);
@@ -896,8 +914,9 @@ fn chunked_stream_works_on_a_reused_connection(io: IoModel) {
     server.stop();
 }
 
-fn fleet_entries_mutate_then_assess(io: IoModel) {
-    let server = start(io, 2);
+#[test]
+fn fleet_entries_mutate_then_assess() {
+    let server = start(2);
     let addr = server.addr();
 
     // Baseline: demo fleet, generation 0.
@@ -962,16 +981,13 @@ fn fleet_entries_mutate_then_assess(io: IoModel) {
 /// peer that is not reading (about 3.8 MB on a 2-vCPU Linux VM), so ten
 /// such bodies outgrow it and the server's writes resume across
 /// `WouldBlock` on a real socket.
-fn large_fleet_bodies_survive_pipelining_and_writes(io: IoModel) {
+#[test]
+fn large_fleet_bodies_survive_pipelining_and_writes() {
     const HITS: usize = 9;
-    let path = std::env::temp_dir().join(format!(
-        "tn-fleet-1000-{}-{}.jsonl",
-        std::process::id(),
-        io.label()
-    ));
+    let path = std::env::temp_dir().join(format!("tn-fleet-1000-{}.jsonl", std::process::id()));
     std::fs::write(&path, tn_fleet::FleetRegistry::demo(3, 1000).to_jsonl())
         .expect("write the fleet snapshot");
-    let mut cfg = config(io, 2);
+    let mut cfg = config(2);
     cfg.fleet_path = Some(path.to_string_lossy().into_owned());
     let server = start_config(&cfg);
     let addr = server.addr();
@@ -1033,8 +1049,9 @@ fn large_fleet_bodies_survive_pipelining_and_writes(io: IoModel) {
     assert!(again == miss, "a fresh daemon renders different bytes");
 }
 
-fn max_requests_per_conn_caps_reuse(io: IoModel) {
-    let mut cfg = config(io, 2);
+#[test]
+fn max_requests_per_conn_caps_reuse() {
+    let mut cfg = config(2);
     cfg.max_requests_per_conn = 2;
     let server = start_config(&cfg);
     let addr = server.addr();
@@ -1053,8 +1070,9 @@ fn max_requests_per_conn_caps_reuse(io: IoModel) {
     server.stop();
 }
 
-fn idle_connections_close_cleanly(io: IoModel) {
-    let mut cfg = config(io, 2);
+#[test]
+fn idle_connections_close_cleanly() {
+    let mut cfg = config(2);
     cfg.idle_timeout = Duration::from_millis(150);
     let server = start_config(&cfg);
     let addr = server.addr();
@@ -1073,30 +1091,37 @@ fn idle_connections_close_cleanly(io: IoModel) {
         String::from_utf8_lossy(&out)
     );
 
-    // A connection that stalls mid-headers gets an explicit 400.
-    let mut stream = TcpStream::connect(addr).expect("connect");
-    stream
-        .set_read_timeout(Some(Duration::from_secs(10)))
-        .expect("set timeout");
-    stream
-        .write_all(b"GET /healthz HTTP/1.1\r\nHost: t\r\n")
-        .expect("write partial");
-    let mut response = String::new();
-    stream.read_to_string(&mut response).expect("read response");
-    assert!(response.starts_with("HTTP/1.1 400"), "{response:?}");
-    assert!(response.contains("timed out"), "{response}");
+    // A connection that stalls mid-request, with its socket held open,
+    // gets an explicit 400 that says where it stalled.
+    for (partial, why) in [
+        (
+            &b"GET /healthz HTTP/1.1\r\nHost: t\r\n"[..],
+            "timed out waiting for headers",
+        ),
+        (
+            b"POST /v1/fit HTTP/1.1\r\nHost: t\r\nContent-Length: 100\r\n\r\nshort",
+            "timed out mid-body",
+        ),
+    ] {
+        let mut stream = TcpStream::connect(addr).expect("connect");
+        stream
+            .set_read_timeout(Some(Duration::from_secs(10)))
+            .expect("set timeout");
+        stream.write_all(partial).expect("write partial");
+        let mut response = String::new();
+        stream.read_to_string(&mut response).expect("read response");
+        assert!(response.starts_with("HTTP/1.1 400"), "{response:?}");
+        assert!(response.contains(why), "{response}");
+    }
 
     server.stop();
 }
 
-fn surface_cache_round_trips_across_restarts(io: IoModel) {
-    let path = std::env::temp_dir().join(format!(
-        "tn-surface-cache-{}-{}.jsonl",
-        std::process::id(),
-        io.label()
-    ));
+#[test]
+fn surface_cache_round_trips_across_restarts() {
+    let path = std::env::temp_dir().join(format!("tn-surface-cache-{}.jsonl", std::process::id()));
     let _ = std::fs::remove_file(&path);
-    let mut cfg = config(io, 2);
+    let mut cfg = config(2);
     cfg.surface_cache = Some(path.to_string_lossy().into_owned());
 
     // First daemon builds the surface and persists it.
@@ -1123,8 +1148,9 @@ fn surface_cache_round_trips_across_restarts(io: IoModel) {
 /// The tn-watch acceptance path: ingest a step series, then read the
 /// bulk and streaming views over ONE reused keep-alive connection and
 /// check they serve the same series, with the alert in `/metrics`.
-fn timeline_bulk_and_stream_agree_over_keep_alive(io: IoModel) {
-    let server = start(io, 2);
+#[test]
+fn timeline_bulk_and_stream_agree_over_keep_alive() {
+    let server = start(2);
     let addr = server.addr();
 
     let mut conn = Conn::open(addr);
@@ -1190,14 +1216,12 @@ fn timeline_bulk_and_stream_agree_over_keep_alive(io: IoModel) {
 
 /// The surface-cache counters must tell a build-and-persist daemon from
 /// a restored-from-disk one, with the entries gauge set on both paths.
-fn surface_cache_metrics_track_loads_and_saves(io: IoModel) {
-    let path = std::env::temp_dir().join(format!(
-        "tn-surface-metrics-{}-{}.jsonl",
-        std::process::id(),
-        io.label()
-    ));
+#[test]
+fn surface_cache_metrics_track_loads_and_saves() {
+    let path =
+        std::env::temp_dir().join(format!("tn-surface-metrics-{}.jsonl", std::process::id()));
     let _ = std::fs::remove_file(&path);
-    let mut cfg = config(io, 2);
+    let mut cfg = config(2);
     cfg.surface_cache = Some(path.to_string_lossy().into_owned());
 
     // First daemon builds the surface and persists it: one save, the
@@ -1224,8 +1248,9 @@ fn surface_cache_metrics_track_loads_and_saves(io: IoModel) {
 
 /// Teardown causes land in distinct counters: a connection reaped for
 /// idling and one closed at the request cap must not share a series.
-fn idle_and_cap_closes_are_counted(io: IoModel) {
-    let mut cfg = config(io, 2);
+#[test]
+fn idle_and_cap_closes_are_counted() {
+    let mut cfg = config(2);
     cfg.idle_timeout = Duration::from_millis(150);
     cfg.max_requests_per_conn = 2;
     let server = start_config(&cfg);
@@ -1259,59 +1284,97 @@ fn idle_and_cap_closes_are_counted(io: IoModel) {
     server.stop();
 }
 
-/// With one worker and a zero-length queue, a second concurrent request
-/// must be shed with 503 + Retry-After instead of queueing forever.
-/// Threads-only: the test works by occupying a worker with a stalled
-/// connection, which is exactly what the epoll model is designed to
-/// not let happen (stalled sockets just wait in the event loop).
+/// With one worker and a zero-length queue, a Monte-Carlo request that
+/// arrives while the worker is busy is shed with 503 + Retry-After, and
+/// the connection is closed. Requests the shard answers inline keep
+/// working meanwhile, and the long run still gets its answer.
 #[test]
-fn saturated_pool_sheds_with_503() {
-    let mut cfg = config(IoModel::Threads, 1);
+fn saturated_pool_sheds_monte_carlo_requests_with_503() {
+    let mut cfg = config(1);
     cfg.max_queue = 0;
     let server = start_config(&cfg);
     let addr = server.addr();
 
-    // Occupy the only worker with a request that never completes: send
-    // a partial header block and keep the socket open.
-    let mut hog = TcpStream::connect(addr).expect("connect hog");
-    hog.write_all(b"GET /healthz HTTP/1.1\r\nHost: test\r\n")
-        .expect("write partial request");
-    // Wait until the worker has actually picked the connection up.
-    let deadline = Instant::now() + Duration::from_secs(5);
+    // Occupy the only worker: 1 MeV neutrons slowing down in 30 cm of
+    // water take about 2 s at the per-request history cap in a debug
+    // build.
+    let long =
+        r#"{"layers":[{"material":"water","thickness_cm":30}],"energy_ev":1e6,"histories":200000}"#;
+    let hog = std::thread::spawn(move || post(addr, "/v1/transport", long));
+    let deadline = Instant::now() + Duration::from_secs(10);
     while server.state().metrics.workers_busy() < 1 {
         assert!(Instant::now() < deadline, "worker never became busy");
         std::thread::sleep(Duration::from_millis(5));
     }
 
-    let (status, head, body) = get(addr, "/healthz");
+    let (status, head, body) = post(addr, "/v1/fit", r#"{"device":"NVIDIA K20"}"#);
     assert_eq!(status, 503, "{head}\n{body}");
     assert!(head.contains("Retry-After: 1"), "{head}");
+    assert!(head.contains("Connection: close"), "{head}");
     assert!(body.contains("\"error\""), "{body}");
 
-    // Release the hog so shutdown is clean, then check the counter once
-    // the worker is idle again (otherwise /metrics itself gets shed).
-    hog.write_all(b"Connection: close\r\n\r\n").expect("finish hog");
-    let mut drain = String::new();
-    let _ = hog.read_to_string(&mut drain);
-    while server.state().metrics.workers_busy() > 0 {
-        assert!(Instant::now() < deadline, "worker never went idle");
-        std::thread::sleep(Duration::from_millis(5));
-    }
+    let (status, _, body) = get(addr, "/healthz");
+    assert_eq!(status, 200, "{body}");
+    assert!(
+        server.state().metrics.workers_busy() >= 1,
+        "/healthz was answered while the long run was still going"
+    );
+
+    let (status, _, body) = hog.join().expect("long request thread");
+    assert_eq!(status, 200, "{body}");
     let (_, _, metrics) = get(addr, "/metrics");
     assert!(metric(&metrics, "tn_server_overload_total") >= 1, "{metrics}");
 
     server.stop();
 }
 
+/// An IPv6 address cannot take the `SO_REUSEPORT` bind, so one acceptor
+/// thread hands accepted sockets round-robin to the shards. Keep-alive
+/// connections must work through that path, and `stop()` must still
+/// unblock the acceptor.
+#[test]
+fn handoff_acceptor_serves_keep_alive_connections() {
+    let mut cfg = config(2);
+    cfg.addr = "[::1]:0".to_string();
+    let server = start_config(&cfg);
+    let addr = server.addr();
+    assert!(addr.is_ipv6(), "{addr}");
+
+    let mut conns: Vec<Conn> = (0..4).map(|_| Conn::open(addr)).collect();
+    for round in 0..3 {
+        let last = round == 2;
+        for (i, conn) in conns.iter_mut().enumerate() {
+            conn.get("/healthz", last);
+            let (status, head, body) = conn.read_response();
+            assert_eq!(status, 200, "connection {i}, request {round}: {body}");
+            let expected = if last {
+                "Connection: close"
+            } else {
+                "Connection: keep-alive"
+            };
+            assert!(
+                head.contains(expected),
+                "connection {i}, request {round}: {head}"
+            );
+        }
+    }
+    for conn in &mut conns {
+        conn.assert_eof();
+    }
+
+    // Three requests on each of four connections: eight reuses.
+    await_metric(addr, "tn_conn_reuse_total", 8);
+    server.stop();
+}
+
 /// One long JSON string just under the 1 MiB body cap must earn its 400
 /// in milliseconds (a string scan quadratic in its length takes about
 /// 20 s here), and the event-loop shard that decodes it must keep
-/// answering other connections meanwhile. Epoll-only: with a single shard, an inline
+/// answering other connections meanwhile. With a single shard, an inline
 /// parse is what every other connection would wait behind.
-#[cfg(target_os = "linux")]
 #[test]
 fn mebibyte_json_string_gets_a_prompt_400_without_stalling_the_shard() {
-    let server = start(IoModel::Epoll, 1);
+    let server = start(1);
     let addr = server.addr();
     let body = format!(
         "{{\"devices\":\"{}\"}}",
@@ -1349,134 +1412,4 @@ fn mebibyte_json_string_gets_a_prompt_400_without_stalling_the_shard() {
         "/healthz waited {probe:?} behind the large body"
     );
     server.stop();
-}
-
-macro_rules! io_model_suite {
-    ($model:expr) => {
-        #[test]
-        fn healthz_devices_and_metrics_respond() {
-            super::healthz_devices_and_metrics_respond($model)
-        }
-        #[test]
-        fn error_paths_return_json_errors() {
-            super::error_paths_return_json_errors($model)
-        }
-        #[test]
-        fn fit_endpoint_is_deterministic_and_counts_cache_hits() {
-            super::fit_endpoint_is_deterministic_and_counts_cache_hits($model)
-        }
-        #[test]
-        fn derived_surroundings_run_transport_and_count_histories() {
-            super::derived_surroundings_run_transport_and_count_histories($model)
-        }
-        #[test]
-        fn two_concurrent_identical_fit_posts_cause_exactly_one_miss() {
-            super::two_concurrent_identical_fit_posts_cause_exactly_one_miss($model)
-        }
-        #[test]
-        fn checkpoint_and_cross_sections_endpoints() {
-            super::checkpoint_and_cross_sections_endpoints($model)
-        }
-        #[test]
-        fn every_response_carries_a_request_id() {
-            super::every_response_carries_a_request_id($model)
-        }
-        #[test]
-        fn path_scans_cannot_inflate_metric_cardinality() {
-            super::path_scans_cannot_inflate_metric_cardinality($model)
-        }
-        #[test]
-        fn metrics_expose_obs_histograms() {
-            super::metrics_expose_obs_histograms($model)
-        }
-        #[test]
-        fn responses_are_deterministic_across_server_instances() {
-            super::responses_are_deterministic_across_server_instances($model)
-        }
-        #[test]
-        fn fleet_bulk_endpoint_serves_from_the_surface() {
-            super::fleet_bulk_endpoint_serves_from_the_surface($model)
-        }
-        #[test]
-        fn fleet_stream_is_chunked_ndjson_on_the_wire() {
-            super::fleet_stream_is_chunked_ndjson_on_the_wire($model)
-        }
-        #[test]
-        fn transport_rejects_bad_geometry_with_400_and_survives() {
-            super::transport_rejects_bad_geometry_with_400_and_survives($model)
-        }
-        #[test]
-        fn malformed_json_gets_400_on_every_post_endpoint() {
-            super::malformed_json_gets_400_on_every_post_endpoint($model)
-        }
-        #[test]
-        fn underdeclared_content_length_gets_400_not_a_hang() {
-            super::underdeclared_content_length_gets_400_not_a_hang($model)
-        }
-        #[test]
-        fn overlong_body_gets_400_on_every_post_endpoint() {
-            super::overlong_body_gets_400_on_every_post_endpoint($model)
-        }
-        #[test]
-        fn keep_alive_reuses_a_connection_and_counts_it() {
-            super::keep_alive_reuses_a_connection_and_counts_it($model)
-        }
-        #[test]
-        fn pipelined_requests_are_answered_in_order() {
-            super::pipelined_requests_are_answered_in_order($model)
-        }
-        #[test]
-        fn chunked_stream_works_on_a_reused_connection() {
-            super::chunked_stream_works_on_a_reused_connection($model)
-        }
-        #[test]
-        fn fleet_entries_mutate_then_assess() {
-            super::fleet_entries_mutate_then_assess($model)
-        }
-        #[test]
-        fn large_fleet_bodies_survive_pipelining_and_writes() {
-            super::large_fleet_bodies_survive_pipelining_and_writes($model)
-        }
-        #[test]
-        fn max_requests_per_conn_caps_reuse() {
-            super::max_requests_per_conn_caps_reuse($model)
-        }
-        #[test]
-        fn idle_connections_close_cleanly() {
-            super::idle_connections_close_cleanly($model)
-        }
-        #[test]
-        fn surface_cache_round_trips_across_restarts() {
-            super::surface_cache_round_trips_across_restarts($model)
-        }
-        #[test]
-        fn timeline_bulk_and_stream_agree_over_keep_alive() {
-            super::timeline_bulk_and_stream_agree_over_keep_alive($model)
-        }
-        #[test]
-        fn timeline_ingest_batch_boundary_is_exact() {
-            super::timeline_ingest_batch_boundary_is_exact($model)
-        }
-        #[test]
-        fn scenario_endpoints_list_run_and_cache() {
-            super::scenario_endpoints_list_run_and_cache($model)
-        }
-        #[test]
-        fn surface_cache_metrics_track_loads_and_saves() {
-            super::surface_cache_metrics_track_loads_and_saves($model)
-        }
-        #[test]
-        fn idle_and_cap_closes_are_counted() {
-            super::idle_and_cap_closes_are_counted($model)
-        }
-    };
-}
-
-mod threads_model {
-    io_model_suite!(tn_server::IoModel::Threads);
-}
-
-#[cfg(target_os = "linux")]
-mod epoll_model {
-    io_model_suite!(tn_server::IoModel::Epoll);
 }

@@ -24,7 +24,8 @@
 use crate::report::CheckResult;
 use std::path::PathBuf;
 use tn_core::{Json, Pipeline, PipelineConfig};
-use tn_server::handlers::{self, AppState};
+use tn_server::http::{RequestParser, Response};
+use tn_server::{router, AppState};
 
 /// All golden artefacts are generated at this seed, independent of the
 /// seed the rest of the verify run uses.
@@ -183,19 +184,36 @@ pub fn bless_requested() -> bool {
 
 /// Generates the four golden artefacts at [`GOLDEN_SEED`].
 ///
-/// Endpoint bodies come from the handlers called directly (no sockets,
-/// no request-id headers), so the artefacts are pure functions of the
-/// seed.
+/// Endpoint bodies come from [`router::handle`] on requests built by the
+/// server's own [`RequestParser`] (no sockets). Only bodies are pinned,
+/// never the per-request `x-request-id` header, so the artefacts are
+/// pure functions of the seed.
 pub fn render_artefacts() -> Vec<(&'static str, String)> {
     let study = Pipeline::new(PipelineConfig::quick())
         .seed(GOLDEN_SEED)
         .run();
     let state = AppState::new(GOLDEN_SEED, 16, 1);
-    let fit_body = br#"{"device":"Intel Xeon Phi","location":"new_york","quick":true}"#;
-    let fit = handlers::fit(&state, fit_body);
+    let post = |path: &str, body: &str| -> Response {
+        let mut parser = RequestParser::new();
+        parser.push(
+            format!(
+                "POST {path} HTTP/1.1\r\nContent-Length: {}\r\n\r\n{body}",
+                body.len()
+            )
+            .as_bytes(),
+        );
+        let request = parser
+            .try_next()
+            .expect("golden request is well-formed HTTP")
+            .expect("golden request is complete");
+        router::handle(&state, &request)
+    };
+    let fit = post(
+        "/v1/fit",
+        r#"{"device":"Intel Xeon Phi","location":"new_york","quick":true}"#,
+    );
     assert_eq!(fit.status, 200, "fit golden request failed: {}", fit.body_text());
-    let xs_body = br#"{"device":"NVIDIA K20"}"#;
-    let xs = handlers::cross_sections(&state, xs_body);
+    let xs = post("/v1/cross-sections", r#"{"device":"NVIDIA K20"}"#);
     assert_eq!(
         xs.status,
         200,

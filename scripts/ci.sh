@@ -51,28 +51,23 @@ cargo run --offline --example validate_bench -- target/tn-bench/BENCH_transport_
 # bulk assessment, response cache, and the harness's own report.
 TN_BENCH_SMOKE=1 target/release/thermal-neutrons load \
     --rate-hz 60 --duration-s 1.5 --workers 2 --devices 4 --seed 7 \
-    --io-model threads \
     --out target/tn-bench/BENCH_fleet.json
 cargo run --offline --example validate_load -- target/tn-bench/BENCH_fleet.json
 
-# Saturating close/keep-alive pair on each io model: the same offered
-# rate far above close-per-request capacity (~24k req/s on the CI box),
-# so achieved rates measure transport throughput. validate_load's
-# two-artifact mode then enforces the >= 3x keep-alive speedup on the
-# pair.
-for io in threads epoll; do
-    TN_BENCH_SMOKE=1 target/release/thermal-neutrons load \
-        --rate-hz 200000 --duration-s 1.0 --workers 2 --devices 1 --seed 7 \
-        --io-model "$io" \
-        --out "target/tn-bench/BENCH_fleet_${io}_close.json"
-    TN_BENCH_SMOKE=1 target/release/thermal-neutrons load \
-        --rate-hz 200000 --duration-s 1.0 --workers 2 --devices 1 --seed 7 \
-        --io-model "$io" --keep-alive \
-        --out "target/tn-bench/BENCH_fleet_${io}_keepalive.json"
-    cargo run --offline --example validate_load -- \
-        "target/tn-bench/BENCH_fleet_${io}_keepalive.json" \
-        "target/tn-bench/BENCH_fleet_${io}_close.json"
-done
+# Saturating close/keep-alive pair: the same offered rate far above
+# close-per-request capacity (~24k req/s on the CI box), so achieved
+# rates measure transport throughput. validate_load's two-artifact mode
+# then enforces the >= 3x keep-alive speedup on the pair.
+TN_BENCH_SMOKE=1 target/release/thermal-neutrons load \
+    --rate-hz 200000 --duration-s 1.0 --workers 2 --devices 1 --seed 7 \
+    --out target/tn-bench/BENCH_fleet_close.json
+TN_BENCH_SMOKE=1 target/release/thermal-neutrons load \
+    --rate-hz 200000 --duration-s 1.0 --workers 2 --devices 1 --seed 7 \
+    --keep-alive \
+    --out target/tn-bench/BENCH_fleet_keepalive.json
+cargo run --offline --example validate_load -- \
+    target/tn-bench/BENCH_fleet_keepalive.json \
+    target/tn-bench/BENCH_fleet_close.json
 
 # The committed full-run artifact must clear the keep-alive epoll
 # throughput floor (10x the close-per-request baseline).
@@ -82,91 +77,87 @@ cargo run --offline --example validate_load -- BENCH_fleet.json
 # Start the daemon on an ephemeral port with debug tracing into a JSONL
 # file, hit /healthz through bash's /dev/tcp (no curl in the hermetic
 # environment), shut it down, then validate every trace line with the
-# in-tree JSON parser (required keys: ts, level, span, msg). Runs once
-# per io model so both transports get the same wire-level smoke.
-for io in threads epoll; do
-    smoke_log="$(mktemp)"
-    trace_file="$(mktemp)"
-    target/release/thermal-neutrons serve --addr 127.0.0.1:0 --threads 2 \
-        --io-model "$io" \
-        --log-level debug --trace-out "$trace_file" >"$smoke_log" 2>/dev/null &
-    server_pid=$!
-    trap 'kill "$server_pid" 2>/dev/null || true' EXIT
+# in-tree JSON parser (required keys: ts, level, span, msg).
+smoke_log="$(mktemp)"
+trace_file="$(mktemp)"
+target/release/thermal-neutrons serve --addr 127.0.0.1:0 --threads 2 \
+    --log-level debug --trace-out "$trace_file" >"$smoke_log" 2>/dev/null &
+server_pid=$!
+trap 'kill "$server_pid" 2>/dev/null || true' EXIT
 
-    port=""
-    for _ in $(seq 1 100); do
-        # The daemon prints: tn-server listening on http://127.0.0.1:PORT (...)
-        port="$(sed -n 's|.*listening on http://127\.0\.0\.1:\([0-9]*\).*|\1|p' "$smoke_log")"
-        [ -n "$port" ] && break
-        sleep 0.1
-    done
-    if [ -z "$port" ]; then
-        echo "tn-server smoke test FAILED ($io): daemon never reported its port" >&2
-        exit 1
-    fi
-
-    exec 3<>"/dev/tcp/127.0.0.1/$port"
-    printf 'GET /healthz HTTP/1.1\r\nHost: ci\r\nConnection: close\r\n\r\n' >&3
-    health="$(cat <&3)"
-    exec 3<&- 3>&-
-
-    case "$health" in
-        *'"status":"ok"'*) echo "tn-server smoke test OK (io=$io, port $port)" ;;
-        *)
-            echo "tn-server smoke test FAILED ($io): unexpected /healthz response:" >&2
-            echo "$health" >&2
-            exit 1
-            ;;
-    esac
-
-    # tn-watch wire smoke: one ingested sample must land in the timeline
-    # monitor, and the watch / teardown / surface-cache series must all
-    # render in /metrics (zero-valued counters still print).
-    body='{"count":500}'
-    exec 3<>"/dev/tcp/127.0.0.1/$port"
-    printf 'POST /v1/timeline/ingest HTTP/1.1\r\nHost: ci\r\nContent-Length: %s\r\nConnection: close\r\n\r\n%s' \
-        "${#body}" "$body" >&3
-    ingest="$(cat <&3)"
-    exec 3<&- 3>&-
-    case "$ingest" in
-        *'"ingested":1'*) ;;
-        *)
-            echo "timeline ingest smoke FAILED ($io): unexpected response:" >&2
-            echo "$ingest" >&2
-            exit 1
-            ;;
-    esac
-    exec 3<>"/dev/tcp/127.0.0.1/$port"
-    printf 'GET /metrics HTTP/1.1\r\nHost: ci\r\nConnection: close\r\n\r\n' >&3
-    metrics="$(cat <&3)"
-    exec 3<&- 3>&-
-    for series in tn_watch_rate tn_watch_baseline 'tn_watch_alerts_total{kind="step_up"}' \
-        tn_surface_cache_entries tn_surface_cache_loads_total tn_surface_cache_saves_total \
-        tn_conn_idle_closed_total tn_conn_request_cap_closed_total; do
-        case "$metrics" in
-            *"$series"*) ;;
-            *)
-                echo "metrics smoke FAILED ($io): series $series missing from /metrics" >&2
-                exit 1
-                ;;
-        esac
-    done
-    echo "tn-watch metrics smoke OK (io=$io)"
-
-    kill "$server_pid"
-    wait "$server_pid" 2>/dev/null || true
-    trap - EXIT
-
-    # The smoke exchange above must have produced a parseable JSONL trace
-    # (at least the server_bound and per-request events).
-    cargo run --offline --example validate_trace -- "$trace_file"
-    grep -q '"msg":"request"' "$trace_file" || {
-        echo "trace smoke FAILED ($io): no request event in $trace_file" >&2
-        exit 1
-    }
-
-    rm -f "$smoke_log" "$trace_file"
+port=""
+for _ in $(seq 1 100); do
+    # The daemon prints: tn-server listening on http://127.0.0.1:PORT (...)
+    port="$(sed -n 's|.*listening on http://127\.0\.0\.1:\([0-9]*\).*|\1|p' "$smoke_log")"
+    [ -n "$port" ] && break
+    sleep 0.1
 done
+if [ -z "$port" ]; then
+    echo "tn-server smoke test FAILED: daemon never reported its port" >&2
+    exit 1
+fi
+
+exec 3<>"/dev/tcp/127.0.0.1/$port"
+printf 'GET /healthz HTTP/1.1\r\nHost: ci\r\nConnection: close\r\n\r\n' >&3
+health="$(cat <&3)"
+exec 3<&- 3>&-
+
+case "$health" in
+    *'"status":"ok"'*) echo "tn-server smoke test OK (port $port)" ;;
+    *)
+        echo "tn-server smoke test FAILED: unexpected /healthz response:" >&2
+        echo "$health" >&2
+        exit 1
+        ;;
+esac
+
+# tn-watch wire smoke: one ingested sample must land in the timeline
+# monitor, and the watch / teardown / surface-cache series must all
+# render in /metrics (zero-valued counters still print).
+body='{"count":500}'
+exec 3<>"/dev/tcp/127.0.0.1/$port"
+printf 'POST /v1/timeline/ingest HTTP/1.1\r\nHost: ci\r\nContent-Length: %s\r\nConnection: close\r\n\r\n%s' \
+    "${#body}" "$body" >&3
+ingest="$(cat <&3)"
+exec 3<&- 3>&-
+case "$ingest" in
+    *'"ingested":1'*) ;;
+    *)
+        echo "timeline ingest smoke FAILED: unexpected response:" >&2
+        echo "$ingest" >&2
+        exit 1
+        ;;
+esac
+exec 3<>"/dev/tcp/127.0.0.1/$port"
+printf 'GET /metrics HTTP/1.1\r\nHost: ci\r\nConnection: close\r\n\r\n' >&3
+metrics="$(cat <&3)"
+exec 3<&- 3>&-
+for series in tn_watch_rate tn_watch_baseline 'tn_watch_alerts_total{kind="step_up"}' \
+    tn_surface_cache_entries tn_surface_cache_loads_total tn_surface_cache_saves_total \
+    tn_conn_idle_closed_total tn_conn_request_cap_closed_total; do
+    case "$metrics" in
+        *"$series"*) ;;
+        *)
+            echo "metrics smoke FAILED: series $series missing from /metrics" >&2
+            exit 1
+            ;;
+    esac
+done
+echo "tn-watch metrics smoke OK"
+
+kill "$server_pid"
+wait "$server_pid" 2>/dev/null || true
+trap - EXIT
+
+# The smoke exchange above must have produced a parseable JSONL trace
+# (at least the server_bound and per-request events).
+cargo run --offline --example validate_trace -- "$trace_file"
+grep -q '"msg":"request"' "$trace_file" || {
+    echo "trace smoke FAILED: no request event in $trace_file" >&2
+    exit 1
+}
+
+rm -f "$smoke_log" "$trace_file"
 
 # ---- tn-verify gate --------------------------------------------------------
 # The quick verification profile (statistical GOF, differential oracles,

@@ -7,13 +7,13 @@
 //! thermal-neutrons ddr [--seed N]
 //! thermal-neutrons spectra
 //! thermal-neutrons serve [--addr A] [--threads N] [--seed N] [--fleet FILE]
-//!                        [--io-model threads|epoll] [--idle-timeout-ms N]
-//!                        [--max-requests-per-conn N] [--surface-cache FILE]
+//!                        [--idle-timeout-ms N] [--max-requests-per-conn N]
+//!                        [--surface-cache FILE]
 //! thermal-neutrons transport [--material M] [--thickness-cm T] [--energy-ev E]
 //!                            [--histories N] [--diffuse] [--vr] [--seed N]
 //! thermal-neutrons load [--addr A] [--rate-hz R] [--duration-s D] [--workers N]
 //!                       [--devices N] [--smoke] [--full-surfaces] [--keep-alive]
-//!                       [--io-model threads|epoll] [--out FILE]
+//!                       [--out FILE]
 //! thermal-neutrons profile <command> [args...]
 //! thermal-neutrons verify [--quick] [--seed N] [--out FILE]
 //! thermal-neutrons watch [--seed N] [--json] [--out FILE]
@@ -32,7 +32,7 @@
 use thermal_neutrons::core_api as tn;
 use tn::environment::{Environment, Location, Surroundings, Weather};
 use tn::{Pipeline, PipelineConfig};
-use tn_server::{IoModel, Server, ServerConfig};
+use tn_server::{Server, ServerConfig};
 
 fn main() {
     let args: Vec<String> = std::env::args().skip(1).collect();
@@ -174,7 +174,6 @@ fn serve(args: &[String], seed: u64) -> Result<(), String> {
         seed,
         transport_threads: tn::transport::default_threads(),
         fleet_path: flag_value::<String>(args, "--fleet")?,
-        io_model: flag_value::<IoModel>(args, "--io-model")?.unwrap_or(defaults.io_model),
         idle_timeout: flag_value::<u64>(args, "--idle-timeout-ms")?
             .map(std::time::Duration::from_millis)
             .unwrap_or(defaults.idle_timeout),
@@ -189,9 +188,8 @@ fn serve(args: &[String], seed: u64) -> Result<(), String> {
         .local_addr()
         .map_err(|e| format!("serve: no local address: {e}"))?;
     println!(
-        "tn-server listening on http://{addr} (threads={}, io={}, seed={seed})",
-        config.threads,
-        server.io_model().label()
+        "tn-server listening on http://{addr} (threads={}, seed={seed})",
+        config.threads
     );
     server.run();
     Ok(())
@@ -232,15 +230,9 @@ fn load(args: &[String], seed: u64) -> Result<(), String> {
 
     // Target an external server, or spawn one in-process for a
     // self-contained run.
-    let requested_io = flag_value::<IoModel>(args, "--io-model")?;
     let external = flag_value::<String>(args, "--addr")?;
-    let (addr, io_model, handle) = match external {
-        Some(addr) => {
-            // Against an external server the io model cannot be
-            // observed; record what the caller told us it runs.
-            let io = requested_io.unwrap_or_else(IoModel::platform_default);
-            (addr, io, None)
-        }
+    let (addr, handle) = match external {
+        Some(addr) => (addr, None),
         None => {
             let config = ServerConfig {
                 addr: "127.0.0.1:0".into(),
@@ -248,14 +240,12 @@ fn load(args: &[String], seed: u64) -> Result<(), String> {
                 seed,
                 transport_threads: tn::transport::default_threads(),
                 fleet_path: flag_value::<String>(args, "--fleet")?,
-                io_model: requested_io.unwrap_or_else(IoModel::platform_default),
                 ..ServerConfig::default()
             };
             let server = Server::bind(&config)
                 .map_err(|e| format!("load: cannot bind in-process server: {e}"))?;
-            let io = server.io_model();
             let handle = server.spawn();
-            (handle.addr().to_string(), io, Some(handle))
+            (handle.addr().to_string(), Some(handle))
         }
     };
 
@@ -268,14 +258,13 @@ fn load(args: &[String], seed: u64) -> Result<(), String> {
         seed,
         quick_surfaces,
         keep_alive,
-        io_model: io_model.label().to_string(),
+        io_model: "epoll".to_string(),
     };
     println!(
         "load: {} at {rate_hz} req/s for {duration_s}s ({workers} workers, \
-         {devices} devices/request, seed {seed}, {} surfaces, io={}, {})",
+         {devices} devices/request, seed {seed}, {} surfaces, {})",
         config.addr,
         if quick_surfaces { "quick" } else { "full" },
-        config.io_model,
         if keep_alive {
             "keep-alive"
         } else {
@@ -715,7 +704,7 @@ fn help_text() -> String {
      \x20            in-process server unless --addr points at one; writes\n\
      \x20            BENCH_fleet.json (--rate-hz R, --duration-s D, --workers N,\n\
      \x20            --devices N, --smoke, --full-surfaces, --keep-alive,\n\
-     \x20            --io-model threads|epoll, --out FILE)\n\
+     \x20            --out FILE)\n\
      \x20 profile    run a command, then print span/latency percentiles\n\
      \x20 verify     statistical GOF + differential-oracle + golden-snapshot\n\
      \x20            suites; writes VERIFY_report.json (--out FILE overrides;\n\
@@ -733,9 +722,9 @@ fn help_text() -> String {
      \x20        identical for any value, default 1),\n\
      \x20        --log-level error|warn|info|debug|trace|off (default\n\
      \x20        $TN_LOG or warn), --trace-out FILE (structured JSONL)\n\
-     serve:   --addr HOST:PORT (default 127.0.0.1:7878), --threads N (default 4),\n\
+     serve:   --addr HOST:PORT (default 127.0.0.1:7878), --threads N (event-loop\n\
+     \x20        shards and Monte-Carlo workers, default 4; Linux only),\n\
      \x20        --fleet FILE (JSONL registry snapshot; default: demo fleet),\n\
-     \x20        --io-model threads|epoll (default: epoll on Linux),\n\
      \x20        --idle-timeout-ms N (keep-alive idle close, default 5000),\n\
      \x20        --max-requests-per-conn N (0 = unlimited, default 10000),\n\
      \x20        --surface-cache FILE (persist built risk surfaces as JSONL)"
