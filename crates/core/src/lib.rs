@@ -30,6 +30,7 @@ pub mod json;
 pub mod pipeline;
 pub mod registry;
 pub mod report;
+mod shortest;
 pub mod validation;
 
 pub use json::Json;

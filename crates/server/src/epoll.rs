@@ -1062,12 +1062,12 @@ mod tests {
         let large: String = (0..600_000u32)
             .map(|i| char::from(b'a' + (i % 26) as u8))
             .collect();
-        let chunks = vec!["{\"a\":1}\n".to_string(), String::new(), "b".repeat(70)];
+        let records = format!("{{\"a\":1}}\n\n{}\n", "b".repeat(70));
         let responses = [
             Response::json(200, String::new()),
             Response::json(200, "x".to_string()),
             Response::json(200, large),
-            Response::chunked(200, "application/x-ndjson", chunks),
+            Response::chunked(200, "application/x-ndjson", records),
         ];
         for response in responses {
             let response = response.with_header("x-request-id", "00ff00ff00ff00ff");

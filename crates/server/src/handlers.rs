@@ -1200,9 +1200,8 @@ pub(crate) fn fleet_stream(state: &AppState, path: &str) -> Result<Response, Bad
         }
         out
     });
-    // One HTTP chunk per JSONL line.
-    let chunks = text.split_inclusive('\n').map(String::from).collect();
-    Ok(Response::chunked(200, "application/x-ndjson", chunks))
+    // One HTTP chunk per JSONL line, framed from the cached text.
+    Ok(Response::chunked(200, "application/x-ndjson", text))
 }
 
 /// Parses the `seed`/`quick` query parameters shared by the stream
@@ -1480,8 +1479,7 @@ pub(crate) fn timeline_stream(state: &AppState, path: &str) -> Result<Response, 
         text.push('\n');
     }
     // One HTTP chunk per JSONL line.
-    let chunks = text.split_inclusive('\n').map(String::from).collect();
-    Ok(Response::chunked(200, "application/x-ndjson", chunks))
+    Ok(Response::chunked(200, "application/x-ndjson", text))
 }
 
 /// Parses one ingest sample: `count` required, `exposure_seconds`
@@ -2023,12 +2021,13 @@ mod tests {
         let r = get(&s, "/v1/fleet/stream?seed=5&quick=true");
         assert_eq!(r.status, 200, "{}", r.body_text());
         assert_eq!(r.content_type, "application/x-ndjson");
-        let crate::http::Body::Chunked(chunks) = &r.body else {
+        let crate::http::Body::Chunked(records) = &r.body else {
             panic!("stream response must be chunked");
         };
+        let chunks: Vec<&str> = records.split_inclusive('\n').collect();
         // One metadata line + one line per demo-fleet entry.
         assert_eq!(chunks.len(), 1 + 24);
-        let meta = json::parse(&chunks[0]).unwrap();
+        let meta = json::parse(chunks[0]).unwrap();
         assert_eq!(meta.get("count").and_then(Json::as_f64), Some(24.0));
         assert_eq!(meta.get("seed").and_then(Json::as_f64), Some(5.0));
         for line in &chunks[1..] {
@@ -2126,11 +2125,12 @@ mod tests {
             1
         );
         let stream = get(&s, "/v1/timeline/stream?limit=100");
-        let crate::http::Body::Chunked(chunks) = &stream.body else {
+        let crate::http::Body::Chunked(records) = &stream.body else {
             panic!("stream response must be chunked");
         };
+        let chunks: Vec<&str> = records.split_inclusive('\n').collect();
         assert_eq!(chunks.len(), 1 + 100 + 1);
-        let meta = json::parse(&chunks[0]).unwrap();
+        let meta = json::parse(chunks[0]).unwrap();
         assert_eq!(meta.get("samples").and_then(Json::as_f64), Some(100.0));
         let last = json::parse(chunks.last().unwrap()).unwrap();
         assert_eq!(last.get("kind").and_then(Json::as_str), Some("step_up"));
@@ -2152,9 +2152,10 @@ mod tests {
         let doc = json::parse(&bulk.body_text()).unwrap();
         let points = doc.get("points").and_then(Json::as_array).unwrap();
         let stream = get(&s, "/v1/timeline/stream");
-        let crate::http::Body::Chunked(chunks) = &stream.body else {
+        let crate::http::Body::Chunked(records) = &stream.body else {
             panic!("stream response must be chunked");
         };
+        let chunks: Vec<&str> = records.split_inclusive('\n').collect();
         assert_eq!(chunks.len(), 1 + points.len());
         for (point, line) in points.iter().zip(&chunks[1..]) {
             assert_eq!(

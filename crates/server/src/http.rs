@@ -258,28 +258,27 @@ fn find_header_end(buf: &[u8]) -> Option<usize> {
 }
 
 /// A response payload: either a single buffer sent with
-/// `Content-Length`, or a sequence of chunks streamed with
-/// `Transfer-Encoding: chunked` (one chunk per logical record, e.g. one
-/// JSONL line of a fleet stream).
+/// `Content-Length`, or newline-terminated records streamed with
+/// `Transfer-Encoding: chunked`, one chunk per record (e.g. one JSONL
+/// line of a fleet stream).
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub enum Body {
     /// One contiguous body, framed by `Content-Length`. Shared, not
     /// copied, between the response cache, coalesced callers and the
     /// socket writer.
     Full(Arc<str>),
-    /// Streamed chunks, framed by `Transfer-Encoding: chunked`. Empty
-    /// chunks are skipped on the wire — a zero-size chunk is the
-    /// protocol's end-of-body marker, so emitting one mid-stream would
-    /// truncate the response at the client.
-    Chunked(Vec<String>),
+    /// Records, each ending in `\n` (the last may omit it), framed by
+    /// `Transfer-Encoding: chunked` with one chunk per record. Shared
+    /// like [`Body::Full`]. A record is never empty, so no zero-size
+    /// chunk, the protocol's end-of-body marker, can appear mid-stream.
+    Chunked(Arc<str>),
 }
 
 impl Body {
     /// Total payload bytes (excluding chunked framing overhead).
     pub fn len(&self) -> usize {
         match self {
-            Body::Full(s) => s.len(),
-            Body::Chunked(chunks) => chunks.iter().map(String::len).sum(),
+            Body::Full(s) | Body::Chunked(s) => s.len(),
         }
     }
 
@@ -288,12 +287,11 @@ impl Body {
         self.len() == 0
     }
 
-    /// The payload as one string (chunks concatenated), for tests and
+    /// The payload as one string (without chunk framing), for tests and
     /// golden snapshots that inspect response content.
     pub fn text(&self) -> String {
         match self {
-            Body::Full(s) => s.to_string(),
-            Body::Chunked(chunks) => chunks.concat(),
+            Body::Full(s) | Body::Chunked(s) => s.to_string(),
         }
     }
 }
@@ -322,13 +320,13 @@ impl Response {
         }
     }
 
-    /// A chunked (streaming) response; each element of `chunks` becomes
-    /// one HTTP chunk on the wire.
-    pub fn chunked(status: u16, content_type: &'static str, chunks: Vec<String>) -> Self {
+    /// A chunked (streaming) response; each newline-terminated record
+    /// of `records` becomes one HTTP chunk on the wire.
+    pub fn chunked(status: u16, content_type: &'static str, records: impl Into<Arc<str>>) -> Self {
         Self {
             status,
             content_type,
-            body: Body::Chunked(chunks),
+            body: Body::Chunked(records.into()),
             extra_headers: Vec::new(),
         }
     }
@@ -338,7 +336,7 @@ impl Response {
         self.body.len()
     }
 
-    /// The body as one string (chunks concatenated).
+    /// The body as one string (without chunk framing).
     pub fn body_text(&self) -> String {
         self.body.text()
     }
@@ -395,7 +393,7 @@ impl Response {
     /// Appends the status line, the headers and, for a chunked body, the
     /// framed chunks. Full bodies are framed with `Content-Length`;
     /// chunked bodies with `Transfer-Encoding: chunked`
-    /// (`{size:x}\r\n{chunk}\r\n` per non-empty chunk, `0\r\n\r\n`
+    /// (`{size:x}\r\n{record}\r\n` per record, `0\r\n\r\n`
     /// terminator).
     fn push_head(&self, out: &mut Vec<u8>, keep_alive: bool) {
         let framing = match &self.body {
@@ -420,10 +418,14 @@ impl Response {
             out.extend_from_slice(b"\r\n");
         }
         out.extend_from_slice(b"\r\n");
-        if let Body::Chunked(chunks) = &self.body {
-            for chunk in chunks.iter().filter(|c| !c.is_empty()) {
-                out.extend_from_slice(format!("{:x}\r\n", chunk.len()).as_bytes());
-                out.extend_from_slice(chunk.as_bytes());
+        if let Body::Chunked(records) = &self.body {
+            // Framing adds a size line and a CRLF per record, a few per
+            // cent of a JSONL body: a 1/16 margin usually avoids regrowing.
+            out.reserve(records.len() + records.len() / 16 + 5);
+            for record in records.split_inclusive('\n') {
+                push_hex(out, record.len());
+                out.extend_from_slice(b"\r\n");
+                out.extend_from_slice(record.as_bytes());
                 out.extend_from_slice(b"\r\n");
             }
             out.extend_from_slice(b"0\r\n\r\n");
@@ -442,6 +444,24 @@ impl Response {
         }
         out
     }
+}
+
+/// Appends `n` in lowercase hex without leading zeros, as a chunk-size
+/// line wants it.
+fn push_hex(out: &mut Vec<u8>, n: usize) {
+    const HEX: &[u8; 16] = b"0123456789abcdef";
+    let mut digits = [0u8; 16];
+    let mut start = digits.len();
+    let mut rest = n;
+    loop {
+        start -= 1;
+        digits[start] = HEX[rest & 0xf];
+        rest >>= 4;
+        if rest == 0 {
+            break;
+        }
+    }
+    out.extend_from_slice(&digits[start..]);
 }
 
 /// The reason phrase for the status codes this server emits.
@@ -515,8 +535,7 @@ mod tests {
 
     #[test]
     fn chunked_body_uses_hex_framing_and_terminator() {
-        let chunks = vec!["{\"a\":1}\n".to_string(), "{\"b\":22}\n".to_string()];
-        let r = Response::chunked(200, "application/x-ndjson", chunks);
+        let r = Response::chunked(200, "application/x-ndjson", "{\"a\":1}\n{\"b\":22}\n");
         assert_eq!(r.body_len(), 17);
         assert_eq!(r.body_text(), "{\"a\":1}\n{\"b\":22}\n");
         let text = String::from_utf8(r.to_bytes(false)).unwrap();
@@ -531,23 +550,25 @@ mod tests {
 
     #[test]
     fn chunked_hex_sizes_and_empty_chunks() {
-        // A 26-byte chunk must be framed as hex "1a", and empty chunks
-        // must be skipped entirely — a zero-size chunk would terminate
-        // the stream early at the client.
-        let long = "abcdefghijklmnopqrstuvwxyz".to_string();
-        let r = Response::chunked(
-            200,
-            "application/x-ndjson",
-            vec![String::new(), long.clone(), String::new()],
-        );
+        // A 26-byte record must be framed as hex "1a" and a 4,096-byte
+        // one as "1000". A blank line is a 1-byte record, so no empty
+        // chunk (a zero-size chunk would terminate the stream early at
+        // the client) can occur; a last record without its newline is
+        // still a chunk.
+        let short = "abcdefghijklmnopqrstuvwxy\n";
+        let long = format!("{}\n", "x".repeat(4095));
+        let r = Response::chunked(200, "application/x-ndjson", format!("{short}\n{long}z"));
         let text = String::from_utf8(r.to_bytes(false)).unwrap();
         let body_start = text.find("\r\n\r\n").unwrap() + 4;
-        assert_eq!(&text[body_start..], format!("1a\r\n{long}\r\n0\r\n\r\n"));
+        assert_eq!(
+            &text[body_start..],
+            format!("1a\r\n{short}\r\n1\r\n\n\r\n1000\r\n{long}\r\n1\r\nz\r\n0\r\n\r\n")
+        );
     }
 
     #[test]
     fn chunked_with_no_chunks_is_just_the_terminator() {
-        let r = Response::chunked(200, "application/x-ndjson", Vec::new());
+        let r = Response::chunked(200, "application/x-ndjson", "");
         assert!(r.body.is_empty());
         let text = String::from_utf8(r.to_bytes(false)).unwrap();
         assert!(text.ends_with("\r\n\r\n0\r\n\r\n"), "{text}");

@@ -516,7 +516,7 @@ impl Metrics {
         gauge(
             &mut out,
             "tn_workers_busy",
-            "Worker threads currently serving a connection.",
+            "Worker threads currently running a Monte-Carlo request.",
             "gauge",
             self.workers_busy.load(Ordering::Relaxed),
         );

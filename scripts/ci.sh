@@ -8,6 +8,10 @@ cd "$(dirname "$0")/.."
 cargo build --release --offline
 cargo build --offline --examples
 cargo test -q --offline --workspace
+# The JSON float writer's long oracle sweep: ten million random bit
+# patterns against `{:e}`, ignored by default and a few seconds in
+# release.
+cargo test --release --offline -p tn-core -- --ignored
 cargo clippy --offline --workspace --all-targets -- -D warnings
 # Rustdoc gate: a broken or private intra-doc link (say, to a deleted
 # public item) fails the build instead of rendering as dead text.
