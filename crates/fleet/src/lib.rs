@@ -29,5 +29,5 @@ pub mod stats;
 pub mod surface;
 
 pub use load::{LoadConfig, LoadReport};
-pub use registry::{FleetEntry, FleetError, FleetRegistry};
+pub use registry::{FleetEntry, FleetError, FleetRegistry, RegistrySnapshot};
 pub use surface::{RiskAssessment, RiskSource, RiskSurface, SiteParams, SurfaceConfig};

@@ -15,6 +15,18 @@
 //! reader takes an O(1) [`FleetRegistry::snapshot`] and renders from it
 //! without holding the registry lock; a write while such a snapshot is
 //! alive copies the entries once and leaves the snapshot untouched.
+//!
+//! Every entry also carries a *write stamp*: each successful upsert
+//! (a byte-identical one included) gives its entry the next value of a
+//! counter that never resets and never repeats within the registry's
+//! lifetime, and a remove drops the entry's stamp with it. An entry
+//! whose stamp is below a snapshot's `next_stamp` was present, with
+//! exactly its current content, when that snapshot was taken, which is
+//! what lets the server copy an unchanged entry's rendered result from
+//! an earlier render instead of assessing and rendering it again. The
+//! stamps sit in an `Arc` of their own, so such a render can keep them
+//! without keeping the entries alive: a kept snapshot of the entries
+//! would make every later write copy the whole registry.
 
 use std::sync::Arc;
 use tn_core::json::{self, Json};
@@ -192,10 +204,28 @@ impl FleetEntry {
     }
 }
 
+/// An O(1) view of the registry at one moment: the entries and their
+/// write stamps, shared rather than copied. Later writes do not change
+/// a snapshot.
+#[derive(Debug, Clone)]
+pub struct RegistrySnapshot {
+    /// The entries, sorted by id.
+    pub entries: Arc<Vec<FleetEntry>>,
+    /// Write stamp of each entry, parallel to `entries`.
+    pub stamps: Arc<Vec<u64>>,
+    /// The stamp the next write will get: every stamp in this snapshot
+    /// is below it.
+    pub next_stamp: u64,
+}
+
 /// The deterministic in-memory fleet store.
 #[derive(Debug, Clone, PartialEq)]
 pub struct FleetRegistry {
     entries: Arc<Vec<FleetEntry>>,
+    /// Write stamp of each entry, parallel to `entries`.
+    stamps: Arc<Vec<u64>>,
+    /// The stamp the next successful upsert gets. Never reset.
+    next_stamp: u64,
     generation: u64,
 }
 
@@ -204,6 +234,8 @@ impl FleetRegistry {
     pub fn new() -> Self {
         Self {
             entries: Arc::new(Vec::new()),
+            stamps: Arc::new(Vec::new()),
+            next_stamp: 0,
             generation: 0,
         }
     }
@@ -213,10 +245,14 @@ impl FleetRegistry {
         &self.entries
     }
 
-    /// The entries sorted by id, shared rather than copied: O(1) however
-    /// large the registry. Later writes do not change a snapshot.
-    pub fn snapshot(&self) -> Arc<Vec<FleetEntry>> {
-        Arc::clone(&self.entries)
+    /// The entries sorted by id with their write stamps, shared rather
+    /// than copied: O(1) however large the registry.
+    pub fn snapshot(&self) -> RegistrySnapshot {
+        RegistrySnapshot {
+            entries: Arc::clone(&self.entries),
+            stamps: Arc::clone(&self.stamps),
+            next_stamp: self.next_stamp,
+        }
     }
 
     /// Number of entries.
@@ -244,23 +280,34 @@ impl FleetRegistry {
     }
 
     /// Validates and inserts an entry, replacing any entry with the
-    /// same id. Keeps the store sorted by id.
+    /// same id, and gives it a fresh write stamp. Keeps the store sorted
+    /// by id.
     pub fn upsert(&mut self, entry: FleetEntry) -> Result<(), FleetError> {
         let entry = entry.validate()?;
         let entries = Arc::make_mut(&mut self.entries);
+        let stamps = Arc::make_mut(&mut self.stamps);
         match entries.binary_search_by(|e| e.id.as_str().cmp(&entry.id)) {
-            Ok(i) => entries[i] = entry,
-            Err(i) => entries.insert(i, entry),
+            Ok(i) => {
+                entries[i] = entry;
+                stamps[i] = self.next_stamp;
+            }
+            Err(i) => {
+                entries.insert(i, entry);
+                stamps.insert(i, self.next_stamp);
+            }
         }
+        self.next_stamp += 1;
         self.generation += 1;
         Ok(())
     }
 
-    /// Removes an entry by id; returns whether it existed.
+    /// Removes an entry (and its stamp) by id; returns whether it
+    /// existed.
     pub fn remove(&mut self, id: &str) -> bool {
         match self.entries.binary_search_by(|e| e.id.as_str().cmp(id)) {
             Ok(i) => {
                 Arc::make_mut(&mut self.entries).remove(i);
+                Arc::make_mut(&mut self.stamps).remove(i);
                 self.generation += 1;
                 true
             }
@@ -277,7 +324,8 @@ impl FleetRegistry {
 
     /// Loads a registry from a JSONL snapshot. Blank lines are skipped;
     /// entries are re-validated, and the loaded registry starts at
-    /// generation 0 regardless of the writing registry's history.
+    /// generation 0 regardless of the writing registry's history. The
+    /// write stamps the load's upserts issued are kept.
     pub fn from_jsonl(text: &str) -> Result<Self, FleetError> {
         let docs =
             json::parse_jsonl(text).map_err(|e| FleetError::BadSnapshot(e.to_string()))?;
@@ -352,19 +400,103 @@ mod tests {
 
         // Snapshots share the entries until a write, and a write leaves
         // every earlier snapshot as it was.
-        let before_upsert = r.snapshot();
+        let before_upsert = r.snapshot().entries;
         assert!(
-            Arc::ptr_eq(&before_upsert, &r.snapshot()),
+            Arc::ptr_eq(&before_upsert, &r.snapshot().entries),
             "no write, no copy"
         );
         r.upsert(FleetEntry::new("c", "NVIDIA K20")).unwrap();
         assert_eq!((before_upsert.len(), r.len()), (1, 2));
         assert_eq!(before_upsert.as_slice(), &r.entries()[..1]);
-        let before_remove = r.snapshot();
+        let before_remove = r.snapshot().entries;
         assert!(r.remove("b"));
         assert_eq!(before_remove.len(), 2);
         let ids: Vec<&str> = before_remove.iter().map(|e| e.id.as_str()).collect();
         assert_eq!(ids, ["b", "c"]);
+    }
+
+    /// Every stamp in the registry is distinct and below `next_stamp`.
+    fn assert_stamps_unique(r: &FleetRegistry) {
+        let snap = r.snapshot();
+        assert_eq!(snap.stamps.len(), snap.entries.len());
+        let distinct: std::collections::BTreeSet<u64> = snap.stamps.iter().copied().collect();
+        assert_eq!(distinct.len(), snap.stamps.len(), "{:?}", snap.stamps);
+        assert!(snap.stamps.iter().all(|&s| s < snap.next_stamp));
+    }
+
+    fn stamp_of(r: &FleetRegistry, id: &str) -> u64 {
+        let i = r
+            .entries()
+            .iter()
+            .position(|e| e.id == id)
+            .expect("present");
+        r.snapshot().stamps[i]
+    }
+
+    #[test]
+    fn writes_stamp_only_the_entry_they_touch() {
+        let mut r = FleetRegistry::demo(2020, 12);
+        assert_stamps_unique(&r);
+        let before = r.snapshot();
+        // A new id, between existing ones: everything else keeps its
+        // stamp, and the new entry gets a stamp no entry had.
+        r.upsert(FleetEntry::new("node-0003a", "NVIDIA K20"))
+            .unwrap();
+        assert_stamps_unique(&r);
+        let fresh = stamp_of(&r, "node-0003a");
+        assert!(fresh >= before.next_stamp);
+        for (entry, stamp) in before.entries.iter().zip(before.stamps.iter()) {
+            assert_eq!(stamp_of(&r, &entry.id), *stamp, "{}", entry.id);
+        }
+        // A byte-identical re-upsert still counts as a write.
+        let same = r.get("node-0005").unwrap().clone();
+        let old = stamp_of(&r, "node-0005");
+        r.upsert(same).unwrap();
+        assert!(stamp_of(&r, "node-0005") > old.max(fresh));
+        // A delete then re-insert of the same id gets a fresh stamp too.
+        let gone = r.get("node-0007").unwrap().clone();
+        let old = stamp_of(&r, "node-0007");
+        assert!(r.remove("node-0007"));
+        assert_stamps_unique(&r);
+        r.upsert(gone).unwrap();
+        assert!(stamp_of(&r, "node-0007") > old);
+        assert_stamps_unique(&r);
+        // Neither failed write moves anything.
+        let next = r.snapshot().next_stamp;
+        assert!(!r.remove("no-such-node"));
+        assert!(r.upsert(FleetEntry::new("x", "PDP-11")).is_err());
+        assert_eq!(r.snapshot().next_stamp, next);
+        // The generation counts the four writes since the load; stamps
+        // went to the twelve loaded entries and the three upserts.
+        assert_eq!(r.generation(), 4);
+        assert_eq!(next, 12 + 3);
+    }
+
+    #[test]
+    fn loaded_registries_stamp_every_entry_distinctly() {
+        let demo = FleetRegistry::demo(7, 40);
+        assert_stamps_unique(&demo);
+        assert_eq!(demo.generation(), 0);
+        let loaded = FleetRegistry::from_jsonl(&demo.to_jsonl()).unwrap();
+        assert_stamps_unique(&loaded);
+        assert_eq!(loaded.generation(), 0);
+        assert_eq!(loaded.snapshot().next_stamp, 40);
+    }
+
+    #[test]
+    fn stamped_snapshots_are_shared_not_copied() {
+        let mut r = FleetRegistry::demo(3, 16);
+        let (a, b) = (r.snapshot(), r.snapshot());
+        assert!(Arc::ptr_eq(&a.entries, &b.entries));
+        assert!(Arc::ptr_eq(&a.stamps, &b.stamps));
+        assert_eq!(a.next_stamp, b.next_stamp);
+        // With no snapshot alive, a write mutates in place.
+        drop((a, b));
+        let (entries, stamps) = (r.entries().as_ptr(), r.snapshot().stamps.as_ptr());
+        r.upsert(FleetEntry::new("node-0001", "NVIDIA K20"))
+            .unwrap();
+        assert_eq!(r.entries().as_ptr(), entries);
+        assert_eq!(r.snapshot().stamps.as_ptr(), stamps);
     }
 
     #[test]

@@ -12,13 +12,17 @@ use crate::cache::ShardedCache;
 use crate::http::{Request, Response};
 use crate::metrics::Metrics;
 use crate::singleflight::{Outcome, SingleFlight};
+use std::ops::Range;
 use std::sync::{Arc, Mutex};
 use tn_core::json::{self, push_json_f64, push_json_num, push_json_str, Json};
 use tn_core::{registry, Pipeline, PipelineConfig};
 use tn_core::report::StudyReport;
 use tn_environment::{DataCenterRoom, Environment, Location, SolarActivity, Surroundings, Weather};
 use tn_fit::{CheckpointPlan, DeviceFit};
-use tn_fleet::{FleetEntry, FleetError, FleetRegistry, RiskAssessment, RiskSurface, SurfaceConfig};
+use tn_fleet::{
+    FleetEntry, FleetError, FleetRegistry, RegistrySnapshot, RiskAssessment, RiskSurface,
+    SurfaceConfig,
+};
 use tn_obs::timeline::{Alert, Monitor, MonitorConfig};
 use tn_physics::units::{Fit, Seconds};
 
@@ -68,8 +72,16 @@ fn timeline_monitor_config() -> MonitorConfig {
 /// One memoised pipeline run: its (seed, quick) key and the report.
 type StudySlot = ((u64, bool), Arc<StudyReport>);
 
-/// One memoised risk surface: its (seed, quick) key and the tables.
-type SurfaceSlot = ((u64, bool), Arc<RiskSurface>);
+/// One memoised risk surface: its (seed, quick) key, the tables and the
+/// last whole-registry render made on them.
+#[derive(Debug)]
+struct SurfaceSlot {
+    key: (u64, bool),
+    surface: Arc<RiskSurface>,
+    /// Taken out for the length of a registry render and put back after
+    /// it, so no lock is held across the render.
+    render: Option<RegistryRender>,
+}
 
 /// State shared by every worker thread.
 #[derive(Debug)]
@@ -87,8 +99,8 @@ pub struct AppState {
     studies: Mutex<Vec<StudySlot>>,
     /// The device-fleet registry served by `/v1/fleet*`.
     fleet: Mutex<FleetRegistry>,
-    /// Memo of built risk surfaces, keyed by (seed, quick), most
-    /// recently used last.
+    /// Memo of built risk surfaces and their last registry renders,
+    /// keyed by (seed, quick), most recently used last.
     surfaces: Mutex<Vec<SurfaceSlot>>,
     /// JSONL file risk surfaces are persisted to and reloaded from
     /// (`serve --surface-cache`); `None` disables persistence.
@@ -171,7 +183,7 @@ impl AppState {
             .lock()
             .expect("surface memo poisoned")
             .iter()
-            .any(|(k, _)| *k == (seed, quick))
+            .any(|slot| slot.key == (seed, quick))
     }
 
     /// Returns the (memoised) risk surface for a seed/resolution pair,
@@ -183,9 +195,9 @@ impl AppState {
     pub fn surface(&self, seed: u64, quick: bool) -> Arc<RiskSurface> {
         {
             let mut memo = self.surfaces.lock().expect("surface memo poisoned");
-            if let Some(pos) = memo.iter().position(|(k, _)| *k == (seed, quick)) {
+            if let Some(pos) = memo.iter().position(|slot| slot.key == (seed, quick)) {
                 let hit = memo.remove(pos);
-                let surface = Arc::clone(&hit.1);
+                let surface = Arc::clone(&hit.surface);
                 memo.push(hit);
                 return surface;
             }
@@ -208,8 +220,31 @@ impl AppState {
         if memo.len() >= SURFACE_MEMO_SLOTS {
             memo.remove(0);
         }
-        memo.push(((seed, quick), Arc::clone(&surface)));
+        memo.push(SurfaceSlot {
+            key: (seed, quick),
+            surface: Arc::clone(&surface),
+            render: None,
+        });
         surface
+    }
+
+    /// Takes the `(seed, quick)` surface's last registry render out of
+    /// its slot, leaving none: a concurrent render on the same surface
+    /// then starts from scratch, which is slower but never wrong.
+    fn take_registry_render(&self, seed: u64, quick: bool) -> Option<RegistryRender> {
+        let mut memo = self.surfaces.lock().expect("surface memo poisoned");
+        let slot = memo.iter_mut().find(|slot| slot.key == (seed, quick))?;
+        slot.render.take()
+    }
+
+    /// Stores `render` as the `(seed, quick)` surface's last registry
+    /// render, replacing whatever another render stored meanwhile. If
+    /// the surface was evicted during the render, the render is dropped.
+    fn keep_registry_render(&self, seed: u64, quick: bool, render: RegistryRender) {
+        let mut memo = self.surfaces.lock().expect("surface memo poisoned");
+        if let Some(slot) = memo.iter_mut().find(|slot| slot.key == (seed, quick)) {
+            slot.render = Some(render);
+        }
     }
 
     /// Scans the surface-cache file for a `(seed, quick)` line. Bad
@@ -587,18 +622,20 @@ fn resolve_solar(doc: &Json) -> Result<(SolarActivity, &'static str), BadRequest
 
 /// Runs a cacheable POST handler: canonical key → cache → single-flight.
 fn cached(state: &AppState, key: &str, compute: impl FnOnce() -> String) -> Response {
-    Response::json(200, cached_body(state, key, compute))
+    Response::json(200, cached_body(state, key, || compute().into()))
 }
 
 /// The body cached under `key`, rendered by `compute` on a miss. The
-/// rendered `String` becomes an `Arc<str>` once, and that one allocation
-/// is what the cache, coalesced callers and the socket writer share.
-fn cached_body(state: &AppState, key: &str, compute: impl FnOnce() -> String) -> Arc<str> {
+/// rendered body is one `Arc<str>`, and that one allocation is what the
+/// cache, coalesced callers and the socket writer share. `compute` makes
+/// the `Arc<str>` itself, so a registry render can keep the buffer it
+/// copied the body from.
+fn cached_body(state: &AppState, key: &str, compute: impl FnOnce() -> Arc<str>) -> Arc<str> {
     if let Some(body) = state.cache.get(key) {
         state.metrics.cache_hit();
         return body;
     }
-    match state.flights.run(key, || compute().into()) {
+    match state.flights.run(key, compute) {
         Outcome::Led(body) => {
             state.metrics.cache_miss();
             state.cache.insert(key.to_string(), Arc::clone(&body));
@@ -973,16 +1010,193 @@ fn push_fleet_result(out: &mut String, entry: &FleetEntry, assessment: &RiskAsse
     out.push('}');
 }
 
-/// Assesses every entry against the surface, in entry order.
-fn assess_fleet(surface: &RiskSurface, entries: &[FleetEntry]) -> Vec<RiskAssessment> {
-    entries
-        .iter()
-        .map(|entry| {
-            let device = registry::find_device(&entry.device)
-                .expect("fleet entries hold validated catalog device names");
-            surface.assess(&device, &tn_fleet::SiteParams::from_entry(entry))
-        })
-        .collect()
+/// How a fleet body frames its summary and its per-entry results.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+enum Framing {
+    /// `POST /v1/fleet`: one object, the results in its `"results"` array.
+    Bulk,
+    /// `GET /v1/fleet/stream`: JSONL, the summary line and then one line
+    /// per result.
+    Stream,
+}
+
+/// What a fleet body states besides its results.
+#[derive(Debug, Clone, Copy)]
+struct FleetQuery {
+    seed: u64,
+    quick: bool,
+    /// The registry generation, in registry mode.
+    generation: Option<u64>,
+    framing: Framing,
+}
+
+/// The last whole-registry render on one risk surface. The bulk body and
+/// the stream frame the same result objects, so a render by either
+/// endpoint serves the other. A later render on the surface copies the
+/// result of every entry not written since from `buffer`, instead of
+/// assessing and rendering it again.
+///
+/// It holds the snapshot's write stamps but never its entries: a render
+/// keeping those alive would make the next registry write's
+/// `Arc::make_mut` copy every entry. Nor does it hold the body the
+/// response cache stores; its own buffer holds the same bytes, so a
+/// registry write frees that body at once, as before.
+#[derive(Debug)]
+struct RegistryRender {
+    /// Write stamps of the rendered entries, in id order.
+    stamps: Arc<Vec<u64>>,
+    /// The registry's `next_stamp` at the snapshot: every entry stamped
+    /// below it had been written before this render.
+    next_stamp: u64,
+    /// Each entry's assessment, in id order.
+    assessments: Vec<RiskAssessment>,
+    /// Byte range of each entry's result object within `buffer`.
+    ranges: Vec<Range<usize>>,
+    /// The rendered body, as the buffer it was rendered in.
+    buffer: String,
+}
+
+impl RegistryRender {
+    /// Where this render holds the entry stamped `stamp`, searching
+    /// forward from `*cursor` and leaving the cursor on the match.
+    ///
+    /// A stamp is issued once per write, so a match is the same entry
+    /// with the same content. Entries keep their relative (id) order
+    /// from one snapshot to the next, so a walk in id order only moves
+    /// the cursor forward: O(entries) per render, with no id compares.
+    /// An entry stamped at or after this render's snapshot is new to it.
+    /// One stamped earlier but absent (possible only when this render
+    /// came from a later snapshot than the caller's) is not found and
+    /// leaves the cursor where it was.
+    fn position(&self, stamp: u64, cursor: &mut usize) -> Option<usize> {
+        if stamp >= self.next_stamp {
+            return None;
+        }
+        let offset = self.stamps[*cursor..].iter().position(|&s| s == stamp)?;
+        *cursor += offset;
+        Some(*cursor)
+    }
+}
+
+/// A previous registry render and the write stamps of the entries being
+/// rendered now.
+#[derive(Debug, Clone, Copy)]
+struct Reuse<'a> {
+    previous: &'a RegistryRender,
+    stamps: &'a [u64],
+}
+
+/// The one fleet renderer: the summary, then one result object per
+/// entry, framed as `query.framing` says. Given a previous registry
+/// render, an entry written before it takes its assessment and its
+/// result bytes from that render; every other entry is assessed on
+/// `surface` and rendered. The totals are summed in entry order over all
+/// the assessments, so the bytes equal a render from scratch. Returns
+/// the body, the assessments and each result's byte range in the body.
+fn render_fleet(
+    state: &AppState,
+    surface: &RiskSurface,
+    query: FleetQuery,
+    entries: &[FleetEntry],
+    reuse: Option<Reuse<'_>>,
+) -> (String, Vec<RiskAssessment>, Vec<Range<usize>>) {
+    // The assessments come first: the summary totals need them. Until
+    // the results are written, `ranges` holds where each reused result
+    // sits in the previous render, and an empty range for a result still
+    // to be rendered (a result object is never empty).
+    let mut cursor = 0;
+    let mut assessments = Vec::with_capacity(entries.len());
+    let mut ranges = Vec::with_capacity(entries.len());
+    for (i, entry) in entries.iter().enumerate() {
+        let found = reuse.and_then(|r| {
+            let j = r.previous.position(r.stamps[i], &mut cursor)?;
+            Some((r.previous, j))
+        });
+        match found {
+            Some((previous, j)) => {
+                assessments.push(previous.assessments[j]);
+                ranges.push(previous.ranges[j].clone());
+            }
+            None => {
+                let device = registry::find_device(&entry.device)
+                    .expect("fleet entries hold validated catalog device names");
+                assessments.push(surface.assess(&device, &tn_fleet::SiteParams::from_entry(entry)));
+                ranges.push(0..0);
+            }
+        }
+    }
+    let rendered = ranges.iter().filter(|r| r.start == r.end).count();
+    state
+        .metrics
+        .fleet_results((entries.len() - rendered) as u64, rendered as u64);
+
+    // Sized like the previous buffer when there is one, so a churning
+    // registry keeps asking the allocator for one block size.
+    let previous_capacity = reuse.map_or(0, |r| r.previous.buffer.capacity());
+    let mut out = String::with_capacity(previous_capacity.max(1024 + 512 * entries.len()));
+    push_fleet_summary(&mut out, surface, &assessments, query);
+    out.push_str(match query.framing {
+        Framing::Bulk => ",\"results\":[",
+        Framing::Stream => "}\n",
+    });
+    for (i, (entry, range)) in entries.iter().zip(&mut ranges).enumerate() {
+        if query.framing == Framing::Bulk && i > 0 {
+            out.push(',');
+        }
+        let start = out.len();
+        match reuse {
+            Some(r) if range.start < range.end => out.push_str(&r.previous.buffer[range.clone()]),
+            _ => push_fleet_result(&mut out, entry, &assessments[i]),
+        }
+        *range = start..out.len();
+        if query.framing == Framing::Stream {
+            out.push('\n');
+        }
+    }
+    if query.framing == Framing::Bulk {
+        out.push_str("]}");
+    }
+    (out, assessments, ranges)
+}
+
+/// Renders `entries` from scratch: an inline request or an `ids` subset.
+fn render_listed(state: &AppState, query: FleetQuery, entries: &[FleetEntry]) -> Arc<str> {
+    let surface = state.surface(query.seed, query.quick);
+    render_fleet(state, &surface, query, entries, None).0.into()
+}
+
+/// Renders the whole registry `snapshot`, reusing the surface's previous
+/// registry render and then keeping this one in its place.
+fn render_registry(state: &AppState, query: FleetQuery, snapshot: RegistrySnapshot) -> Arc<str> {
+    let (seed, quick) = (query.seed, query.quick);
+    let surface = state.surface(seed, quick);
+    let previous = state.take_registry_render(seed, quick);
+    let RegistrySnapshot {
+        entries,
+        stamps,
+        next_stamp,
+    } = snapshot;
+    let reuse = previous.as_ref().map(|previous| Reuse {
+        previous,
+        stamps: &stamps,
+    });
+    let (buffer, assessments, ranges) = render_fleet(state, &surface, query, &entries, reuse);
+    // Free the previous render before copying the body out of this one,
+    // so no more than two bodies' worth of buffers is live at once.
+    drop(previous);
+    let body: Arc<str> = Arc::from(buffer.as_str());
+    state.keep_registry_render(
+        seed,
+        quick,
+        RegistryRender {
+            stamps,
+            next_stamp,
+            assessments,
+            ranges,
+            buffer,
+        },
+    );
+    body
 }
 
 /// Opens a fleet body: `{` and the fields shared by the bulk response and
@@ -992,9 +1206,7 @@ fn push_fleet_summary(
     out: &mut String,
     surface: &RiskSurface,
     assessments: &[RiskAssessment],
-    seed: u64,
-    quick: bool,
-    generation: Option<u64>,
+    query: FleetQuery,
 ) {
     let mut surface_hits = 0u64;
     let mut mc_fallbacks = 0u64;
@@ -1020,10 +1232,10 @@ fn push_fleet_summary(
     out.push_str(",\"due_fit\":");
     push_json_f64(out, due_total);
     out.push_str("},\"seed\":");
-    out.push_str(&seed.to_string());
+    out.push_str(&query.seed.to_string());
     out.push_str(",\"quick\":");
-    out.push_str(if quick { "true" } else { "false" });
-    if let Some(generation) = generation {
+    out.push_str(if query.quick { "true" } else { "false" });
+    if let Some(generation) = query.generation {
         out.push_str(",\"generation\":");
         out.push_str(&generation.to_string());
     }
@@ -1080,7 +1292,8 @@ pub(crate) fn fleet(state: &AppState, request: &Request) -> Result<Response, Bad
     // snapshots (a subset of) the server fleet, with the registry
     // generation folded into the cache key so cached responses can
     // never outlive the registry state they were computed from. The
-    // whole-registry snapshot is O(1): it shares the registry's entries.
+    // whole-registry snapshot is O(1): it shares the registry's entries
+    // and write stamps.
     let (entries, mode_key, generation) = match doc.get("devices") {
         Some(devices) => {
             let array = devices
@@ -1107,7 +1320,11 @@ pub(crate) fn fleet(state: &AppState, request: &Request) -> Result<Response, Bad
             }
             let canonical =
                 Json::Array(entries.iter().map(FleetEntry::to_json).collect()).to_canonical_string();
-            (Arc::new(entries), format!("inline|{canonical}"), None)
+            (
+                FleetEntries::Listed(entries),
+                format!("inline|{canonical}"),
+                None,
+            )
         }
         None => state.with_fleet(|fleet| {
             if fleet.is_empty() {
@@ -1116,7 +1333,7 @@ pub(crate) fn fleet(state: &AppState, request: &Request) -> Result<Response, Bad
             let generation = fleet.generation();
             match doc.get("ids") {
                 None => Ok((
-                    fleet.snapshot(),
+                    FleetEntries::Registry(fleet.snapshot()),
                     format!("registry|all|{generation}"),
                     Some(generation),
                 )),
@@ -1141,7 +1358,7 @@ pub(crate) fn fleet(state: &AppState, request: &Request) -> Result<Response, Bad
                     }
                     let canonical = Json::Array(key_ids).to_canonical_string();
                     Ok((
-                        Arc::new(entries),
+                        FleetEntries::Listed(entries),
                         format!("registry|{canonical}|{generation}"),
                         Some(generation),
                     ))
@@ -1151,21 +1368,25 @@ pub(crate) fn fleet(state: &AppState, request: &Request) -> Result<Response, Bad
     };
 
     let key = format!("fleet|{seed}|{quick}|{mode_key}");
-    Ok(cached(state, &key, || {
-        let surface = state.surface(seed, quick);
-        let assessments = assess_fleet(&surface, &entries);
-        let mut out = String::with_capacity(1024 + 512 * entries.len());
-        push_fleet_summary(&mut out, &surface, &assessments, seed, quick, generation);
-        out.push_str(",\"results\":[");
-        for (i, (entry, assessment)) in entries.iter().zip(&assessments).enumerate() {
-            if i > 0 {
-                out.push(',');
-            }
-            push_fleet_result(&mut out, entry, assessment);
-        }
-        out.push_str("]}");
-        out
-    }))
+    let query = FleetQuery {
+        seed,
+        quick,
+        generation,
+        framing: Framing::Bulk,
+    };
+    let body = cached_body(state, &key, || match entries {
+        FleetEntries::Listed(entries) => render_listed(state, query, &entries),
+        FleetEntries::Registry(snapshot) => render_registry(state, query, snapshot),
+    });
+    Ok(Response::json(200, body))
+}
+
+/// The entries a bulk fleet request assesses.
+enum FleetEntries {
+    /// Inline devices, or an `ids` subset of the registry.
+    Listed(Vec<FleetEntry>),
+    /// The whole registry.
+    Registry(RegistrySnapshot),
 }
 
 /// `GET /v1/fleet/stream` — the whole fleet registry as chunked JSONL:
@@ -1175,31 +1396,19 @@ pub(crate) fn fleet(state: &AppState, request: &Request) -> Result<Response, Bad
 pub(crate) fn fleet_stream(state: &AppState, path: &str) -> Result<Response, BadRequest> {
     let _span = tn_obs::span("fleet.stream");
     let (seed, quick) = stream_params(state.seed, path)?;
-    let (entries, generation) = state.with_fleet(|fleet| (fleet.snapshot(), fleet.generation()));
-    if entries.is_empty() {
+    let (snapshot, generation) = state.with_fleet(|fleet| (fleet.snapshot(), fleet.generation()));
+    if snapshot.entries.is_empty() {
         return Err(BadRequest::new(400, "fleet registry is empty"));
     }
 
     let key = format!("fleet-stream|{seed}|{quick}|{generation}");
-    let text = cached_body(state, &key, || {
-        let surface = state.surface(seed, quick);
-        let assessments = assess_fleet(&surface, &entries);
-        let mut out = String::with_capacity(256 + 512 * entries.len());
-        push_fleet_summary(
-            &mut out,
-            &surface,
-            &assessments,
-            seed,
-            quick,
-            Some(generation),
-        );
-        out.push_str("}\n");
-        for (entry, assessment) in entries.iter().zip(&assessments) {
-            push_fleet_result(&mut out, entry, assessment);
-            out.push('\n');
-        }
-        out
-    });
+    let query = FleetQuery {
+        seed,
+        quick,
+        generation: Some(generation),
+        framing: Framing::Stream,
+    };
+    let text = cached_body(state, &key, || render_registry(state, query, snapshot));
     // One HTTP chunk per JSONL line, framed from the cached text.
     Ok(Response::chunked(200, "application/x-ndjson", text))
 }
@@ -2013,6 +2222,203 @@ mod tests {
         assert_eq!(call(&s, "DELETE", "/v1/fleet/entries/zz", b"").status, 404);
         assert!(s.cache.get("fleet|2020|true|registry|all|2").is_some());
         assert_eq!(s.cache.len(), 2);
+    }
+
+    /// A fresh state serving `registry`: none of `s`'s cached bodies or
+    /// registry renders, only its built (deterministic) risk surfaces, so
+    /// that each oracle render does not pay for a surface build.
+    fn fresh_state(s: &AppState, registry: FleetRegistry) -> AppState {
+        let fresh = AppState::with_registry(s.seed, 64, 1, registry);
+        let slots = s.surfaces.lock().unwrap();
+        fresh
+            .surfaces
+            .lock()
+            .unwrap()
+            .extend(slots.iter().map(|slot| SurfaceSlot {
+                key: slot.key,
+                surface: Arc::clone(&slot.surface),
+                render: None,
+            }));
+        fresh
+    }
+
+    /// Where two bodies first differ, for a readable failure.
+    fn first_difference(a: &str, b: &str) -> usize {
+        a.bytes().zip(b.bytes()).take_while(|(x, y)| x == y).count()
+    }
+
+    /// An entry inside the quick surface's grid (no Monte-Carlo
+    /// fallback), with every field drawn from `rng`.
+    fn random_entry(rng: &mut tn_rng::Rng, id: String, device: String) -> FleetEntry {
+        const SITES: [&str; 3] = ["nyc-dc1", "leadville-lab", "los-alamos-hpc"];
+        const SHIELDS: [f64; 4] = [0.0, 1.0e18, 1.0e19, 1.0e20];
+        let round3 = |x: f64| (x * 1000.0).round() / 1000.0;
+        FleetEntry {
+            id,
+            device,
+            site: SITES[rng.gen_range(0..SITES.len())].to_string(),
+            altitude_m: rng.gen_range(0..3_500usize) as f64,
+            rigidity_factor: round3(0.8 + 0.4 * rng.gen_f64()),
+            b10_areal_cm2: SHIELDS[rng.gen_range(0..SHIELDS.len())],
+            thermal_scaling: round3(0.5 + 1.5 * rng.gen_f64()),
+            avf: round3(0.3 + 0.7 * rng.gen_f64()),
+        }
+    }
+
+    fn upsert(s: &AppState, entry: &FleetEntry) {
+        let body = entry.to_json().to_canonical_string();
+        let r = post(s, "/v1/fleet/entries", body.as_bytes());
+        assert_eq!(r.status, 200, "{}", r.body_text());
+    }
+
+    fn delete(s: &AppState, id: &str) {
+        let r = call(s, "DELETE", &format!("/v1/fleet/entries/{id}"), b"");
+        assert_eq!(r.status, 200, "{}", r.body_text());
+    }
+
+    /// One seeded registry write through the router: a new id, a
+    /// replaced entry, a byte-identical re-upsert, a delete, or a delete
+    /// and re-insert of the same id.
+    fn random_write(s: &AppState, rng: &mut tn_rng::Rng, serial: usize) {
+        let existing = |rng: &mut tn_rng::Rng| {
+            s.with_fleet(|fleet| fleet.entries()[rng.gen_range(0..fleet.len())].clone())
+        };
+        match rng.gen_range(0..5usize) {
+            0 => {
+                let device = existing(rng).device;
+                upsert(s, &random_entry(rng, format!("new-{serial:05}"), device));
+            }
+            1 => {
+                let old = existing(rng);
+                upsert(s, &random_entry(rng, old.id, old.device));
+            }
+            2 => upsert(s, &existing(rng)),
+            3 if s.fleet_len() > 1 => delete(s, &existing(rng).id),
+            _ => {
+                let entry = existing(rng);
+                delete(s, &entry.id);
+                upsert(s, &entry);
+            }
+        }
+    }
+
+    /// The registry bodies the oracle compares: bulk and stream on the
+    /// default surface, and on a second one.
+    const REGISTRY_READS: [(&str, &str, &[u8]); 4] = [
+        ("POST", "/v1/fleet", b"{}"),
+        ("GET", "/v1/fleet/stream", b""),
+        ("POST", "/v1/fleet", br#"{"seed":7}"#),
+        ("GET", "/v1/fleet/stream?seed=7", b""),
+    ];
+
+    fn registry_read(s: &AppState, read: usize) -> Response {
+        let (method, path, body) = REGISTRY_READS[read];
+        let r = call(s, method, path, body);
+        assert_eq!(r.status, 200, "{path}: {}", r.body_text());
+        r
+    }
+
+    /// `tn_fleet_results_total` by path: `[reused, rendered]`.
+    fn fleet_results(s: &AppState) -> [u64; 2] {
+        let text = s.metrics.render();
+        ["reused", "rendered"].map(|path| {
+            let series = format!("tn_fleet_results_total{{path=\"{path}\"}} ");
+            text.lines()
+                .find_map(|l| l.strip_prefix(series.as_str()))
+                .and_then(|v| v.parse().ok())
+                .expect("series present")
+        })
+    }
+
+    /// Applies `steps` steps of 1-3 seeded writes to a 320-entry registry,
+    /// reading the registry bodies after each one in a seeded order, and
+    /// checks every body against a fresh state's render from scratch.
+    fn registry_renders_match_fresh_renders(steps: usize) {
+        let s = AppState::with_registry(2020, 64, 1, FleetRegistry::demo(2020, 320));
+        let mut rng = tn_rng::Rng::seed_from_u64(18).fork(steps as u64);
+        let mut serial = 0;
+        for step in 0..steps {
+            for _ in 0..rng.gen_range(1..4usize) {
+                random_write(&s, &mut rng, serial);
+                serial += 1;
+            }
+            // Bulk and stream in either order; the second surface every
+            // third step.
+            let mut reads = vec![0, 1];
+            if rng.gen_bool(0.5) {
+                reads.reverse();
+            }
+            if step % 3 == 0 {
+                reads.extend(if rng.gen_bool(0.5) { [2, 3] } else { [3, 2] });
+            }
+            let bodies: Vec<String> = reads
+                .iter()
+                .map(|&read| registry_read(&s, read).body_text())
+                .collect();
+            let fresh = fresh_state(&s, s.with_fleet(|fleet| fleet.clone()));
+            for (&read, body) in reads.iter().zip(&bodies) {
+                let want = registry_read(&fresh, read).body_text();
+                assert!(
+                    *body == want,
+                    "step {step}, read {read}: bodies differ from byte {}",
+                    first_difference(body, &want)
+                );
+            }
+        }
+        // The oracle compared reused results, not only fresh renders.
+        let [reused, rendered] = fleet_results(&s);
+        assert!(reused > 10 * rendered, "{reused} reused, {rendered} rendered");
+    }
+
+    #[test]
+    fn registry_renders_match_fresh_renders_over_200_steps() {
+        registry_renders_match_fresh_renders(200);
+    }
+
+    #[test]
+    #[ignore = "long oracle: about 20 s in release; CI runs it with --ignored"]
+    fn registry_renders_match_fresh_renders_over_10k_steps() {
+        registry_renders_match_fresh_renders(10_000);
+    }
+
+    #[test]
+    fn registry_renders_leave_registry_writes_in_place() {
+        let s = state();
+        assert_eq!(post(&s, "/v1/fleet", b"{}").status, 200);
+        assert_eq!(get(&s, "/v1/fleet/stream").status, 200);
+        let entries = || s.with_fleet(|fleet| Arc::as_ptr(&fleet.snapshot().entries));
+        let before = entries();
+        upsert(&s, &FleetEntry::new("node-0003", "NVIDIA K20"));
+        upsert(&s, &FleetEntry::new("node-0004", "NVIDIA K20"));
+        assert_eq!(entries(), before, "a write copied the registry");
+    }
+
+    #[test]
+    fn registry_renders_count_reused_and_rendered_results() {
+        let s = state();
+        assert_eq!(fleet_results(&s), [0, 0]);
+        // The first render on a surface renders every result.
+        let bulk = post(&s, "/v1/fleet", b"{}");
+        assert_eq!(fleet_results(&s), [0, 24]);
+        // The stream at the same generation copies all of them.
+        let stream = get(&s, "/v1/fleet/stream");
+        assert_eq!(fleet_results(&s), [24, 24]);
+        // Same result objects, framed as array elements or as lines.
+        let text = stream.body_text();
+        let lines: Vec<&str> = text.lines().skip(1).collect();
+        assert_eq!(lines.len(), 24);
+        let results = format!(",\"results\":[{}]}}", lines.join(","));
+        assert!(bulk.body_text().ends_with(&results));
+        // A one-entry write leaves one result to render.
+        upsert(&s, &FleetEntry::new("node-0005", "NVIDIA K20"));
+        assert_eq!(post(&s, "/v1/fleet", b"{}").status, 200);
+        assert_eq!(fleet_results(&s), [24 + 23, 24 + 1]);
+        // An `ids` body is rendered from scratch.
+        assert_eq!(
+            post(&s, "/v1/fleet", br#"{"ids":["node-0001","node-0002"]}"#).status,
+            200
+        );
+        assert_eq!(fleet_results(&s), [47, 27]);
     }
 
     #[test]

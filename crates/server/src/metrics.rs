@@ -142,6 +142,7 @@ pub struct Metrics {
     watch_rate: Arc<Gauge>,
     watch_baseline: Arc<Gauge>,
     watch_alerts: [Arc<Counter>; 3],
+    fleet_results: [Arc<Counter>; 2],
     requests_per_conn: Arc<Histogram>,
     latency_hist: Vec<Arc<Histogram>>,
     size_hist: Vec<Arc<Histogram>>,
@@ -211,6 +212,15 @@ impl Metrics {
                 CounterUnit::Count,
             )
         });
+        // Both paths exist from the start, so the label space is fixed.
+        let fleet_results = ["reused", "rendered"].map(|path| {
+            registry.counter(
+                "tn_fleet_results_total",
+                &[("path", path)],
+                "Fleet result objects written into rendered bodies: copied from the surface's previous registry render, or assessed and rendered.",
+                CounterUnit::Count,
+            )
+        });
         let requests_per_conn = registry.histogram(
             "tn_requests_per_conn",
             &[],
@@ -264,6 +274,7 @@ impl Metrics {
             watch_rate,
             watch_baseline,
             watch_alerts,
+            fleet_results,
             requests_per_conn,
             latency_hist,
             size_hist,
@@ -394,6 +405,14 @@ impl Metrics {
             _ => return,
         };
         self.watch_alerts[idx].inc();
+    }
+
+    /// Counts the result objects of one rendered fleet body: `reused`
+    /// copied from the surface's previous registry render, `rendered`
+    /// assessed and rendered afresh.
+    pub fn fleet_results(&self, reused: u64, rendered: u64) {
+        self.fleet_results[0].add(reused);
+        self.fleet_results[1].add(rendered);
     }
 
     /// Marks a request as entered (in-flight gauge up).
@@ -665,6 +684,17 @@ mod tests {
         assert!(text.contains("tn_watch_alerts_total{kind=\"step_down\"} 0"), "{text}");
         assert!(text.contains("tn_watch_alerts_total{kind=\"drift\"} 0"), "{text}");
         assert_eq!(text.matches("tn_watch_alerts_total{kind=").count(), 3, "{text}");
+    }
+
+    #[test]
+    fn fleet_result_paths_have_a_fixed_label_space() {
+        let m = Metrics::new(1);
+        m.fleet_results(999, 1);
+        m.fleet_results(0, 24);
+        let text = m.render();
+        assert!(text.contains("tn_fleet_results_total{path=\"reused\"} 999"), "{text}");
+        assert!(text.contains("tn_fleet_results_total{path=\"rendered\"} 25"), "{text}");
+        assert_eq!(text.matches("tn_fleet_results_total{path=").count(), 2, "{text}");
     }
 
     #[test]

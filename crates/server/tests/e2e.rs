@@ -481,6 +481,21 @@ fn path_scans_cannot_inflate_metric_cardinality() {
     assert!(metrics.contains("tn_requests_total{endpoint=\"/v1/fleet/stream\",status=\"200\"} 1"));
     assert!(metrics.contains("tn_requests_total{endpoint=\"/v1/timeline\",status=\"200\"} 1"));
     assert!(metrics.contains("tn_requests_total{endpoint=\"/v1/timeline/ingest\",status=\"400\"} 1"));
+    // The fleet result counter has its two path labels and no others:
+    // the one stream rendered the 24 demo entries and reused none.
+    let mut result_series: Vec<&str> = metrics
+        .lines()
+        .filter(|l| l.starts_with("tn_fleet_results_total"))
+        .collect();
+    result_series.sort_unstable();
+    assert_eq!(
+        result_series,
+        [
+            "tn_fleet_results_total{path=\"rendered\"} 24",
+            "tn_fleet_results_total{path=\"reused\"} 0",
+        ],
+        "{metrics}"
+    );
     // The endpoint label space is a fixed enumeration: nothing a path
     // scan sends can mint a label outside it.
     let labels: std::collections::BTreeSet<&str> = metrics
@@ -1412,4 +1427,195 @@ fn mebibyte_json_string_gets_a_prompt_400_without_stalling_the_shard() {
         "/healthz waited {probe:?} behind the large body"
     );
     server.stop();
+}
+
+/// One registry write of the concurrent-render test.
+enum RegistryWrite {
+    Upsert(tn_fleet::FleetEntry),
+    Delete(String),
+}
+
+impl RegistryWrite {
+    fn apply(&self, registry: &mut tn_fleet::FleetRegistry) {
+        match self {
+            RegistryWrite::Upsert(entry) => registry.upsert(entry.clone()).expect("valid entry"),
+            RegistryWrite::Delete(id) => assert!(registry.remove(id), "{id} present"),
+        }
+    }
+}
+
+/// The `"generation"` a registry body names.
+fn generation_of(body: &str) -> usize {
+    let at = body.find("\"generation\":").expect("registry body") + "\"generation\":".len();
+    let digits: String = body[at..]
+        .chars()
+        .take_while(char::is_ascii_digit)
+        .collect();
+    digits.parse().expect("generation is an integer")
+}
+
+/// The bulk body (or the stream's JSONL) a fresh state renders for
+/// `registry`, with no earlier render to reuse. `surface_cache` lets
+/// every fresh state after the first load the surface the first built.
+fn render_from_scratch(
+    registry: tn_fleet::FleetRegistry,
+    stream: bool,
+    surface_cache: &std::path::Path,
+) -> String {
+    let mut state = tn_server::AppState::with_registry(2020, 64, 1, registry);
+    state.set_surface_cache(&surface_cache.to_string_lossy());
+    let wire = if stream {
+        "GET /v1/fleet/stream HTTP/1.1\r\nHost: t\r\n\r\n"
+    } else {
+        "POST /v1/fleet HTTP/1.1\r\nHost: t\r\nContent-Length: 2\r\n\r\n{}"
+    };
+    let mut parser = tn_server::http::RequestParser::new();
+    parser.push(wire.as_bytes());
+    let request = parser.try_next().expect("parses").expect("complete");
+    let response = tn_server::router::handle(&state, &request);
+    assert_eq!(response.status, 200, "{}", response.body_text());
+    response.body_text()
+}
+
+/// Registry renders copy each unchanged result from the previous render
+/// on their surface. On a two-shard server, one connection writes a
+/// seeded sequence of every kind of registry write while two others poll
+/// the bulk body and the stream; every body read must equal the
+/// from-scratch render of the generation it names.
+#[test]
+fn concurrent_registry_reads_equal_from_scratch_renders() {
+    use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
+    const WRITES: usize = 60;
+    let pid = std::process::id();
+    let fleet_path = std::env::temp_dir().join(format!("tn-fleet-race-{pid}.jsonl"));
+    let surface_cache = std::env::temp_dir().join(format!("tn-fleet-race-surface-{pid}.jsonl"));
+    let snapshot = tn_fleet::FleetRegistry::demo(5, 300).to_jsonl();
+    std::fs::write(&fleet_path, &snapshot).expect("write the fleet snapshot");
+    let mut cfg = config(2);
+    cfg.fleet_path = Some(fleet_path.to_string_lossy().into_owned());
+    let server = start_config(&cfg);
+    let addr = server.addr();
+    // The surface is built before the race starts.
+    assert_eq!(post(addr, "/v1/fleet", "{}").0, 200);
+
+    let done = Arc::new(AtomicBool::new(false));
+    // Reads each poller has completed.
+    let completed = Arc::new([AtomicUsize::new(0), AtomicUsize::new(0)]);
+    let pollers: Vec<_> = [false, true]
+        .into_iter()
+        .map(|stream| {
+            let done = Arc::clone(&done);
+            let completed = Arc::clone(&completed);
+            std::thread::spawn(move || {
+                let mut conn = Conn::open(addr);
+                let mut bodies = Vec::new();
+                while !done.load(Ordering::Acquire) {
+                    if stream {
+                        conn.get("/v1/fleet/stream", false);
+                    } else {
+                        conn.post("/v1/fleet", "{}", false);
+                    }
+                    let (status, _, body) = conn.read_response();
+                    assert_eq!(status, 200, "{body}");
+                    bodies.push((stream, if stream { decode_chunked(&body) } else { body }));
+                    completed[usize::from(stream)].fetch_add(1, Ordering::Release);
+                }
+                bodies
+            })
+        })
+        .collect();
+
+    // A new id, a replaced entry, a byte-identical re-upsert, a delete,
+    // and a delete then re-insert of the same id.
+    let mut rng = tn_rng::Rng::seed_from_u64(18);
+    let mut mirror = tn_fleet::FleetRegistry::from_jsonl(&snapshot).expect("snapshot loads");
+    let mut writes = Vec::new();
+    let mut conn = Conn::open(addr);
+    while writes.len() < WRITES {
+        let pick = mirror.entries()[rng.gen_range(0..mirror.len())].clone();
+        let batch = match rng.gen_range(0..5usize) {
+            0 => {
+                let mut entry = pick;
+                entry.id = format!("new-{:03}", writes.len());
+                entry.avf = 0.25 + f64::from(rng.gen_range(0..75u32)) / 100.0;
+                vec![RegistryWrite::Upsert(entry)]
+            }
+            1 => {
+                let mut entry = pick;
+                entry.altitude_m = f64::from(rng.gen_range(0..3_500u32));
+                entry.b10_areal_cm2 = [0.0, 1.0e18, 1.0e20][rng.gen_range(0..3usize)];
+                vec![RegistryWrite::Upsert(entry)]
+            }
+            2 => vec![RegistryWrite::Upsert(pick)],
+            3 => vec![RegistryWrite::Delete(pick.id)],
+            _ => vec![
+                RegistryWrite::Delete(pick.id.clone()),
+                RegistryWrite::Upsert(pick),
+            ],
+        };
+        for write in batch {
+            match &write {
+                RegistryWrite::Upsert(entry) => conn.post(
+                    "/v1/fleet/entries",
+                    &entry.to_json().to_canonical_string(),
+                    false,
+                ),
+                RegistryWrite::Delete(id) => conn.send(&format!(
+                    "DELETE /v1/fleet/entries/{id} HTTP/1.1\r\nHost: t\r\n\r\n"
+                )),
+            }
+            let (status, _, body) = conn.read_response();
+            assert_eq!(status, 200, "{body}");
+            write.apply(&mut mirror);
+            writes.push(write);
+            // Each poller completes two more reads, so at least one of
+            // them started after this write, before the next write goes
+            // out while their following reads are in flight.
+            let target = [0, 1].map(|i| completed[i].load(Ordering::Acquire) + 2);
+            while completed
+                .iter()
+                .zip(target)
+                .any(|(n, target)| n.load(Ordering::Acquire) < target)
+            {
+                std::thread::yield_now();
+            }
+        }
+    }
+    done.store(true, Ordering::Release);
+    let reads: Vec<(bool, String)> = pollers
+        .into_iter()
+        .flat_map(|poller| poller.join().expect("poller"))
+        .collect();
+    let metrics = get(addr, "/metrics").2;
+    server.stop();
+
+    let mut oracle = std::collections::HashMap::new();
+    for (stream, body) in &reads {
+        let generation = generation_of(body);
+        let want = oracle.entry((generation, *stream)).or_insert_with(|| {
+            let mut registry =
+                tn_fleet::FleetRegistry::from_jsonl(&snapshot).expect("snapshot loads");
+            for write in &writes[..generation] {
+                write.apply(&mut registry);
+            }
+            render_from_scratch(registry, *stream, &surface_cache)
+        });
+        assert!(
+            body == want,
+            "generation {generation} (stream: {stream}) differs from a render from scratch"
+        );
+    }
+    let _ = std::fs::remove_file(&fleet_path);
+    let _ = std::fs::remove_file(&surface_cache);
+    // Both endpoints were read at every generation the writes made, and
+    // results were reused.
+    for generation in 1..=writes.len() {
+        for stream in [false, true] {
+            assert!(
+                oracle.contains_key(&(generation, stream)),
+                "{generation} {stream}"
+            );
+        }
+    }
+    assert!(metric(&metrics, "tn_fleet_results_total{path=\"reused\"}") > 0);
 }

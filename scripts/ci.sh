@@ -12,6 +12,10 @@ cargo test -q --offline --workspace
 # patterns against `{:e}`, ignored by default and a few seconds in
 # release.
 cargo test --release --offline -p tn-core -- --ignored
+# The fleet renderer's long oracle: 10,000 steps of seeded registry
+# writes, each followed by bulk and stream reads that must equal a fresh
+# state's render from scratch. Ignored by default, about 20 s in release.
+cargo test --release --offline -p tn-server -- --ignored
 cargo clippy --offline --workspace --all-targets -- -D warnings
 # Rustdoc gate: a broken or private intra-doc link (say, to a deleted
 # public item) fails the build instead of rendering as dead text.
