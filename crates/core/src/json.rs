@@ -11,7 +11,10 @@
 //! * **canonicalisation** — [`Json::to_canonical_string`] re-serialises a
 //!   tree with object keys sorted and numbers in a fixed form, so two
 //!   textually different but semantically identical requests map to the
-//!   same cache key.
+//!   same cache key. Inline fleet requests are the exception: they are
+//!   keyed by their validated entries' exact bits
+//!   (`tn_fleet::FleetEntry::push_cache_key`), which also tells `-0`
+//!   from `0`, as their rendered bodies do.
 //!
 //! Escaping covers *every* control character below `U+0020` (the common
 //! ones as the two-character escapes `\n`, `\r`, `\t`, `\b`, `\f`; the

@@ -162,6 +162,44 @@ impl FleetEntry {
         ])
     }
 
+    /// Appends a cache key for the entry to `out`: each string as its
+    /// decimal byte length, `:` and its bytes, then each number as the
+    /// 16 hex digits of its bit pattern. Every entry's key is
+    /// self-delimiting, so a run of them is too, and two entries write
+    /// the same key exactly when their strings are equal and their
+    /// numbers have the same bits (`-0` and `0` differ, as they do in a
+    /// rendered body). It allocates nothing beyond `out`'s growth.
+    pub fn push_cache_key(&self, out: &mut String) {
+        // Destructured, so a field added later fails to compile here
+        // until the key covers it.
+        let FleetEntry {
+            id,
+            device,
+            site,
+            altitude_m,
+            rigidity_factor,
+            b10_areal_cm2,
+            thermal_scaling,
+            avf,
+        } = self;
+        for text in [id, device, site] {
+            push_length_prefix(out, text.len());
+            out.push_str(text);
+        }
+        // All five numbers go into one buffer and one push: a push per
+        // number cost more than writing its digits.
+        const HEX: &[u8; 16] = b"0123456789abcdef";
+        let mut digits = [0u8; 5 * 16];
+        let numbers = [altitude_m, rigidity_factor, b10_areal_cm2, thermal_scaling, avf];
+        for (number, value) in digits.chunks_exact_mut(16).zip(numbers) {
+            let bits = value.to_bits();
+            for (i, digit) in number.iter_mut().enumerate() {
+                *digit = HEX[((bits >> (60 - 4 * i)) & 0xf) as usize];
+            }
+        }
+        out.push_str(std::str::from_utf8(&digits).expect("ASCII hex digits"));
+    }
+
     /// Builds and validates an entry from a JSON object. Only `id` and
     /// `device` are required; the other fields default to an
     /// unshielded NYC-reference deployment at AVF 1.
@@ -202,6 +240,21 @@ impl FleetEntry {
         };
         entry.validate()
     }
+}
+
+/// Appends `len` in decimal and a `:`, through a stack buffer.
+fn push_length_prefix(out: &mut String, mut len: usize) {
+    let mut prefix = [b':'; 21];
+    let mut start = prefix.len() - 1;
+    loop {
+        start -= 1;
+        prefix[start] = b'0' + (len % 10) as u8;
+        len /= 10;
+        if len == 0 {
+            break;
+        }
+    }
+    out.push_str(std::str::from_utf8(&prefix[start..]).expect("ASCII digits and `:`"));
 }
 
 /// An O(1) view of the registry at one moment: the entries and their
@@ -548,6 +601,116 @@ mod tests {
         assert_eq!(
             FleetEntry::from_json(&doc(r#"{"device":"NVIDIA K20"}"#)),
             Err(FleetError::EmptyId)
+        );
+    }
+
+    /// Whether two entries hold equal strings and numbers of equal bits.
+    fn same_bits(a: &FleetEntry, b: &FleetEntry) -> bool {
+        let numbers = |e: &FleetEntry| {
+            [e.altitude_m, e.rigidity_factor, e.b10_areal_cm2, e.thermal_scaling, e.avf]
+                .map(f64::to_bits)
+        };
+        (&a.id, &a.device, &a.site) == (&b.id, &b.device, &b.site) && numbers(a) == numbers(b)
+    }
+
+    fn cache_key(entries: &[&FleetEntry]) -> String {
+        let mut key = String::new();
+        for entry in entries {
+            entry.push_cache_key(&mut key);
+        }
+        key
+    }
+
+    #[test]
+    fn cache_keys_are_equal_exactly_when_the_bits_are() {
+        // Small pools, so equal fields are common: strings that move
+        // bytes between fields or hold `:`, `|` and digits, and numbers
+        // one ulp apart or differing only in the sign of zero.
+        const TEXTS: [&str; 10] = ["", "a", "ab", "b", "bc", "1", "1:", ":1", "1:a", "a|2"];
+        const DEVICES: [&str; 3] = ["NVIDIA K20", "NVIDIA K2", "0K20"];
+        let one_up = f64::from_bits(1.0f64.to_bits() + 1);
+        let numbers = [0.0, -0.0, 1.0, one_up, 1e3, 1e19];
+        let mut rng = tn_rng::Rng::seed_from_u64(19);
+        let mut pick = |n: usize| rng.gen_range(0..n);
+        // Twenty random bases; each entry copies one and redraws at most
+        // one field, so equal entries and near misses are both common.
+        let mut entries: Vec<FleetEntry> = Vec::new();
+        for i in 0..400 {
+            let mut e = if i < 20 {
+                FleetEntry::new(TEXTS[pick(TEXTS.len())], DEVICES[pick(DEVICES.len())])
+            } else {
+                entries[pick(20)].clone()
+            };
+            let text = TEXTS[pick(TEXTS.len())].to_string();
+            let number = numbers[pick(numbers.len())];
+            match if i < 20 { 2 } else { pick(10) } {
+                0 => e.id = text,
+                1 => e.device = DEVICES[pick(DEVICES.len())].to_string(),
+                2 => e.site = text,
+                3 => e.altitude_m = number,
+                4 => e.rigidity_factor = number,
+                5 => e.b10_areal_cm2 = number,
+                6 => e.thermal_scaling = number,
+                7 => e.avf = number,
+                _ => {}
+            }
+            entries.push(e);
+        }
+        let keys: Vec<String> = entries.iter().map(|e| cache_key(&[e])).collect();
+        let mut equal_pairs = 0;
+        for (a, key_a) in entries.iter().zip(&keys) {
+            for (b, key_b) in entries.iter().zip(&keys) {
+                assert_eq!(key_a == key_b, same_bits(a, b), "{a:?} vs {b:?}");
+                equal_pairs += usize::from(key_a == key_b);
+            }
+        }
+        // Beyond each entry with itself, equal pairs are common too.
+        assert!(equal_pairs > 2 * entries.len(), "{equal_pairs} equal pairs");
+        // Runs of entries are keyed as exactly too: two-entry runs over
+        // the first 24 entries.
+        let runs: Vec<([&FleetEntry; 2], String)> = entries[..24]
+            .iter()
+            .flat_map(|a| entries[..24].iter().map(move |b| [a, b]))
+            .map(|run| (run, cache_key(&run)))
+            .collect();
+        for (run_a, key_a) in &runs {
+            for (run_b, key_b) in &runs {
+                let same = same_bits(run_a[0], run_b[0]) && same_bits(run_a[1], run_b[1]);
+                assert_eq!(key_a == key_b, same, "{run_a:?} vs {run_b:?}");
+            }
+        }
+
+        // Bytes moved between `id` and `site`, and between an entry and
+        // the next, give different keys.
+        let entry = |id: &str, site: &str| {
+            let mut e = FleetEntry::new(id, "NVIDIA K20");
+            e.site = site.to_string();
+            e
+        };
+        assert_ne!(cache_key(&[&entry("ab", "c")]), cache_key(&[&entry("a", "bc")]));
+        assert_ne!(cache_key(&[&entry("a1", "")]), cache_key(&[&entry("a", "1")]));
+        let (x, y) = (entry("a", "b:"), entry("c", ""));
+        let (x2, y2) = (entry("a", "b"), entry(":c", ""));
+        assert_ne!(cache_key(&[&x, &y]), cache_key(&[&x2, &y2]));
+        // The sign of zero is kept; number spelling is not seen at all.
+        let mut negative = entry("a", "");
+        negative.b10_areal_cm2 = -0.0;
+        assert_ne!(cache_key(&[&negative]), cache_key(&[&entry("a", "")]));
+        let spelled = |text: &str| {
+            let text = format!(r#"{{"id":"a","device":"nvidia k20","altitude_m":{text}}}"#);
+            let doc = json::parse(&text).unwrap();
+            cache_key(&[&FleetEntry::from_json(&doc).unwrap()])
+        };
+        assert_eq!(spelled("1000"), spelled("1e3"));
+        assert_eq!(spelled("1000"), spelled("1000.0"));
+        assert_eq!(
+            cache_key(&[&entry("a", "")]),
+            "1:a10:NVIDIA K200:\
+             4024000000000000\
+             3ff0000000000000\
+             0000000000000000\
+             3ff0000000000000\
+             3ff0000000000000"
         );
     }
 

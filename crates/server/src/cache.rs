@@ -2,11 +2,20 @@
 //!
 //! Pipeline runs are deterministic in (request, seed), so a response can
 //! be cached forever — the only policy question is capacity. Keys hash
-//! (FNV-1a, deterministic across processes) onto independent shards so
-//! concurrent workers rarely contend on the same lock; within a shard,
-//! recency is a monotone tick per entry and eviction scans for the
-//! minimum. Shards are small (capacity/num_shards entries), so the scan
-//! is a handful of comparisons, not a real LRU list.
+//! onto independent shards so concurrent workers rarely contend on the
+//! same lock; within a shard, recency is a monotone tick per entry and
+//! eviction scans for the minimum. Shards are small
+//! (capacity/num_shards entries), so the scan is a handful of
+//! comparisons, not a real LRU list.
+//!
+//! The shard comes from [`shard_hash`], which reads the key eight bytes
+//! per multiply (an inline fleet key runs to kilobytes, and a
+//! byte-serial hash of it cost microseconds per hit) and is the same in
+//! every process, so shard placement is reproducible. A full-avalanche
+//! finaliser spreads every key byte into the low bits that pick the
+//! shard. It is not keyed, so a client could aim many keys at one
+//! shard; that costs only lock sharing. Within a shard the map keeps
+//! std's keyed SipHash, so crafted keys cannot pile into one bucket.
 //!
 //! Bodies are stored as `Arc<str>`: a hit hands out another reference
 //! to the rendered bytes, never a copy, and the same allocation goes on
@@ -19,15 +28,32 @@ use std::sync::{Arc, Mutex};
 
 const NUM_SHARDS: usize = 8;
 
-/// 64-bit FNV-1a — stable across processes (unlike `DefaultHasher`), so
-/// shard placement is reproducible.
-pub fn fnv1a(bytes: &[u8]) -> u64 {
-    let mut hash: u64 = 0xcbf2_9ce4_8422_2325;
-    for b in bytes {
-        hash ^= u64::from(*b);
-        hash = hash.wrapping_mul(0x0000_0100_0000_01b3);
+/// The 64-bit hash that picks a key's shard: the same in every process
+/// (unlike std's `RandomState`), so shard placement is reproducible.
+///
+/// Seeded with the length, it folds the bytes in eight at a time, the
+/// last word zero-padded (the length tells a padded tail from real zero
+/// bytes), with a rotate, xor and multiply per word. A splitmix64 step
+/// (add its increment, then its finaliser) then mixes every bit into
+/// every other, as the low bits the shard index reads need.
+pub fn shard_hash(bytes: &[u8]) -> u64 {
+    const K: u64 = 0x9e37_79b9_7f4a_7c15;
+    let fold = |hash: u64, word: u64| (hash.rotate_left(5) ^ word).wrapping_mul(K);
+    let mut words = bytes.chunks_exact(8);
+    let mut hash = (bytes.len() as u64).wrapping_mul(K);
+    for word in &mut words {
+        hash = fold(hash, u64::from_le_bytes(word.try_into().expect("8-byte chunk")));
     }
-    hash
+    let tail = words.remainder();
+    if !tail.is_empty() {
+        let mut word = [0u8; 8];
+        word[..tail.len()].copy_from_slice(tail);
+        hash = fold(hash, u64::from_le_bytes(word));
+    }
+    hash = hash.wrapping_add(K);
+    hash = (hash ^ (hash >> 30)).wrapping_mul(0xbf58_476d_1ce4_e5b9);
+    hash = (hash ^ (hash >> 27)).wrapping_mul(0x94d0_49bb_1331_11eb);
+    hash ^ (hash >> 31)
 }
 
 #[derive(Debug)]
@@ -61,7 +87,7 @@ impl ShardedCache {
     }
 
     fn shard(&self, key: &str) -> &Mutex<Shard> {
-        &self.shards[(fnv1a(key.as_bytes()) as usize) % NUM_SHARDS]
+        &self.shards[(shard_hash(key.as_bytes()) as usize) % NUM_SHARDS]
     }
 
     /// Fetches a cached body, refreshing its recency. The body is
@@ -152,7 +178,7 @@ mod tests {
         let c = ShardedCache::new(8);
         // Find two keys landing on the same shard.
         let base = "key-0".to_string();
-        let shard_of = |k: &str| (fnv1a(k.as_bytes()) as usize) % NUM_SHARDS;
+        let shard_of = |k: &str| (shard_hash(k.as_bytes()) as usize) % NUM_SHARDS;
         let sibling = (1..1000)
             .map(|i| format!("key-{i}"))
             .find(|k| shard_of(k) == shard_of(&base))
@@ -173,10 +199,33 @@ mod tests {
     }
 
     #[test]
-    fn fnv_is_stable() {
-        // Pinned so shard placement never silently changes.
-        assert_eq!(fnv1a(b""), 0xcbf2_9ce4_8422_2325);
-        assert_eq!(fnv1a(b"a"), 0xaf63_dc4c_8601_ec8c);
+    fn shard_hash_is_stable() {
+        // Pinned so shard placement never silently changes. The empty
+        // key gives splitmix64's first output from seed 0.
+        assert_eq!(shard_hash(b""), 0xe220_a839_7b1d_cdaf);
+        assert_eq!(shard_hash(b"a"), 0x429b_a92f_8bdd_cab7);
+        let long: Vec<u8> = (0..2048u32).map(|i| (i * 31 % 251) as u8).collect();
+        assert_eq!(shard_hash(&long), 0xbc22_7db7_e0f7_107f);
+    }
+
+    #[test]
+    fn fleet_keys_spread_over_every_shard() {
+        // Inline fleet keys as the handler builds them: one to sixteen
+        // entries that differ in a few bits of one number, or in an id.
+        let mut rng = tn_rng::Rng::seed_from_u64(19);
+        let mut counts = [0usize; NUM_SHARDS];
+        for k in 0..2048 {
+            let mut key = format!("fleet|2020|{}|inline|", k % 3 == 0);
+            for i in 0..rng.gen_range(1..17usize) {
+                let mut entry = tn_fleet::FleetEntry::new(format!("inline-{i:04}"), "NVIDIA K20");
+                entry.altitude_m = rng.gen_range(0..4000usize) as f64;
+                entry.avf = (1 + rng.gen_range(0..1000usize)) as f64 / 1000.0;
+                entry.push_cache_key(&mut key);
+            }
+            counts[(shard_hash(key.as_bytes()) as usize) % NUM_SHARDS] += 1;
+        }
+        let floor = 2048 / NUM_SHARDS / 2;
+        assert!(counts.iter().all(|&n| n >= floor), "{counts:?}");
     }
 
     #[test]

@@ -2,7 +2,8 @@
 //!
 //! Every POST endpoint follows the same shape: read the request's
 //! decoded JSON body, resolve defaults, canonicalise the resolved
-//! request into a cache key, then go through the result cache and the
+//! request into a cache key (an inline fleet request is keyed by its
+//! validated entries instead), then go through the result cache and the
 //! single-flight layer. Because the pipeline is deterministic in
 //! (config, seed), a cached body is byte-identical to a recomputed one.
 //! A handler that can reject its request returns
@@ -41,6 +42,11 @@ const DEMO_FLEET_SIZE: usize = 24;
 
 /// Largest number of inline devices one bulk request may carry.
 const FLEET_MAX_ENTRIES: usize = 10_000;
+
+/// Bytes of an inline entry's cache key besides its three strings:
+/// three length prefixes with their `:` (well under 8 bytes each for a
+/// body within the HTTP size cap) and five 16-digit numbers.
+const INLINE_KEY_BYTES: usize = 3 * 8 + 5 * 16;
 
 /// Largest sample batch one `/v1/timeline/ingest` request may carry.
 const TIMELINE_MAX_SAMPLES: usize = 10_000;
@@ -1288,13 +1294,16 @@ pub(crate) fn fleet(state: &AppState, request: &Request) -> Result<Response, Bad
     let seed = optional_u64(doc, "seed", state.seed)?;
     let quick = optional_bool(doc, "quick", true)?;
 
-    // Inline mode carries the entries in the request; registry mode
-    // snapshots (a subset of) the server fleet, with the registry
+    // Inline mode carries the entries in the request, and its cache key
+    // is their typed keys (see `FleetEntry::push_cache_key`), so every
+    // spelling of the same validated entries shares one body. Registry
+    // mode snapshots (a subset of) the server fleet, with the registry
     // generation folded into the cache key so cached responses can
     // never outlive the registry state they were computed from. The
     // whole-registry snapshot is O(1): it shares the registry's entries
     // and write stamps.
-    let (entries, mode_key, generation) = match doc.get("devices") {
+    let mut key = format!("fleet|{seed}|{quick}|");
+    let (entries, generation) = match doc.get("devices") {
         Some(devices) => {
             let array = devices
                 .as_array()
@@ -1318,13 +1327,16 @@ pub(crate) fn fleet(state: &AppState, request: &Request) -> Result<Response, Bad
                 })?;
                 entries.push(entry);
             }
-            let canonical =
-                Json::Array(entries.iter().map(FleetEntry::to_json).collect()).to_canonical_string();
-            (
-                FleetEntries::Listed(entries),
-                format!("inline|{canonical}"),
-                None,
-            )
+            let strings: usize = entries
+                .iter()
+                .map(|e| e.id.len() + e.device.len() + e.site.len())
+                .sum();
+            key.reserve("inline|".len() + strings + INLINE_KEY_BYTES * entries.len());
+            key.push_str("inline|");
+            for entry in &entries {
+                entry.push_cache_key(&mut key);
+            }
+            (FleetEntries::Listed(entries), None)
         }
         None => state.with_fleet(|fleet| {
             if fleet.is_empty() {
@@ -1332,11 +1344,10 @@ pub(crate) fn fleet(state: &AppState, request: &Request) -> Result<Response, Bad
             }
             let generation = fleet.generation();
             match doc.get("ids") {
-                None => Ok((
-                    FleetEntries::Registry(fleet.snapshot()),
-                    format!("registry|all|{generation}"),
-                    Some(generation),
-                )),
+                None => {
+                    key += &format!("registry|all|{generation}");
+                    Ok((FleetEntries::Registry(fleet.snapshot()), Some(generation)))
+                }
                 Some(ids) => {
                     let ids = ids
                         .as_array()
@@ -1357,17 +1368,13 @@ pub(crate) fn fleet(state: &AppState, request: &Request) -> Result<Response, Bad
                         return Err(BadRequest::new(400, "field `ids` must not be empty"));
                     }
                     let canonical = Json::Array(key_ids).to_canonical_string();
-                    Ok((
-                        FleetEntries::Listed(entries),
-                        format!("registry|{canonical}|{generation}"),
-                        Some(generation),
-                    ))
+                    key += &format!("registry|{canonical}|{generation}");
+                    Ok((FleetEntries::Listed(entries), Some(generation)))
                 }
             }
         })?,
     };
 
-    let key = format!("fleet|{seed}|{quick}|{mode_key}");
     let query = FleetQuery {
         seed,
         quick,
@@ -2318,16 +2325,21 @@ mod tests {
         r
     }
 
+    /// The value of one `/metrics` counter series.
+    fn counter(s: &AppState, series: &str) -> u64 {
+        let prefix = format!("{series} ");
+        s.metrics
+            .render()
+            .lines()
+            .find_map(|l| l.strip_prefix(prefix.as_str()))
+            .and_then(|v| v.parse().ok())
+            .expect("series present")
+    }
+
     /// `tn_fleet_results_total` by path: `[reused, rendered]`.
     fn fleet_results(s: &AppState) -> [u64; 2] {
-        let text = s.metrics.render();
-        ["reused", "rendered"].map(|path| {
-            let series = format!("tn_fleet_results_total{{path=\"{path}\"}} ");
-            text.lines()
-                .find_map(|l| l.strip_prefix(series.as_str()))
-                .and_then(|v| v.parse().ok())
-                .expect("series present")
-        })
+        ["reused", "rendered"]
+            .map(|path| counter(s, &format!("tn_fleet_results_total{{path=\"{path}\"}}")))
     }
 
     /// Applies `steps` steps of 1-3 seeded writes to a 320-entry registry,
@@ -2419,6 +2431,333 @@ mod tests {
             200
         );
         assert_eq!(fleet_results(&s), [47, 27]);
+    }
+
+    #[test]
+    fn negative_zero_shields_are_not_served_their_zero_twin() {
+        let s = state();
+        let zero = br#"{"devices":[{"device":"NVIDIA K20","b10_areal_cm2":0}]}"#;
+        let negative = br#"{"devices":[{"device":"NVIDIA K20","b10_areal_cm2":-0}]}"#;
+        assert_eq!(post(&s, "/v1/fleet", zero).status, 200);
+        let served = post(&s, "/v1/fleet", negative);
+        let fresh = post(&fresh_state(&s, FleetRegistry::new()), "/v1/fleet", negative);
+        assert_eq!(fresh.status, 200, "{}", fresh.body_text());
+        assert!(fresh.body_text().contains("\"b10_areal_cm2\":-0e0"));
+        assert_eq!(served.body_text(), fresh.body_text());
+        assert_eq!(counter(&s, "tn_cache_hits_total"), 0);
+    }
+
+    /// Shuffles `items` in place (Fisher-Yates).
+    fn shuffle<T>(rng: &mut tn_rng::Rng, items: &mut [T]) {
+        for i in (1..items.len()).rev() {
+            items.swap(i, rng.gen_range(0..i + 1));
+        }
+    }
+
+    /// One of four JSON spellings of `v`, each parsing back to its bits:
+    /// Rust's `{}`, `{:?}` and `{:e}`, and `{:e}` with a padded mantissa
+    /// and a signed capital exponent (`1e3` as `1.0E+3`).
+    fn spell_number(rng: &mut tn_rng::Rng, v: f64) -> String {
+        match rng.gen_range(0..4usize) {
+            0 => format!("{v}"),
+            1 => format!("{v:?}"),
+            2 => format!("{v:e}"),
+            _ => {
+                let text = format!("{v:e}");
+                let (mantissa, exponent) = text.split_once('e').expect("`{:e}` has an exponent");
+                let pad = if mantissa.contains('.') { "0" } else { ".0" };
+                let sign = if exponent.starts_with('-') { "" } else { "+" };
+                format!("{mantissa}{pad}E{sign}{exponent}")
+            }
+        }
+    }
+
+    /// Some JSON whitespace, possibly none.
+    fn blank(rng: &mut tn_rng::Rng) -> &'static str {
+        ["", "", " ", "\n", "\t ", "  "][rng.gen_range(0..6usize)]
+    }
+
+    /// A random spelling of the inline request for `entries` (seed
+    /// 2020, quick): members in any order, numbers spelled any way,
+    /// whitespace anywhere, the device name in any case, and a member
+    /// holding its default (a positional id included) present or not.
+    fn spell_inline(rng: &mut tn_rng::Rng, entries: &[FleetEntry]) -> String {
+        let json_str = |text: &str| {
+            let mut out = String::new();
+            push_json_str(&mut out, text);
+            out
+        };
+        let mut objects = Vec::new();
+        for (i, e) in entries.iter().enumerate() {
+            let device: String = e
+                .device
+                .chars()
+                .map(|c| if rng.gen_bool(0.5) { c.to_ascii_lowercase() } else { c })
+                .collect();
+            let mut members = vec![("device", json_str(&device))];
+            if e.id != format!("inline-{i:04}") || rng.gen_bool(0.5) {
+                members.push(("id", json_str(&e.id)));
+            }
+            if !e.site.is_empty() || rng.gen_bool(0.5) {
+                members.push(("site", json_str(&e.site)));
+            }
+            let defaults = FleetEntry::new("", "");
+            for (name, value, default) in [
+                ("altitude_m", e.altitude_m, defaults.altitude_m),
+                ("rigidity_factor", e.rigidity_factor, defaults.rigidity_factor),
+                ("b10_areal_cm2", e.b10_areal_cm2, defaults.b10_areal_cm2),
+                ("thermal_scaling", e.thermal_scaling, defaults.thermal_scaling),
+                ("avf", e.avf, defaults.avf),
+            ] {
+                if value.to_bits() != default.to_bits() || rng.gen_bool(0.5) {
+                    members.push((name, spell_number(rng, value)));
+                }
+            }
+            shuffle(rng, &mut members);
+            let members: Vec<String> = members
+                .iter()
+                .map(|(name, value)| {
+                    let (a, b, c, d) = (blank(rng), blank(rng), blank(rng), blank(rng));
+                    format!("{a}\"{name}\"{b}:{c}{value}{d}")
+                })
+                .collect();
+            objects.push(format!("{}{{{}}}", blank(rng), members.join(",")));
+        }
+        let mut top = vec![("devices", format!("[{}{}]", objects.join(","), blank(rng)))];
+        if rng.gen_bool(0.5) {
+            top.push(("seed", spell_number(rng, 2020.0)));
+        }
+        if rng.gen_bool(0.5) {
+            top.push(("quick", "true".to_string()));
+        }
+        shuffle(rng, &mut top);
+        let top: Vec<String> = top
+            .iter()
+            .map(|(name, value)| format!("{}\"{name}\":{}{value}", blank(rng), blank(rng)))
+            .collect();
+        format!("{}{{{}}}{}", blank(rng), top.join(","), blank(rng))
+    }
+
+    /// Free-form ids and sites: `|`, `:` and digits, a positional id
+    /// at the wrong position, a registry key's shape.
+    const INLINE_TEXTS: [&str; 8] =
+        ["a|1", "a|1:", "2:b", "x", "n|9:", "inline-0001", "registry|all|0", "7"];
+
+    /// A valid inline entry inside the quick surface's grid. Each field
+    /// holds its default a third of the time (a zero shield then), so
+    /// omitted members and the sign of zero both come up.
+    fn random_inline_entry(
+        rng: &mut tn_rng::Rng,
+        devices: &[String],
+        position: usize,
+    ) -> FleetEntry {
+        let device = devices[rng.gen_range(0..devices.len())].clone();
+        let id = if rng.gen_bool(0.5) {
+            format!("inline-{position:04}")
+        } else {
+            INLINE_TEXTS[rng.gen_range(0..INLINE_TEXTS.len())].to_string()
+        };
+        let mut entry = random_entry(rng, id, device);
+        let defaults = FleetEntry::new("", "");
+        let mut one_in_three = || rng.gen_range(0..3usize) == 0;
+        if one_in_three() {
+            entry.site = defaults.site.clone();
+        } else if one_in_three() {
+            entry.site = INLINE_TEXTS[position % INLINE_TEXTS.len()].to_string();
+        }
+        if one_in_three() {
+            entry.altitude_m = defaults.altitude_m;
+        } else if one_in_three() {
+            entry.altitude_m = 0.0;
+        }
+        if one_in_three() {
+            entry.rigidity_factor = defaults.rigidity_factor;
+        }
+        if one_in_three() {
+            entry.b10_areal_cm2 = defaults.b10_areal_cm2;
+        }
+        if one_in_three() {
+            entry.thermal_scaling = defaults.thermal_scaling;
+        }
+        if one_in_three() {
+            entry.avf = defaults.avf;
+        }
+        entry
+    }
+
+    /// How a near miss differs from the entries it is made from.
+    #[derive(Debug, Clone, Copy, PartialEq, Eq)]
+    enum Miss {
+        /// One field redrawn to a value of other bits.
+        Field,
+        /// One number moved by one ulp.
+        Ulp,
+        /// The sign of a zero altitude or shield flipped (or a shield
+        /// set to `-0`).
+        ZeroSign,
+        /// A byte moved between an entry's `id` and its `site`.
+        Shift,
+    }
+
+    /// `entries` with one near-miss change in entry `i`.
+    fn near_miss(
+        rng: &mut tn_rng::Rng,
+        devices: &[String],
+        entries: &[FleetEntry],
+        miss: Miss,
+    ) -> Vec<FleetEntry> {
+        let mut out = entries.to_vec();
+        let i = rng.gen_range(0..out.len());
+        let e = &mut out[i];
+        match miss {
+            Miss::Field => {
+                let fresh = random_inline_entry(rng, devices, i);
+                match rng.gen_range(0..6usize) {
+                    0 if fresh.device != e.device => e.device = fresh.device,
+                    1 if fresh.site != e.site => e.site = fresh.site,
+                    2 if fresh.altitude_m != e.altitude_m => e.altitude_m = fresh.altitude_m,
+                    3 if fresh.thermal_scaling != e.thermal_scaling => {
+                        e.thermal_scaling = fresh.thermal_scaling
+                    }
+                    4 if fresh.avf != e.avf => e.avf = fresh.avf,
+                    _ => e.site.push('|'),
+                }
+            }
+            Miss::Ulp => {
+                // One ulp up or down; a zero altitude or shield moves up
+                // to the least subnormal, and an AVF only down (from 1).
+                let up = rng.gen_bool(0.5);
+                let step = |v: f64, up: bool| {
+                    let bits = v.to_bits();
+                    f64::from_bits(if up || v == 0.0 { bits + 1 } else { bits - 1 })
+                };
+                match rng.gen_range(0..4usize) {
+                    0 => e.altitude_m = step(e.altitude_m, up),
+                    1 => e.b10_areal_cm2 = step(e.b10_areal_cm2, up),
+                    2 => e.thermal_scaling = step(e.thermal_scaling, up),
+                    _ => e.avf = step(e.avf, false),
+                }
+            }
+            Miss::ZeroSign => {
+                if e.altitude_m == 0.0 && rng.gen_bool(0.5) {
+                    e.altitude_m = -e.altitude_m;
+                } else if e.b10_areal_cm2 == 0.0 {
+                    e.b10_areal_cm2 = -e.b10_areal_cm2;
+                } else {
+                    e.b10_areal_cm2 = -0.0;
+                }
+            }
+            Miss::Shift => {
+                if e.id.len() > 1 && rng.gen_bool(0.5) {
+                    let last = e.id.pop().expect("id is not empty");
+                    e.site.insert(0, last);
+                } else if !e.site.is_empty() {
+                    let first = e.site.remove(0);
+                    e.id.push(first);
+                } else {
+                    e.site.push_str(":1");
+                }
+            }
+        }
+        out
+    }
+
+    /// The oracle's own identity for an inline request: each entry's
+    /// strings and the bits of its numbers, as generated. Two spellings
+    /// decode to the same entries exactly when these are equal.
+    type ModelKey = Vec<(String, String, String, [u64; 5])>;
+
+    fn model_key(entries: &[FleetEntry]) -> ModelKey {
+        entries
+            .iter()
+            .map(|e| {
+                let numbers =
+                    [e.altitude_m, e.rigidity_factor, e.b10_areal_cm2, e.thermal_scaling, e.avf];
+                (e.id.clone(), e.device.clone(), e.site.clone(), numbers.map(f64::to_bits))
+            })
+            .collect()
+    }
+
+    /// Serves `steps` families of inline bodies on one state. A family is
+    /// 1-4 random entries, spelled three to five ways, plus one to three
+    /// near misses, each spelled once or twice, all in a seeded order.
+    /// Every body must equal a fresh state's render, and a body must be
+    /// a cache hit exactly when its entries (by the oracle's own key)
+    /// were served earlier in the step. A body first served in an
+    /// earlier step may have been evicted since, so only its bytes are
+    /// checked; within a step at most four distinct bodies reach an
+    /// 8-entry shard, so none is evicted.
+    fn inline_keys_match_fresh_renders(steps: usize) {
+        let s = state();
+        let devices: Vec<String> = tn_core::devices::all_compute_devices()
+            .iter()
+            .map(|d| d.name().to_string())
+            .collect();
+        let mut rng = tn_rng::Rng::seed_from_u64(19).fork(steps as u64);
+        let mut first_seen: std::collections::HashMap<ModelKey, usize> = Default::default();
+        let (mut spelled_hits, mut zero_twins, mut hits) = (0, 0, 0);
+        for step in 0..steps {
+            let base: Vec<FleetEntry> = (0..rng.gen_range(1..5usize))
+                .map(|i| random_inline_entry(&mut rng, &devices, i))
+                .collect();
+            let mut family: Vec<(Option<Miss>, Vec<FleetEntry>)> =
+                (0..rng.gen_range(3..6usize)).map(|_| (None, base.clone())).collect();
+            for _ in 0..rng.gen_range(1..4usize) {
+                const MISSES: [Miss; 4] = [Miss::Field, Miss::Ulp, Miss::ZeroSign, Miss::Shift];
+                let miss = MISSES[rng.gen_range(0..MISSES.len())];
+                let entries = near_miss(&mut rng, &devices, &base, miss);
+                for _ in 0..rng.gen_range(1..3usize) {
+                    family.push((Some(miss), entries.clone()));
+                }
+            }
+            shuffle(&mut rng, &mut family);
+            let mut served_this_step: Vec<ModelKey> = Vec::new();
+            for (miss, entries) in &family {
+                let body = spell_inline(&mut rng, entries);
+                let key = model_key(entries);
+                let served = post(&s, "/v1/fleet", body.as_bytes());
+                let hits_before = hits;
+                hits = counter(&s, "tn_cache_hits_total");
+                let hit = hits > hits_before;
+                assert_eq!(served.status, 200, "step {step}: {body}: {}", served.body_text());
+                let fresh = fresh_state(&s, FleetRegistry::new());
+                let want = post(&fresh, "/v1/fleet", body.as_bytes());
+                let (served, want) = (served.body_text(), want.body_text());
+                assert!(
+                    served == want,
+                    "step {step}, {miss:?}: {body}: bodies differ from byte {}",
+                    first_difference(&served, &want)
+                );
+                let seen_before = served_this_step.contains(&key);
+                match first_seen.get(&key) {
+                    Some(&first) if first < step => {}
+                    _ => assert_eq!(hit, seen_before, "step {step}, {miss:?}: {body}"),
+                }
+                first_seen.entry(key.clone()).or_insert(step);
+                if miss.is_none() && seen_before {
+                    spelled_hits += 1;
+                }
+                if *miss == Some(Miss::ZeroSign) && served_this_step.contains(&model_key(&base)) {
+                    zero_twins += 1;
+                }
+                served_this_step.push(key);
+            }
+        }
+        // The oracle saw equivalent spellings hit, and sign-of-zero near
+        // misses served after their twin.
+        assert!(spelled_hits > 2 * steps, "{spelled_hits} spelled hits");
+        assert!(zero_twins > steps / 20, "{zero_twins} zero twins");
+    }
+
+    #[test]
+    fn inline_keys_match_fresh_renders_over_200_steps() {
+        inline_keys_match_fresh_renders(200);
+    }
+
+    #[test]
+    #[ignore = "long oracle: CI runs it in release with --ignored"]
+    fn inline_keys_match_fresh_renders_over_10k_steps() {
+        inline_keys_match_fresh_renders(10_000);
     }
 
     #[test]

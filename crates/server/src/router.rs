@@ -77,18 +77,22 @@ pub fn handle(state: &AppState, request: &Request) -> Response {
         response.body_len() as u64,
     );
     state.metrics.leave();
-    tn_obs::info(
-        "request",
-        &[
-            ("id", request_id.as_str().into()),
-            ("method", request.method.as_str().into()),
-            ("path", request.path.as_str().into()),
-            ("endpoint", endpoint.label().into()),
-            ("status", u64::from(response.status).into()),
-            ("latency_us", elapsed_us.into()),
-            ("bytes", (response.body_len() as u64).into()),
-        ],
-    );
+    // The event's string fields are owned copies; build them only when
+    // the event is kept.
+    if tn_obs::enabled(tn_obs::Level::Info) {
+        tn_obs::info(
+            "request",
+            &[
+                ("id", request_id.as_str().into()),
+                ("method", request.method.as_str().into()),
+                ("path", request.path.as_str().into()),
+                ("endpoint", endpoint.label().into()),
+                ("status", u64::from(response.status).into()),
+                ("latency_us", elapsed_us.into()),
+                ("bytes", (response.body_len() as u64).into()),
+            ],
+        );
+    }
     response.with_header("x-request-id", request_id)
 }
 

@@ -12,9 +12,14 @@ cargo test -q --offline --workspace
 # patterns against `{:e}`, ignored by default and a few seconds in
 # release.
 cargo test --release --offline -p tn-core -- --ignored
-# The fleet renderer's long oracle: 10,000 steps of seeded registry
+# tn-server's two long oracles, ignored by default, about 45 s together
+# in release: the fleet renderer's (10,000 steps of seeded registry
 # writes, each followed by bulk and stream reads that must equal a fresh
-# state's render from scratch. Ignored by default, about 20 s in release.
+# state's render from scratch) and the inline cache key's
+# (inline_keys_match_fresh_renders_over_10k_steps: 10,000 families of
+# seeded inline bodies, equivalent spellings and near misses, each equal
+# to a fresh render and a cache hit exactly when an equal request came
+# earlier).
 cargo test --release --offline -p tn-server -- --ignored
 cargo clippy --offline --workspace --all-targets -- -D warnings
 # Rustdoc gate: a broken or private intra-doc link (say, to a deleted
