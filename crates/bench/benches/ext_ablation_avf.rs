@@ -7,7 +7,6 @@
 //! masking, which the fault-injection profiles supply; a flat AVF
 //! flattens it to zero.
 
-use tn_bench::Harness;
 use tn_bench::{header, row};
 use tn_beamline::{Campaign, Facility};
 use tn_devices::catalog;
@@ -79,11 +78,5 @@ fn regenerate() {
 }
 
 fn main() {
-    let mut c = Harness::new(10);
     regenerate();
-    let mxm = MxM::new(16, 1);
-    c.bench_function("abl2_profile_mxm_100", |b| {
-        b.iter(|| InjectionCampaign::new(&mxm).runs(100).seed(1).execute())
-    });
 }
-

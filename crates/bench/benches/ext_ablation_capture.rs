@@ -7,7 +7,6 @@
 //! predicts. A flat tabulated σ_th misses that spectral hardening
 //! entirely, which is why the capture law is load-bearing.
 
-use tn_bench::Harness;
 use tn_bench::{header, ratio_row, row};
 use tn_devices::catalog;
 use tn_devices::response::{ErrorClass, SensitiveRegion};
@@ -53,11 +52,5 @@ fn regenerate() {
 }
 
 fn main() {
-    let mut c = Harness::new(20);
     regenerate();
-    let k20 = catalog::nvidia_k20();
-    let region = *k20.response().region(ErrorClass::Sdc);
-    let cold = beam(LIQUID_METHANE_TEMPERATURE);
-    c.bench_function("abl1_spectrum_fold", |b| b.iter(|| region.event_rate(&cold)));
 }
-

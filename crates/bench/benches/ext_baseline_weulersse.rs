@@ -3,7 +3,6 @@
 //! relative to the published memory band, and what the baseline cannot
 //! express (per-code masking, SDC/DUE structure).
 
-use tn_bench::Harness;
 use tn_bench::{header, row};
 use tn_devices::response::ErrorClass;
 use tn_devices::catalog;
@@ -42,17 +41,5 @@ fn regenerate() {
 }
 
 fn main() {
-    let mut c = Harness::new(10);
     regenerate();
-    let baseline = WeulersseBaseline::published();
-    let devices = catalog::all_compute_devices();
-    c.bench_function("ext_baseline_contains_all", |b| {
-        b.iter(|| {
-            devices
-                .iter()
-                .filter(|d| baseline.contains_device(d, ErrorClass::Sdc))
-                .count()
-        })
-    });
 }
-

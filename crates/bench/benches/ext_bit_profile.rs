@@ -4,7 +4,6 @@
 //! manifest through different fault models whose program-level imprint
 //! only beam experiments (or, here, injection) can reveal.
 
-use tn_bench::Harness;
 use tn_bench::header;
 use tn_fault_injection::{profile_by_bit, BitRegion};
 use tn_workloads::{bfs::Bfs, hotspot::HotSpot, mxm::MxM, yolo::Yolo, Workload};
@@ -43,11 +42,5 @@ fn regenerate() {
 }
 
 fn main() {
-    let mut c = Harness::new(10);
     regenerate();
-    let mxm = MxM::new(16, 1);
-    c.bench_function("ext_bit_profile_mxm_40pr", |b| {
-        b.iter(|| profile_by_bit(&mxm, 40, 1))
-    });
 }
-

@@ -4,7 +4,6 @@
 //! because a thunderstorm doubles the thermal field and, for a
 //! thermal-heavy device, meaningfully moves the DUE MTBF.
 
-use tn_bench::Harness;
 use tn_bench::{header, row};
 use tn_core::{Pipeline, PipelineConfig};
 use tn_environment::{Environment, Location, Surroundings, Weather};
@@ -51,9 +50,5 @@ fn regenerate() {
 }
 
 fn main() {
-    let mut c = Harness::new(20);
     regenerate();
-    let plan = CheckpointPlan::new(tn_physics::units::Fit(4e6), Seconds(180.0));
-    c.bench_function("ext_checkpoint_daly", |b| b.iter(|| plan.daly_interval()));
 }
-

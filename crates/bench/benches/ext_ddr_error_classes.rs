@@ -3,7 +3,6 @@
 //! only SEFIs corrupt many bits. Regenerates the distribution and the
 //! SECDED replay results.
 
-use tn_bench::Harness;
 use tn_bench::{header, row};
 use tn_devices::ddr::{classify, CorrectLoop, DdrModule};
 use tn_devices::ecc::{replay_with_ecc, secded_sufficient_outside_sefis};
@@ -50,11 +49,5 @@ fn regenerate() {
 }
 
 fn main() {
-    let mut c = Harness::new(10);
     regenerate();
-    let mut tester = CorrectLoop::new(DdrModule::ddr4(), 3);
-    let log = tester.run(Flux(2.72e7), Seconds(2000.0), Seconds(10.0));
-    c.bench_function("ext_ddr_secded_replay", |b| b.iter(|| replay_with_ecc(&log)));
-    c.bench_function("ext_ddr_classify", |b| b.iter(|| classify(&log)));
 }
-

@@ -7,7 +7,6 @@
 //! (Leadville DUE); K20 29 % of SDC FIT at Leadville; APU CPU+GPU 39 %
 //! of DUEs thermal; overall "up to ~40 %".
 
-use tn_bench::Harness;
 use tn_bench::{header, ratio_row};
 use tn_core::{Pipeline, PipelineConfig, StudyReport};
 use tn_environment::{Environment, Location, Surroundings, Weather};
@@ -87,13 +86,6 @@ fn regenerate(report: &StudyReport) {
 }
 
 fn main() {
-    let mut c = Harness::new(10);
     let report = Pipeline::new(PipelineConfig::thorough()).seed(2020).run();
     regenerate(&report);
-    let [(_, nyc), _] = environments();
-    let device = report.devices()[0].clone();
-    c.bench_function("ext_fit_fold_one_device", |b| {
-        b.iter(|| device.sdc_fit(&nyc).thermal_share())
-    });
 }
-

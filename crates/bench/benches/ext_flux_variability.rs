@@ -2,7 +2,6 @@
 //! (the Ziegler 2003 / Tin-II numbers the paper's discussion rests on),
 //! derived from the Monte-Carlo room model and swept across environments.
 
-use tn_bench::Harness;
 use tn_bench::{header, ratio_row};
 use tn_environment::{DataCenterRoom, Environment, Location, Surroundings, Weather};
 
@@ -75,11 +74,5 @@ fn regenerate() {
 }
 
 fn main() {
-    let mut c = Harness::new(10);
     regenerate();
-    let room = DataCenterRoom::liquid_cooled();
-    c.bench_function("ext_room_mc_derivation_2k", |b| {
-        b.iter(|| room.derive_thermal_factor(2_000, 1))
-    });
 }
-

@@ -3,7 +3,6 @@
 //! about twice the resources; its fast cross section doubles with the
 //! area, but its *thermal* cross section grows almost fourfold.
 
-use tn_bench::Harness;
 use tn_bench::{header, ratio_row};
 use tn_devices::fpga::{run_scrubbed, ConfigMemory, DesignPrecision};
 use tn_physics::units::{Flux, Seconds};
@@ -62,18 +61,5 @@ fn regenerate() {
 }
 
 fn main() {
-    let mut c = Harness::new(10);
     regenerate();
-    c.bench_function("ext_fpga_scrubbed_run_4000s", |b| {
-        b.iter(|| {
-            run_scrubbed(
-                ConfigMemory::zynq7000_mnist_thermal(DesignPrecision::Double),
-                Flux(2.72e6),
-                Seconds(4_000.0),
-                Seconds(2.0),
-                9,
-            )
-        })
-    });
 }
-

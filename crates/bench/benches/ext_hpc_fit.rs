@@ -2,7 +2,6 @@
 //! June-2019 Top-10 supercomputers, from each site's altitude, cooling
 //! design and installed memory.
 
-use tn_bench::Harness;
 use tn_bench::{header, row};
 use tn_fit::hpc::{ranked_by_thermal_fit, TOP10_2019};
 
@@ -44,8 +43,5 @@ fn regenerate() {
 }
 
 fn main() {
-    let mut c = Harness::new(30);
     regenerate();
-    c.bench_function("ext_hpc_rank_top10", |b| b.iter(ranked_by_thermal_fit));
 }
-

@@ -3,7 +3,6 @@
 //! correlation and same-node foundry spread over the catalog, plus the
 //! climate-integrated error forecast that weather variability implies.
 
-use tn_bench::Harness;
 use tn_bench::{header, row};
 use tn_devices::catalog::all_compute_devices;
 use tn_environment::{Climate, Environment, Location, Surroundings, Weather};
@@ -66,11 +65,5 @@ fn regenerate() {
 }
 
 fn main() {
-    let mut c = Harness::new(20);
     regenerate();
-    let devices = all_compute_devices();
-    c.bench_function("ext_trend_analysis", |b| b.iter(|| analyse(&devices)));
-    let climate = Climate::high_desert();
-    c.bench_function("ext_climate_year", |b| b.iter(|| climate.synthesize(365, 1)));
 }
-

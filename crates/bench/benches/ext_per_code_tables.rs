@@ -4,7 +4,6 @@
 //! with 95 % Poisson error bars, "normalized to the lowest cross section
 //! for each vendor".
 
-use tn_bench::Harness;
 use tn_bench::{header, row};
 use tn_core::{Pipeline, PipelineConfig, StudyReport};
 
@@ -63,17 +62,6 @@ fn regenerate(report: &StudyReport) {
 }
 
 fn main() {
-    let mut c = Harness::new(10);
     let report = Pipeline::new(PipelineConfig::thorough()).seed(2020).run();
     regenerate(&report);
-    c.bench_function("ext_per_code_table_render", |b| {
-        b.iter(|| {
-            report
-                .devices()
-                .iter()
-                .map(|d| d.per_workload_sdc_ratios().len())
-                .sum::<usize>()
-        })
-    });
 }
-

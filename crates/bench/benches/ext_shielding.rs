@@ -3,7 +3,6 @@
 //! device with thin layers of cadmium or some inches of boron plastic"
 //! — and why neither is practical near an HPC device.
 
-use tn_bench::Harness;
 use tn_bench::{header, row};
 use tn_physics::units::{Energy, Length};
 use tn_physics::Material;
@@ -71,13 +70,5 @@ fn regenerate() {
 }
 
 fn main() {
-    let mut c = Harness::new(10);
     regenerate();
-    let cd = Material::cadmium();
-    c.bench_function("ext_shield_sweep_cd_2k", |b| {
-        b.iter(|| {
-            AttenuationCurve::sweep(&cd, Energy(0.0253), &[Length(0.05)], 2_000, 1)
-        })
-    });
 }
-

@@ -7,7 +7,6 @@
 //! section per vendor, as the paper does to avoid leaking absolute
 //! (business-sensitive) numbers.
 
-use tn_bench::Harness;
 use tn_beamline::{Campaign, Facility};
 use tn_bench::{header, row};
 use tn_devices::catalog;
@@ -82,23 +81,5 @@ fn regenerate() {
 }
 
 fn main() {
-    let mut c = Harness::new(10);
     regenerate();
-    let apu = catalog::amd_apu_hybrid();
-    let sc = StreamCompaction::new(256, 1);
-    let profile = InjectionCampaign::new(&sc).runs(50).seed(1).execute();
-    c.bench_function("fig1_apu_sc_campaign_pair", |b| {
-        b.iter(|| {
-            let he = Campaign::new(Facility::chipir(), &apu, "SC", profile)
-                .beam_time(Seconds::from_hours(2.0))
-                .seed(1)
-                .run();
-            let th = Campaign::new(Facility::rotax(), &apu, "SC", profile)
-                .beam_time(Seconds::from_hours(2.0))
-                .seed(2)
-                .run();
-            (he.sdc.sigma, th.sdc.sigma)
-        })
-    });
 }
-

@@ -5,7 +5,6 @@
 //! standard 12-decade grid and checks the published integral fluxes:
 //! 5.4e6 n/cm²/s above 10 MeV + 4e5 thermal (ChipIR), 2.72e6 (ROTAX).
 
-use tn_bench::Harness;
 use tn_bench::{header, row};
 use tn_physics::spectrum::{chipir_reference, rotax_reference};
 use tn_physics::{EnergyBand, EnergyGrid};
@@ -54,15 +53,5 @@ fn regenerate() {
 }
 
 fn main() {
-    let mut c = Harness::new(20);
     regenerate();
-    let chipir = chipir_reference();
-    let grid = EnergyGrid::standard();
-    c.bench_function("fig2_tabulate_lethargy_601pts", |b| {
-        b.iter(|| chipir.tabulate_lethargy(&grid))
-    });
-    c.bench_function("fig2_band_integral", |b| {
-        b.iter(|| chipir.flux_in(EnergyBand::HighEnergy))
-    });
 }
-

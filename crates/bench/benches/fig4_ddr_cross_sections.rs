@@ -3,7 +3,6 @@
 //! category, plus the two structural findings (DDR4 ≈ 10× less sensitive;
 //! opposite dominant flip directions) and the ChipIR abort.
 
-use tn_bench::Harness;
 use tn_bench::{header, ratio_row, row};
 use tn_devices::ddr::{classify, CorrectLoop, DdrErrorKind, DdrModule, FlipDirection};
 use tn_physics::units::{Flux, Seconds};
@@ -69,14 +68,5 @@ fn regenerate() {
 }
 
 fn main() {
-    let mut c = Harness::new(10);
     regenerate();
-    c.bench_function("fig4_correct_loop_1000s", |b| {
-        b.iter(|| {
-            let mut tester = CorrectLoop::new(DdrModule::ddr3(), 7);
-            let log = tester.run(Flux(2.72e6), Seconds(1000.0), Seconds(10.0));
-            classify(&log)
-        })
-    });
 }
-

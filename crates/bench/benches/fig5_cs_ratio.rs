@@ -3,7 +3,6 @@
 //! ratios for SDC and DUE, measured by the full simulated-campaign
 //! pipeline and compared against the published values.
 
-use tn_bench::Harness;
 use tn_bench::{header, ratio_row};
 use tn_core::{Pipeline, PipelineConfig};
 
@@ -51,10 +50,5 @@ fn regenerate() {
 }
 
 fn main() {
-    let mut c = Harness::new(10);
     regenerate();
-    c.bench_function("fig5_quick_pipeline", |b| {
-        b.iter(|| Pipeline::new(PipelineConfig::quick()).seed(1).run())
-    });
 }
-

@@ -4,7 +4,6 @@
 //! derived from Monte-Carlo moderation rather than hard-coded. Also
 //! prints the fixed-+24 % ablation for comparison (DESIGN.md §5.3).
 
-use tn_bench::Harness;
 use tn_bench::{header, ratio_row, row};
 use tn_detector::WaterBoxExperiment;
 use tn_environment::{Environment, Location, Surroundings, Weather};
@@ -49,11 +48,5 @@ fn regenerate() {
 }
 
 fn main() {
-    let mut c = Harness::new(10);
     regenerate();
-    let experiment = WaterBoxExperiment::paper_configuration(building()).days(1.0, 1.0);
-    c.bench_function("fig6_waterbox_two_days", |b| {
-        b.iter(|| experiment.run(1))
-    });
 }
-

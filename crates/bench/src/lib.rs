@@ -1,21 +1,13 @@
-//! # tn-bench — table/figure regeneration harnesses
+//! # tn-bench — table/figure regeneration
 //!
 //! Each bench in `benches/` (all `harness = false`) regenerates one table
-//! or figure of the paper (see DESIGN.md's per-experiment index), prints
-//! the paper-reported value next to the measured one, and then times its
-//! hot path with the in-tree [`Harness`] — a tiny Criterion replacement
-//! kept dependency-free by the hermetic-build policy.
-//!
-//! Timing results go to stdout as human-readable lines and to
-//! `target/tn-bench/BENCH_<name>.json` as machine-readable documents
-//! (`{"name":...,"samples":N,"iters_per_sample":M,"mean_ns":...,
-//! "min_ns":...,"max_ns":...}`).
+//! or figure of the paper (see DESIGN.md's per-experiment index) and
+//! prints the paper-reported value next to the measured one. Nothing is
+//! timed here: the repository's performance benchmark is `perfbench/`
+//! (see `BENCHMARK.json`).
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs, missing_debug_implementations)]
-
-use std::hint::black_box;
-use std::time::Instant;
 
 /// Prints a standard experiment header.
 pub fn header(experiment: &str, paper_artifact: &str) {
@@ -36,120 +28,6 @@ pub fn ratio_row(label: &str, paper: f64, measured: f64, tolerance_factor: f64) 
     println!("{label:<44} paper: {paper:<10.2} measured: {measured:<10.2} [{mark}]");
 }
 
-/// One timed-function driver, handed to the closure of
-/// [`Harness::bench_function`] (mirrors Criterion's `Bencher`).
-#[derive(Debug)]
-pub struct Bencher {
-    iters: u64,
-    elapsed_ns: u128,
-}
-
-impl Bencher {
-    /// Times `iters` calls of `f`, black-boxing each result so the
-    /// optimizer cannot delete the work.
-    pub fn iter<O, F: FnMut() -> O>(&mut self, mut f: F) {
-        let start = Instant::now();
-        for _ in 0..self.iters {
-            black_box(f());
-        }
-        self.elapsed_ns = start.elapsed().as_nanos();
-    }
-}
-
-/// A minimal fixed-sample timing harness with a Criterion-shaped API:
-/// `Harness::new(n).bench_function(name, |b| b.iter(|| work()))`.
-#[derive(Debug)]
-pub struct Harness {
-    samples: usize,
-}
-
-impl Harness {
-    /// Creates a harness collecting `samples` timed samples per function.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `samples == 0`.
-    #[must_use]
-    pub fn new(samples: usize) -> Self {
-        assert!(samples > 0, "need at least one sample");
-        Self { samples }
-    }
-
-    /// Times `f` over the configured number of samples and reports.
-    ///
-    /// Each sample runs enough iterations to cover ~25 ms (calibrated
-    /// from one warmup call, minimum one iteration), so sub-microsecond
-    /// and multi-second workloads both time sensibly.
-    pub fn bench_function<F: FnMut(&mut Bencher)>(&mut self, name: &str, mut f: F) -> &mut Self {
-        // Warmup + calibration sample: one iteration.
-        let mut b = Bencher {
-            iters: 1,
-            elapsed_ns: 0,
-        };
-        f(&mut b);
-        let per_iter = b.elapsed_ns.max(1);
-        let iters = ((25_000_000 / per_iter) as u64).clamp(1, 1_000_000);
-
-        let mut per_iter_ns: Vec<f64> = Vec::with_capacity(self.samples);
-        for _ in 0..self.samples {
-            let mut b = Bencher {
-                iters,
-                elapsed_ns: 0,
-            };
-            f(&mut b);
-            per_iter_ns.push(b.elapsed_ns as f64 / iters as f64);
-        }
-        let mean = per_iter_ns.iter().sum::<f64>() / per_iter_ns.len() as f64;
-        let min = per_iter_ns.iter().cloned().fold(f64::INFINITY, f64::min);
-        let max = per_iter_ns.iter().cloned().fold(0.0f64, f64::max);
-
-        println!(
-            "bench {name:<40} mean {:>12}  min {:>12}  max {:>12}  ({} samples x {iters} iters)",
-            fmt_ns(mean),
-            fmt_ns(min),
-            fmt_ns(max),
-            self.samples,
-        );
-        let json = format!(
-            "{{\"name\":\"{name}\",\"samples\":{},\"iters_per_sample\":{iters},\
-             \"mean_ns\":{mean:.1},\"min_ns\":{min:.1},\"max_ns\":{max:.1}}}",
-            self.samples,
-        );
-        write_bench_json(name, &json);
-        self
-    }
-}
-
-/// Writes `BENCH_<name>.json` under the workspace `target/tn-bench/`
-/// directory; falls back to stdout-only if the filesystem refuses.
-fn write_bench_json(name: &str, json: &str) {
-    let dir = concat!(env!("CARGO_MANIFEST_DIR"), "/../../target/tn-bench");
-    let sanitized: String = name
-        .chars()
-        .map(|c| if c.is_ascii_alphanumeric() { c } else { '_' })
-        .collect();
-    if std::fs::create_dir_all(dir).is_ok() {
-        let path = format!("{dir}/BENCH_{sanitized}.json");
-        if std::fs::write(&path, json).is_ok() {
-            println!("  -> {path}");
-            return;
-        }
-    }
-    println!("  -> BENCH_{sanitized}.json: {json}");
-}
-
-fn fmt_ns(ns: f64) -> String {
-    if ns >= 1e9 {
-        format!("{:.3} s", ns / 1e9)
-    } else if ns >= 1e6 {
-        format!("{:.3} ms", ns / 1e6)
-    } else if ns >= 1e3 {
-        format!("{:.3} us", ns / 1e3)
-    } else {
-        format!("{ns:.0} ns")
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -160,32 +38,5 @@ mod tests {
         row("Xeon Phi SDC", "10.14", "9.8");
         ratio_row("Xeon Phi SDC", 10.14, 9.8, 2.0);
         ratio_row("Xeon Phi SDC", 10.14, 1.0, 2.0);
-    }
-
-    #[test]
-    fn harness_times_and_counts_iterations() {
-        let mut calls = 0u64;
-        Harness::new(3).bench_function("smoke_increment", |b| {
-            b.iter(|| {
-                calls += 1;
-                calls
-            })
-        });
-        // 1 warmup iteration + 3 samples of >= 1 iteration each.
-        assert!(calls >= 4, "calls = {calls}");
-    }
-
-    #[test]
-    fn fmt_ns_picks_sane_units() {
-        assert_eq!(fmt_ns(12.0), "12 ns");
-        assert_eq!(fmt_ns(1500.0), "1.500 us");
-        assert_eq!(fmt_ns(2.5e6), "2.500 ms");
-        assert_eq!(fmt_ns(3.2e9), "3.200 s");
-    }
-
-    #[test]
-    #[should_panic(expected = "at least one sample")]
-    fn zero_samples_rejected() {
-        let _ = Harness::new(0);
     }
 }

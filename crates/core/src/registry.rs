@@ -65,15 +65,14 @@ pub fn workloads_for(kind: DeviceKind, seed: u64) -> Vec<Box<dyn Workload>> {
 /// cheap — each device fits its ¹⁰B population against the reference
 /// beam spectra — so it is constructed once per process and served from
 /// a `OnceLock` thereafter. Hot callers (the fleet bulk endpoint
-/// resolves a device per entry per request) rely on this being a map
-/// scan, not a refit.
-pub fn find_device(name: &str) -> Option<Device> {
+/// resolves a device per entry per request) rely on this being a scan
+/// that borrows the catalog entry: no refit, no clone.
+pub fn find_device(name: &str) -> Option<&'static Device> {
     static CATALOG: std::sync::OnceLock<Vec<Device>> = std::sync::OnceLock::new();
     CATALOG
         .get_or_init(catalog::all_compute_devices)
         .iter()
         .find(|d| d.name().eq_ignore_ascii_case(name))
-        .cloned()
 }
 
 /// Builds the full study roster: every catalog device with its codes.

@@ -1,7 +1,7 @@
 //! # tn-fleet — fleet-scale risk service
 //!
 //! Turns the per-device Monte-Carlo risk pipeline into something a
-//! datacenter operator can poll at fleet rate. Three pieces:
+//! datacenter operator can poll at fleet rate. Two pieces:
 //!
 //! * [`FleetRegistry`] — a deterministic in-memory store of fleet
 //!   entries (device model, site, altitude, ¹⁰B shield areal density,
@@ -16,18 +16,13 @@
 //!   (counted in [`stats`]). Construction is parallelised over grid
 //!   columns with fork(column) substreams, so the tables are
 //!   byte-identical for any thread count.
-//! * [`load`] — an in-tree open-loop load harness driving the server's
-//!   `POST /v1/fleet` endpoint with deterministic Poisson arrivals and
-//!   coordinated-omission-free latency measurement.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs, missing_debug_implementations)]
 
-pub mod load;
 pub mod registry;
 pub mod stats;
 pub mod surface;
 
-pub use load::{LoadConfig, LoadReport};
 pub use registry::{FleetEntry, FleetError, FleetRegistry, RegistrySnapshot};
 pub use surface::{RiskAssessment, RiskSource, RiskSurface, SiteParams, SurfaceConfig};

@@ -1126,7 +1126,7 @@ fn render_fleet(
             None => {
                 let device = registry::find_device(&entry.device)
                     .expect("fleet entries hold validated catalog device names");
-                assessments.push(surface.assess(&device, &tn_fleet::SiteParams::from_entry(entry)));
+                assessments.push(surface.assess(device, &tn_fleet::SiteParams::from_entry(entry)));
                 ranges.push(0..0);
             }
         }
@@ -1289,7 +1289,6 @@ fn is_dead_registry_key(key: &str, generation: u64) -> bool {
 /// The body is decoded once per request: a request the router already
 /// inspected (see [`fleet_surface_key`]) is not parsed again.
 pub(crate) fn fleet(state: &AppState, request: &Request) -> Result<Response, BadRequest> {
-    let _span = tn_obs::span("fleet.bulk");
     let doc = request.json().map_err(|e| BadRequest::new(400, e))?;
     let seed = optional_u64(doc, "seed", state.seed)?;
     let quick = optional_bool(doc, "quick", true)?;
@@ -1320,8 +1319,8 @@ pub(crate) fn fleet(state: &AppState, request: &Request) -> Result<Response, Bad
             let mut entries = Vec::with_capacity(array.len());
             for (i, item) in array.iter().enumerate() {
                 // Inline entries get a positional id when none is given.
-                let default_id = format!("inline-{i:04}");
-                let entry = FleetEntry::from_json_or_id(item, Some(default_id)).map_err(|e| {
+                let default_id = item.get("id").is_none().then(|| format!("inline-{i:04}"));
+                let entry = FleetEntry::from_json_or_id(item, default_id).map_err(|e| {
                     let bad = BadRequest::from(e);
                     BadRequest::new(bad.status, format!("devices[{i}]: {}", bad.message))
                 })?;
@@ -1401,7 +1400,6 @@ enum FleetEntries {
 /// `Transfer-Encoding: chunked` so a poller can process entries as they
 /// arrive. Query parameters: `seed=<u64>`, `quick=<bool>`.
 pub(crate) fn fleet_stream(state: &AppState, path: &str) -> Result<Response, BadRequest> {
-    let _span = tn_obs::span("fleet.stream");
     let (seed, quick) = stream_params(state.seed, path)?;
     let (snapshot, generation) = state.with_fleet(|fleet| (fleet.snapshot(), fleet.generation()));
     if snapshot.entries.is_empty() {

@@ -108,17 +108,11 @@ fn status_index(status: u16) -> usize {
     STATUSES.iter().position(|s| *s == status).unwrap_or(5)
 }
 
-#[derive(Debug, Default)]
-struct EndpointCounters {
-    by_status: [AtomicU64; 6],
-    latency_us_sum: AtomicU64,
-    latency_count: AtomicU64,
-}
-
 /// The service-wide metrics registry.
 #[derive(Debug)]
 pub struct Metrics {
-    endpoints: [EndpointCounters; 16],
+    /// Request counts by endpoint, then by `STATUSES` index.
+    requests: [[AtomicU64; 6]; 16],
     cache_hits: AtomicU64,
     cache_misses: AtomicU64,
     cache_coalesced: AtomicU64,
@@ -252,7 +246,7 @@ impl Metrics {
             })
             .collect();
         let m = Self {
-            endpoints: Default::default(),
+            requests: Default::default(),
             cache_hits: AtomicU64::new(0),
             cache_misses: AtomicU64::new(0),
             cache_coalesced: AtomicU64::new(0),
@@ -283,19 +277,16 @@ impl Metrics {
         m
     }
 
-    /// Records one completed request.
+    /// Records one completed request that took `latency_ns`.
     pub fn record_request(
         &self,
         endpoint: Endpoint,
         status: u16,
-        latency_us: u64,
+        latency_ns: u64,
         response_bytes: u64,
     ) {
-        let c = &self.endpoints[endpoint.index()];
-        c.by_status[status_index(status)].fetch_add(1, Ordering::Relaxed);
-        c.latency_us_sum.fetch_add(latency_us, Ordering::Relaxed);
-        c.latency_count.fetch_add(1, Ordering::Relaxed);
-        self.latency_hist[endpoint.index()].observe(latency_us.saturating_mul(1_000));
+        self.requests[endpoint.index()][status_index(status)].fetch_add(1, Ordering::Relaxed);
+        self.latency_hist[endpoint.index()].observe(latency_ns);
         self.size_hist[endpoint.index()].observe(response_bytes);
     }
 
@@ -441,9 +432,8 @@ impl Metrics {
         out.push_str("# HELP tn_requests_total Requests served, by endpoint and status.\n");
         out.push_str("# TYPE tn_requests_total counter\n");
         for e in Endpoint::ALL {
-            let c = &self.endpoints[e.index()];
             for (i, status) in STATUSES.iter().enumerate() {
-                let n = c.by_status[i].load(Ordering::Relaxed);
+                let n = self.requests[e.index()][i].load(Ordering::Relaxed);
                 if n > 0 {
                     out.push_str(&format!(
                         "tn_requests_total{{endpoint=\"{}\",status=\"{status}\"}} {n}\n",
@@ -451,27 +441,6 @@ impl Metrics {
                     ));
                 }
             }
-        }
-        out.push_str(
-            "# HELP tn_request_latency_seconds Cumulative request latency, by endpoint.\n",
-        );
-        out.push_str("# TYPE tn_request_latency_seconds summary\n");
-        for e in Endpoint::ALL {
-            let c = &self.endpoints[e.index()];
-            let count = c.latency_count.load(Ordering::Relaxed);
-            if count == 0 {
-                continue;
-            }
-            let sum_us = c.latency_us_sum.load(Ordering::Relaxed);
-            out.push_str(&format!(
-                "tn_request_latency_seconds_sum{{endpoint=\"{}\"}} {:e}\n",
-                e.label(),
-                sum_us as f64 / 1e6
-            ));
-            out.push_str(&format!(
-                "tn_request_latency_seconds_count{{endpoint=\"{}\"}} {count}\n",
-                e.label()
-            ));
         }
         let gauge = |out: &mut String, name: &str, help: &str, kind: &str, v: u64| {
             out.push_str(&format!("# HELP {name} {help}\n# TYPE {name} {kind}\n{name} {v}\n"));
@@ -575,7 +544,6 @@ mod tests {
         let text = m.render();
         assert!(text.contains("tn_requests_total{endpoint=\"/v1/fit\",status=\"200\"} 1"));
         assert!(text.contains("tn_requests_total{endpoint=\"/v1/fit\",status=\"400\"} 1"));
-        assert!(text.contains("tn_request_latency_seconds_count{endpoint=\"/v1/fit\"} 2"));
         assert!(text.contains("tn_cache_hits_total 1"));
         assert!(text.contains("tn_cache_misses_total 1"));
         assert!(text.contains("tn_workers_busy 1"));
@@ -583,6 +551,18 @@ mod tests {
         assert!(text.contains("tn_request_seconds_count{endpoint=\"/v1/fit\"} 2"));
         assert!(text.contains("tn_response_bytes_count{endpoint=\"/v1/fit\"} 2"));
         assert!(text.contains("tn_server_overload_total 0"));
+
+        // A sub-microsecond request still adds to the latency sum.
+        let m = Metrics::new(1);
+        m.record_request(Endpoint::Healthz, 200, 400, 16);
+        let text = m.render();
+        let prefix = "tn_request_seconds_sum{endpoint=\"/healthz\"} ";
+        let sum: f64 = text
+            .lines()
+            .find_map(|line| line.strip_prefix(prefix))
+            .and_then(|v| v.parse().ok())
+            .unwrap_or_else(|| panic!("no parseable {prefix}line in {text}"));
+        assert!(sum > 0.0, "{sum}");
     }
 
     #[test]

@@ -69,11 +69,12 @@ pub fn handle(state: &AppState, request: &Request) -> Response {
     let started = Instant::now();
     let endpoint = endpoint_of(&request.path);
     let response = dispatch(state, request, endpoint).unwrap_or_else(|bad| bad.response());
-    let elapsed_us = started.elapsed().as_micros().min(u128::from(u64::MAX)) as u64;
+    let elapsed = started.elapsed();
+    let elapsed_us = elapsed.as_micros().min(u128::from(u64::MAX)) as u64;
     state.metrics.record_request(
         endpoint,
         response.status,
-        elapsed_us,
+        elapsed.as_nanos().min(u128::from(u64::MAX)) as u64,
         response.body_len() as u64,
     );
     state.metrics.leave();
@@ -247,6 +248,6 @@ mod tests {
         assert!(state
             .metrics
             .render()
-            .contains("tn_request_latency_seconds_count{endpoint=\"/healthz\"} 1"));
+            .contains("tn_request_seconds_count{endpoint=\"/healthz\"} 1"));
     }
 }

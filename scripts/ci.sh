@@ -32,9 +32,16 @@ RUSTDOCFLAGS="-D warnings" cargo doc --no-deps --offline --workspace
 # RequestParser -> router::wants_worker -> router::handle path. Build it,
 # then run each of its three workloads for one second: every one must
 # end in a JSON line with "correct": true (its output checks; the
-# timings of so short a run are not gated). The smoke runs traced, so
-# the in-process replay behind the per-layer table (perfbench's own
-# Response::to_bytes, Body::Full and component calls) runs too.
+# timings of so short a run are not gated). Those checks are what CI
+# gates on performance paths: every fleet_hot and fleet_churn body is
+# served from the risk surfaces with zero Monte-Carlo fallbacks and
+# consistent totals, and replays in process to its timed digest;
+# transport_field's SoA batches agree with the direct per-history kernel
+# (run_history_direct), its weighted (variance-reduced) batches agree
+# with it within their own relative error, and every batch replays
+# exactly from its seed. The smoke runs traced, so the in-process
+# replay behind the per-layer table (perfbench's own Response::to_bytes,
+# Body::Full and component calls) runs too.
 cargo build --release --offline --manifest-path perfbench/Cargo.toml
 if ! perf_out="$(cargo run --release --offline --quiet --manifest-path perfbench/Cargo.toml -- \
     --workload all --seed 1 --seconds 1 --trace 1)" ||
@@ -44,47 +51,6 @@ if ! perf_out="$(cargo run --release --offline --quiet --manifest-path perfbench
     exit 1
 fi
 echo "perfbench smoke OK"
-
-# ---- transport bench smoke ------------------------------------------------
-# One-sample runs of the throughput bench (seconds, not minutes) with the
-# variance-reduction pass off and then on, each followed by schema
-# validation of the JSON artifact with the in-tree parser. Guards the
-# bench harness, the artifact schema (including the conditional VR
-# fields) and the SoA-vs-direct floor baked into validate_bench; the
-# finer perf numbers are too noisy to gate on in a smoke run.
-TN_BENCH_SMOKE=1 TN_BENCH_VR=off cargo bench --offline -p tn-bench --bench ext_transport_throughput
-cargo run --offline --example validate_bench -- target/tn-bench/BENCH_transport_throughput.json
-TN_BENCH_SMOKE=1 TN_BENCH_VR=on cargo bench --offline -p tn-bench --bench ext_transport_throughput
-cargo run --offline --example validate_bench -- target/tn-bench/BENCH_transport_throughput.json
-
-# ---- fleet load-harness smoke ---------------------------------------------
-# A short open-loop run against an in-process server (quick surfaces,
-# low rate), then schema + p99-gate validation of the BENCH_fleet.json
-# artifact. Guards the /v1/fleet path end-to-end: surface build,
-# bulk assessment, response cache, and the harness's own report.
-TN_BENCH_SMOKE=1 target/release/thermal-neutrons load \
-    --rate-hz 60 --duration-s 1.5 --workers 2 --devices 4 --seed 7 \
-    --out target/tn-bench/BENCH_fleet.json
-cargo run --offline --example validate_load -- target/tn-bench/BENCH_fleet.json
-
-# Saturating close/keep-alive pair: the same offered rate far above
-# close-per-request capacity (~24k req/s on the CI box), so achieved
-# rates measure transport throughput. validate_load's two-artifact mode
-# then enforces the >= 3x keep-alive speedup on the pair.
-TN_BENCH_SMOKE=1 target/release/thermal-neutrons load \
-    --rate-hz 200000 --duration-s 1.0 --workers 2 --devices 1 --seed 7 \
-    --out target/tn-bench/BENCH_fleet_close.json
-TN_BENCH_SMOKE=1 target/release/thermal-neutrons load \
-    --rate-hz 200000 --duration-s 1.0 --workers 2 --devices 1 --seed 7 \
-    --keep-alive \
-    --out target/tn-bench/BENCH_fleet_keepalive.json
-cargo run --offline --example validate_load -- \
-    target/tn-bench/BENCH_fleet_keepalive.json \
-    target/tn-bench/BENCH_fleet_close.json
-
-# The committed full-run artifact must clear the keep-alive epoll
-# throughput floor (10x the close-per-request baseline).
-cargo run --offline --example validate_load -- BENCH_fleet.json
 
 # ---- tn-server smoke test -------------------------------------------------
 # Start the daemon on an ephemeral port with debug tracing into a JSONL

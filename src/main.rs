@@ -11,9 +11,6 @@
 //!                        [--surface-cache FILE]
 //! thermal-neutrons transport [--material M] [--thickness-cm T] [--energy-ev E]
 //!                            [--histories N] [--diffuse] [--vr] [--seed N]
-//! thermal-neutrons load [--addr A] [--rate-hz R] [--duration-s D] [--workers N]
-//!                       [--devices N] [--smoke] [--full-surfaces] [--keep-alive]
-//!                       [--out FILE]
 //! thermal-neutrons profile <command> [args...]
 //! thermal-neutrons verify [--quick] [--seed N] [--out FILE]
 //! thermal-neutrons watch [--seed N] [--json] [--out FILE]
@@ -66,7 +63,6 @@ fn run(args: &[String]) -> Result<(), String> {
         "ddr" => ddr(seed),
         "spectra" => spectra(),
         "serve" => return serve(args, seed),
-        "load" => return load(args, seed),
         "transport" => return transport(args, seed),
         "profile" => return profile(args),
         "verify" => return verify(args, seed, quick),
@@ -192,112 +188,6 @@ fn serve(args: &[String], seed: u64) -> Result<(), String> {
         config.threads
     );
     server.run();
-    Ok(())
-}
-
-/// `load [--addr A] [--rate-hz R] [--duration-s D] [--workers N]
-/// [--devices N] [--smoke] [--full-surfaces] [--out FILE]` — drive the
-/// fleet risk service open-loop and write the latency report as
-/// `BENCH_fleet.json`.
-///
-/// Without `--addr`, an in-process server is spawned on an ephemeral
-/// loopback port (with `--fleet FILE` honoured for its registry) and
-/// torn down when the run completes, so the harness is self-contained
-/// for CI. `--smoke` (or `TN_BENCH_SMOKE=1`) marks the artifact as a
-/// smoke run; `--full-surfaces` asks for full-resolution risk surfaces
-/// instead of the quick grid.
-fn load(args: &[String], seed: u64) -> Result<(), String> {
-    let rate_hz = flag_value::<f64>(args, "--rate-hz")?.unwrap_or(200.0);
-    let duration_s = flag_value::<f64>(args, "--duration-s")?.unwrap_or(2.0);
-    let workers = flag_value::<usize>(args, "--workers")?.unwrap_or(4).max(1);
-    let devices = flag_value::<usize>(args, "--devices")?.unwrap_or(8).max(1);
-    if !(rate_hz > 0.0 && rate_hz.is_finite()) {
-        return Err(format!(
-            "--rate-hz: must be positive and finite, got {rate_hz}"
-        ));
-    }
-    if !(duration_s > 0.0 && duration_s.is_finite()) {
-        return Err(format!(
-            "--duration-s: must be positive and finite, got {duration_s}"
-        ));
-    }
-    let smoke =
-        std::env::var_os("TN_BENCH_SMOKE").is_some() || args.iter().any(|a| a == "--smoke");
-    let quick_surfaces = !args.iter().any(|a| a == "--full-surfaces");
-    let keep_alive = args.iter().any(|a| a == "--keep-alive");
-    let out_path = flag_value::<String>(args, "--out")?
-        .unwrap_or_else(|| "target/tn-bench/BENCH_fleet.json".into());
-
-    // Target an external server, or spawn one in-process for a
-    // self-contained run.
-    let external = flag_value::<String>(args, "--addr")?;
-    let (addr, handle) = match external {
-        Some(addr) => (addr, None),
-        None => {
-            let config = ServerConfig {
-                addr: "127.0.0.1:0".into(),
-                threads: flag_value::<usize>(args, "--threads")?.unwrap_or(4).max(1),
-                seed,
-                transport_threads: tn::transport::default_threads(),
-                fleet_path: flag_value::<String>(args, "--fleet")?,
-                ..ServerConfig::default()
-            };
-            let server = Server::bind(&config)
-                .map_err(|e| format!("load: cannot bind in-process server: {e}"))?;
-            let handle = server.spawn();
-            (handle.addr().to_string(), Some(handle))
-        }
-    };
-
-    let config = tn_fleet::LoadConfig {
-        addr,
-        rate_hz,
-        duration_s,
-        workers,
-        devices_per_request: devices,
-        seed,
-        quick_surfaces,
-        keep_alive,
-        io_model: "epoll".to_string(),
-    };
-    println!(
-        "load: {} at {rate_hz} req/s for {duration_s}s ({workers} workers, \
-         {devices} devices/request, seed {seed}, {} surfaces, {})",
-        config.addr,
-        if quick_surfaces { "quick" } else { "full" },
-        if keep_alive {
-            "keep-alive"
-        } else {
-            "close-per-request"
-        }
-    );
-    let result = tn_fleet::load::run(&config);
-    if let Some(handle) = handle {
-        handle.stop();
-    }
-    let report = result.map_err(|e| format!("load: {e}"))?;
-
-    println!(
-        "  {} ok, {} errors in {:.2}s (offered {:.1} req/s, achieved {:.1} req/s)",
-        report.requests, report.errors, report.wall_s, report.offered_rps, report.achieved_rps
-    );
-    println!(
-        "  latency p50 {:.3}ms  p90 {:.3}ms  p99 {:.3}ms  mean {:.3}ms",
-        report.p50_ns / 1e6,
-        report.p90_ns / 1e6,
-        report.p99_ns / 1e6,
-        report.mean_ns / 1e6
-    );
-    let json = report.to_json(smoke).to_canonical_string();
-    if let Some(parent) = std::path::Path::new(&out_path).parent() {
-        if !parent.as_os_str().is_empty() {
-            std::fs::create_dir_all(parent)
-                .map_err(|e| format!("load: cannot create `{}`: {e}", parent.display()))?;
-        }
-    }
-    std::fs::write(&out_path, &json)
-        .map_err(|e| format!("load: cannot write `{out_path}`: {e}"))?;
-    println!("  -> {out_path}");
     Ok(())
 }
 
@@ -700,11 +590,6 @@ fn help_text() -> String {
      \x20 serve      HTTP JSON API daemon (tn-server)\n\
      \x20 transport  one-slab Monte-Carlo tally (--material M, --thickness-cm T,\n\
      \x20            --energy-ev E, --histories N, --diffuse, --vr)\n\
-     \x20 load       open-loop load harness for the fleet risk service; spawns an\n\
-     \x20            in-process server unless --addr points at one; writes\n\
-     \x20            BENCH_fleet.json (--rate-hz R, --duration-s D, --workers N,\n\
-     \x20            --devices N, --smoke, --full-surfaces, --keep-alive,\n\
-     \x20            --out FILE)\n\
      \x20 profile    run a command, then print span/latency percentiles\n\
      \x20 verify     statistical GOF + differential-oracle + golden-snapshot\n\
      \x20            suites; writes VERIFY_report.json (--out FILE overrides;\n\
@@ -780,9 +665,12 @@ mod tests {
     #[test]
     fn bad_seed_and_unknown_command_share_the_error_path() {
         assert!(run(&args(&["figure5", "--seed", "NaN"])).is_err());
-        let err = run(&args(&["frobnicate"])).unwrap_err();
-        assert!(err.contains("unknown command `frobnicate`"));
-        assert!(err.contains("commands:"), "usage text rides along");
+        for command in ["frobnicate", "load"] {
+            let err = run(&args(&[command])).unwrap_err();
+            let expected = format!("unknown command `{command}`");
+            assert!(err.contains(&expected), "{err}");
+            assert!(err.contains("commands:"), "usage text rides along");
+        }
     }
 
     #[test]
@@ -860,52 +748,6 @@ mod tests {
             a.extend(extra.iter().map(|s| s.to_string()));
             assert_eq!(run(&a), Ok(()), "{extra:?}");
         }
-    }
-
-    #[test]
-    fn load_rejects_bad_parameters() {
-        let err = run(&args(&["load", "--rate-hz", "0"])).unwrap_err();
-        assert!(err.contains("--rate-hz"), "{err}");
-        let err = run(&args(&["load", "--duration-s", "-1"])).unwrap_err();
-        assert!(err.contains("--duration-s"), "{err}");
-        let err = run(&args(&["load", "--workers", "banana"])).unwrap_err();
-        assert!(err.contains("--workers"), "{err}");
-    }
-
-    #[test]
-    fn load_runs_against_an_in_process_server_and_writes_the_report() {
-        let out = std::env::temp_dir().join("tn_main_load_test.json");
-        let out_str = out.to_string_lossy().to_string();
-        let a = args(&[
-            "load",
-            "--rate-hz",
-            "40",
-            "--duration-s",
-            "0.3",
-            "--workers",
-            "2",
-            "--devices",
-            "2",
-            "--seed",
-            "3",
-            "--smoke",
-            "--out",
-            &out_str,
-        ]);
-        assert_eq!(run(&a), Ok(()));
-        let text = std::fs::read_to_string(&out).expect("report written");
-        let doc = tn::json::parse(&text).expect("report parses");
-        assert_eq!(
-            doc.get("name").and_then(|v| v.as_str()),
-            Some("fleet_load")
-        );
-        assert_eq!(doc.get("smoke").and_then(|v| v.as_bool()), Some(true));
-        let requests = doc
-            .get("requests")
-            .and_then(|v| v.as_f64())
-            .expect("requests field");
-        assert!(requests >= 1.0, "at least one request completed");
-        let _ = std::fs::remove_file(&out);
     }
 
     #[test]
