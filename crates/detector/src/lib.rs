@@ -30,11 +30,7 @@
 pub mod calibration;
 pub mod he3;
 pub mod tinii;
-pub mod watch;
 
 pub use calibration::{calibrate_pair, CalibrationResult};
 pub use he3::{He3Tube, Shielding};
 pub use tinii::{CountSample, TinII, WaterBoxExperiment, WaterBoxOutcome};
-pub use watch::{
-    garwood_interval, replay_counts, run_water_pan, tinii_monitor_config, WatchPoint, WatchReport,
-};

@@ -252,6 +252,15 @@ impl PoissonInterval {
     }
 }
 
+/// The bounds of [`PoissonInterval::exact`] as a `(lower, upper)` pair:
+/// the shape of the interval estimator the `tn-obs` timeline monitor
+/// injects (`tn_obs::timeline::IntervalFn`), so monitors get exact
+/// Garwood bounds without tn-obs depending on this crate.
+pub fn garwood_interval(count: u64, confidence: f64) -> (f64, f64) {
+    let interval = PoissonInterval::exact(count, confidence);
+    (interval.lower, interval.upper)
+}
+
 /// Online mean/variance accumulator (Welford).
 #[derive(Debug, Clone, Copy, PartialEq, Default)]
 pub struct RunningStats {
@@ -417,6 +426,15 @@ mod tests {
     #[should_panic(expected = "denominator must be positive")]
     fn scaling_rejects_zero_denominator() {
         let _ = PoissonInterval::ninety_five(1).scaled(0.0);
+    }
+
+    #[test]
+    fn garwood_interval_brackets_the_count() {
+        let (lo, hi) = garwood_interval(100, 0.999);
+        assert!(lo < 100.0 && hi > 100.0, "{lo} {hi}");
+        let (lo0, hi0) = garwood_interval(0, 0.999);
+        assert_eq!(lo0, 0.0);
+        assert!(hi0 > 0.0);
     }
 
     #[test]

@@ -13,9 +13,10 @@
 use crate::array::{ChannelHealth, ChannelVerdict, DetectorArray};
 use crate::format::{EventKind, FaultKind, Scenario};
 use tn_core::json::Json;
-use tn_detector::{tinii_monitor_config, WaterBoxExperiment};
+use tn_detector::WaterBoxExperiment;
 use tn_obs::timeline::{Alert, AlertKind, Monitor, MonitorConfig};
 use tn_obs::{Clock, VirtualClock};
+use tn_physics::stats::garwood_interval;
 
 /// Nanoseconds per hourly counting bin.
 pub const HOUR_NANOS: u64 = 3_600_000_000_000;
@@ -35,10 +36,27 @@ pub const MAX_ONSET_DELAY: u64 = 24;
 /// be detected (they sit inside the monitor's designed dead band).
 pub const MAGNITUDE_FLOOR: f64 = 0.02;
 
-/// Monitor tuning for fused hourly array counts — the Tin-II tuning
-/// with exact Garwood intervals.
+/// Monitor tuning for fused hourly Tin-II counts, with exact Garwood
+/// intervals.
+///
+/// The monitored series is a *difference* of two Poisson channels
+/// (`bare − shielded`), so its variance exceeds the Poisson variance of
+/// its mean; the CUSUM threshold is raised accordingly (the subtraction
+/// roughly doubles the variance, so the nominal nats budget is scaled
+/// to keep the same false-alarm headroom). Warmup covers half the
+/// `water-pan` campaign's pre-step segment.
 pub fn scenario_monitor_config() -> MonitorConfig {
-    tinii_monitor_config()
+    MonitorConfig {
+        capacity: 4096,
+        window: 12,
+        warmup: 48,
+        ewma_alpha: 0.05,
+        cusum_delta: 0.1,
+        cusum_threshold: 18.0,
+        drift_confidence: 0.999,
+        drift_run: 6,
+        interval: garwood_interval,
+    }
 }
 
 /// Outcome of one scripted event after the campaign.
@@ -434,10 +452,11 @@ fn is_conformant(
 }
 
 /// The names of the built-in scenarios, in their canonical order.
-pub fn builtin_names() -> [&'static str; 4] {
+pub fn builtin_names() -> [&'static str; 5] {
     [
         "normal",
         "rainstorm-at-leadville",
+        "water-pan",
         "loss-of-moderation",
         "detector-channel-drift",
     ]
@@ -472,6 +491,22 @@ pub fn builtin(name: &str) -> Option<Scenario> {
                 "events": [
                     {"at_hour": 120, "kind": "weather", "value": "thunderstorm"},
                     {"at_hour": 192, "kind": "weather", "value": "sunny"}
+                ]
+            }"#
+        }
+        // The paper's Figure-6 experiment: one Tin-II counts for four
+        // days, then two inches of water go over it for three more, and
+        // the thermal rate steps up by the MC-derived boost.
+        "water-pan" => {
+            r#"{
+                "name": "water-pan",
+                "duration_hours": 168,
+                "channels": 1,
+                "location": "los-alamos",
+                "weather": "sunny",
+                "surroundings": "concrete-floor",
+                "events": [
+                    {"at_hour": 96, "kind": "moderation_on"}
                 ]
             }"#
         }
@@ -574,6 +609,88 @@ mod tests {
             event.refined_magnitude
         );
         assert!(report.conformant);
+    }
+
+    #[test]
+    fn water_pan_steps_up_by_the_derived_boost() {
+        quiet();
+        let scenario = builtin("water-pan").unwrap();
+        let report = run_scenario(&scenario, 2020);
+        assert_eq!(report.samples, 7 * 24);
+        let boost = report.moderation_boost.expect("uses moderation");
+        assert!(boost > 0.1, "boost {boost}");
+        assert_eq!(
+            report.alerts.len(),
+            1,
+            "exactly one alert: {:?}",
+            report.alerts
+        );
+        let step_at = scenario.events[0].at_hour;
+        assert!(
+            report.alerts[0].onset_index >= u64::from(step_at),
+            "no alert may touch the pre-step segment: {:?}",
+            report.alerts[0]
+        );
+        let event = &report.events[0];
+        assert!((event.expected_magnitude - boost).abs() < 1e-9);
+        assert_eq!(event.alert_kind, Some("step_up"));
+        assert!(
+            event.detection_delay.expect("detected") <= 12,
+            "detection within a dozen post-step samples: {event:?}"
+        );
+        assert!(
+            (event.refined_magnitude - event.expected_magnitude).abs() <= 0.05,
+            "refined {} vs expected {}",
+            event.refined_magnitude,
+            event.expected_magnitude
+        );
+        assert!(report.conformant);
+
+        // The stated baseline is the reference the monitor froze before
+        // the step, not one it re-learned after the alert.
+        let mean = |s: &[u64]| s.iter().sum::<u64>() as f64 / s.len() as f64;
+        let baseline = 3600.0 * report.baseline_rate;
+        let pre = mean(&report.fused[..step_at as usize]);
+        let post = mean(&report.fused[step_at as usize..]);
+        assert!(
+            (baseline / pre - 1.0).abs() <= 0.03,
+            "baseline {baseline} counts/h vs pre-step mean {pre}"
+        );
+        assert!(
+            post - baseline >= 0.5 * boost * baseline,
+            "baseline {baseline} must sit below the post-step mean {post} by half the boost {boost}"
+        );
+    }
+
+    #[test]
+    fn stationary_tinii_counts_raise_no_alerts_across_seeds() {
+        quiet();
+        let env = builtin("water-pan").unwrap().initial_environment();
+        let det = tn_detector::TinII::new();
+        for seed in 0..20u64 {
+            let mut rng = tn_rng::Rng::seed_from_u64(0xB0A7 + seed);
+            let series = det.count_series(
+                &env,
+                tn_physics::units::Seconds::from_days(10.0),
+                1.0,
+                0.0,
+                &mut rng,
+            );
+            let mut monitor = Monitor::new(scenario_monitor_config());
+            let alerts: Vec<Alert> = series
+                .iter()
+                .enumerate()
+                .flat_map(|(i, s)| {
+                    let count = s.bare.saturating_sub(s.shielded);
+                    monitor.observe(i as u64 * HOUR_NANOS, count, 3600.0)
+                })
+                .collect();
+            assert!(
+                alerts.is_empty(),
+                "seed {seed}: spurious {:?}",
+                alerts[0].kind
+            );
+        }
     }
 
     #[test]

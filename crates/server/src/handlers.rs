@@ -58,19 +58,12 @@ const TIMELINE_DEFAULT_EXPOSURE_S: f64 = 3600.0;
 /// Trailing points `/v1/timeline` returns when no `limit` is given.
 const TIMELINE_DEFAULT_LIMIT: usize = 256;
 
-/// Exact Garwood bounds from `tn-physics` in the shape the obs timeline
-/// core injects; the server prefers them over the std-only normal
-/// approximation the obs defaults carry.
-fn garwood_interval(count: u64, confidence: f64) -> (f64, f64) {
-    let interval = tn_physics::stats::PoissonInterval::exact(count, confidence);
-    (interval.lower, interval.upper)
-}
-
 /// Monitor tuning for the ingest endpoint: obs defaults with the exact
-/// interval estimator swapped in.
+/// Garwood interval from `tn-physics` swapped in for the std-only normal
+/// approximation the obs defaults carry.
 fn timeline_monitor_config() -> MonitorConfig {
     MonitorConfig {
-        interval: garwood_interval,
+        interval: tn_physics::stats::garwood_interval,
         ..MonitorConfig::default()
     }
 }
@@ -1865,7 +1858,7 @@ mod tests {
         let r = get(&state(), "/v1/scenarios");
         assert_eq!(r.status, 200);
         let doc = json::parse(&r.body_text()).expect("valid JSON");
-        assert_eq!(doc.get("count").and_then(|v| v.as_u64()), Some(4));
+        assert_eq!(doc.get("count").and_then(|v| v.as_u64()), Some(5));
         assert_eq!(doc.get("default_seed").and_then(|v| v.as_u64()), Some(2020));
         let names: Vec<&str> = doc
             .get("scenarios")
@@ -1876,7 +1869,13 @@ mod tests {
             .collect();
         assert_eq!(
             names,
-            ["normal", "rainstorm-at-leadville", "loss-of-moderation", "detector-channel-drift"]
+            [
+                "normal",
+                "rainstorm-at-leadville",
+                "water-pan",
+                "loss-of-moderation",
+                "detector-channel-drift"
+            ]
         );
     }
 

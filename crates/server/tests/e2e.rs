@@ -764,6 +764,7 @@ fn scenario_endpoints_list_run_and_cache() {
     for name in [
         "normal",
         "rainstorm-at-leadville",
+        "water-pan",
         "loss-of-moderation",
         "detector-channel-drift",
     ] {

@@ -21,14 +21,14 @@
 //!    `/v1/cross-sections` bodies) compared field-by-field with
 //!    per-field tolerance classes and regenerated via `TN_BLESS=1`.
 //! 4. **Watch monitor checks** ([`watch`]) — false-positive and
-//!    detection-power sweeps for the tn-watch streaming change-point
-//!    monitor, plus the end-to-end water-pan scenario magnitude check.
+//!    detection-power sweeps of synthetic Poisson series through the
+//!    tn-watch streaming change-point monitor at the scenario tuning.
 //! 5. **Scenario campaign checks** ([`scenario`]) — the built-in
 //!    tn-scenario campaigns as conformance fixtures: stationary runs
 //!    stay quiet across a seed sweep, every scripted step is credited
-//!    with bounded delay, the loss-of-moderation magnitude matches the
-//!    MC expectation, and 2oo3 voting holds the fused rate under a
-//!    faulted channel.
+//!    with bounded delay, the water-pan and loss-of-moderation
+//!    magnitudes match the MC expectation, and 2oo3 voting holds the
+//!    fused rate under a faulted channel.
 //!
 //! A built-in **self-test** layer injects two known bugs — a Gamma(1)
 //! Maxwellian sampler and a ×1.01 cached-cross-section divergence — and
@@ -73,7 +73,8 @@ impl Default for VerifyOptions {
     }
 }
 
-/// Runs all four suites and collects the report.
+/// Runs all six suites (stat, oracle, golden, watch, scenario and the
+/// self-test) and collects the report.
 pub fn run_all(options: VerifyOptions) -> VerifyReport {
     let _root = obs::span("verify");
     let (stat_cfg, oracle_cfg, watch_cfg, scenario_cfg) = if options.quick {

@@ -1,21 +1,24 @@
 //! Verification suite for the tn-scenario campaign engine.
 //!
-//! Four checks, all deterministic in `(seed, profile)`:
+//! Five checks, all deterministic in `(seed, profile)`:
 //!
 //! 1. **False-positive rate** — the stationary "normal" campaign across
 //!    a seed sweep must raise *zero* alerts and stay conformant.
 //! 2. **Step detection** — the "rainstorm-at-leadville" campaign must
 //!    credit both scripted weather steps, with no uncredited alerts, on
 //!    every seed.
-//! 3. **Loss of moderation** — the Monte-Carlo-calibrated water-pan
-//!    removal: the refined magnitude of the scripted `moderation_off`
-//!    step must agree with the MC-derived expectation.
-//! 4. **Voting tolerance** — with one channel injected with bias drift,
+//! 3. **Water pan** — the paper's Figure-6 experiment: the refined
+//!    magnitude of the scripted `moderation_on` step must agree with
+//!    the Monte-Carlo-derived boost.
+//! 4. **Loss of moderation** — the same step in reverse: the refined
+//!    magnitude of the scripted `moderation_off` step must agree with
+//!    the MC-derived expectation.
+//! 5. **Voting tolerance** — with one channel injected with bias drift,
 //!    2oo3 median voting must keep the fused mean rate within 5 % of
 //!    the clean campaign's, and flag the faulted channel.
 
 use crate::report::CheckResult;
-use tn_scenario::{builtin, run_scenario, ChannelVerdict};
+use tn_scenario::{builtin, run_scenario, ChannelVerdict, ScenarioReport};
 
 /// Statistics profile for the scenario suite.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -36,6 +39,10 @@ impl ScenarioConfig {
     }
 }
 
+/// Refined-vs-expected magnitude tolerance for the water pan's step: the
+/// paper's single Tin-II, 72 post-event hourly samples.
+const WATER_PAN_TOLERANCE: f64 = 0.05;
+
 /// Refined-vs-expected magnitude tolerance for the moderation step. The
 /// refined estimate averages ~96 post-event hourly samples, so Poisson
 /// noise alone sits well inside this band.
@@ -44,12 +51,18 @@ const MODERATION_TOLERANCE: f64 = 0.06;
 /// Allowed fused-rate divergence under a single faulted channel.
 const VOTING_TOLERANCE: f64 = 0.05;
 
-/// Runs the four scenario checks.
+/// Runs the five scenario checks.
 pub fn run_suite(seed: u64, cfg: ScenarioConfig) -> Vec<CheckResult> {
+    let run = |name| run_scenario(&builtin(name).expect("built-in scenario"), seed);
     vec![
         false_positive_check(seed, cfg),
         step_detection_check(seed, cfg),
-        loss_of_moderation_check(seed),
+        moderation_step_check("scenario.water_pan", &run("water-pan"), WATER_PAN_TOLERANCE),
+        moderation_step_check(
+            "scenario.loss_of_moderation",
+            &run("loss-of-moderation"),
+            MODERATION_TOLERANCE,
+        ),
         voting_tolerance_check(seed, cfg),
     ]
 }
@@ -109,32 +122,40 @@ fn step_detection_check(seed: u64, cfg: ScenarioConfig) -> CheckResult {
     )
 }
 
-/// The "loss-of-moderation" campaign at the base seed: the statistic is
+/// A one-event moderation campaign at the base seed: the statistic is
 /// the absolute error between the refined and MC-expected magnitude of
-/// the `moderation_off` step (forced to 1.0 when the report is not
-/// conformant), thresholded at [`MODERATION_TOLERANCE`].
-fn loss_of_moderation_check(seed: u64) -> CheckResult {
-    let scenario = builtin("loss-of-moderation").expect("built-in scenario");
-    let report = run_scenario(&scenario, seed);
-    let statistic = match (report.conformant, report.events.first()) {
-        (true, Some(e)) if e.detected => (e.refined_magnitude - e.expected_magnitude).abs(),
+/// its scripted step, thresholded at `tolerance`. It is forced to 1.0
+/// unless the report is conformant and credits the step to a step alert
+/// in its direction (`step_up` for the water going on, `step_down` for
+/// it coming off).
+fn moderation_step_check(id: &str, report: &ScenarioReport, tolerance: f64) -> CheckResult {
+    let event = report.events.first();
+    let statistic = match event {
+        Some(e) if report.conformant => {
+            let kind = if e.expected_magnitude > 0.0 {
+                "step_up"
+            } else {
+                "step_down"
+            };
+            if e.alert_kind == Some(kind) {
+                (e.refined_magnitude - e.expected_magnitude).abs()
+            } else {
+                1.0
+            }
+        }
         _ => 1.0,
     };
     CheckResult::from_statistic(
         "scenario",
-        "scenario.loss_of_moderation",
+        id,
         statistic,
-        MODERATION_TOLERANCE,
+        tolerance,
         u64::from(report.samples),
         format!(
-            "moderation_off step refined magnitude within ±{:.0}% of the MC \
-             expectation ({:+.3})",
-            100.0 * MODERATION_TOLERANCE,
-            report
-                .events
-                .first()
-                .map(|e| e.expected_magnitude)
-                .unwrap_or(f64::NAN),
+            "`{}` step refined magnitude within ±{:.0}% of the MC expectation ({:+.3})",
+            report.scenario.name,
+            100.0 * tolerance,
+            event.map_or(f64::NAN, |e| e.expected_magnitude),
         ),
     )
 }
@@ -189,10 +210,27 @@ mod tests {
         let a = run_suite(2020, ScenarioConfig::quick());
         let b = run_suite(2020, ScenarioConfig::quick());
         assert_eq!(a, b);
-        assert_eq!(a.len(), 4);
+        assert_eq!(a.len(), 5);
         for c in &a {
             assert!(c.passed, "{c:?}");
             assert_eq!(c.suite, "scenario");
+        }
+    }
+
+    #[test]
+    fn water_pan_check_fails_an_inflated_expectation() {
+        // Sanity: the magnitude gate is live in both directions — moving
+        // the MC expectation 0.06 off the refined estimate fails it.
+        tn_obs::set_level(Some(tn_obs::Level::Error));
+        let report = run_scenario(&builtin("water-pan").expect("built-in"), 2020);
+        let check = |r: &ScenarioReport| {
+            moderation_step_check("scenario.water_pan", r, WATER_PAN_TOLERANCE).passed
+        };
+        assert!(check(&report));
+        for shift in [0.06, -0.06] {
+            let mut off = report.clone();
+            off.events[0].expected_magnitude += shift;
+            assert!(!check(&off), "expectation shifted by {shift} still passes");
         }
     }
 

@@ -1,6 +1,9 @@
-//! Verification suite for the tn-watch streaming change-point monitor.
+//! Verification suite for the tn-watch streaming change-point monitor,
+//! at the tuning every scenario campaign runs
+//! ([`tn_scenario::scenario_monitor_config`]), against synthetic Poisson
+//! series whose step is known in closed form.
 //!
-//! Three checks, all deterministic in `(seed, profile)`:
+//! Two checks, both deterministic in `(seed, profile)`:
 //!
 //! 1. **False-positive rate** — stationary Poisson count series across a
 //!    seed sweep must raise *zero* alerts. The CUSUM thresholds are set
@@ -9,15 +12,16 @@
 //! 2. **Detection power** — the same series with a +25 % step injected
 //!    mid-stream must be flagged on *every* seed, as a `step_up`, with
 //!    the onset in the post-step segment and bounded delay.
-//! 3. **Water-pan scenario** — the paper's Figure-6 experiment replayed
-//!    end-to-end ([`tn_detector::run_water_pan`]): exactly one `step_up`
-//!    whose refined magnitude matches the Monte-Carlo-derived boost.
+//!
+//! The paper's water-pan replay itself is the `water-pan` built-in
+//! scenario, checked by the scenario suite.
 
 use crate::report::CheckResult;
-use tn_detector::{replay_counts, run_water_pan, tinii_monitor_config};
-use tn_obs::timeline::{Alert, AlertKind};
+use tn_obs::timeline::{Alert, AlertKind, Monitor, MonitorConfig};
 use tn_physics::stats::poisson;
 use tn_rng::Rng;
+use tn_scenario::runner::HOUR_NANOS;
+use tn_scenario::{scenario_monitor_config, ONSET_SLACK};
 
 /// Statistics profile for the watch suite.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -55,11 +59,6 @@ const STEP_FRACTION: f64 = 0.25;
 /// Latest acceptable detection delay, in samples, for the +25 % step.
 const MAX_DELAY: u64 = 12;
 
-/// Backward slack allowed on the CUSUM onset estimate. The onset is the
-/// last zero-crossing of the CUSUM statistic, which pre-step noise can
-/// pull a sample or two before the true change point.
-const ONSET_SLACK: u64 = 4;
-
 /// Whether an alert credits a step injected at sample `step_at`: a
 /// `step_up` detected inside the post-step segment within `max_delay`
 /// samples, with the onset estimate no earlier than [`ONSET_SLACK`]
@@ -71,13 +70,24 @@ pub(crate) fn step_alert_matches(a: &Alert, step_at: u64, max_delay: u64) -> boo
         && a.detected_index <= step_at + max_delay
 }
 
-/// Runs the three watch checks.
+/// Runs the two watch checks.
 pub fn run_suite(seed: u64, cfg: WatchConfig) -> Vec<CheckResult> {
     vec![
         false_positive_check(seed, cfg),
         detection_power_check(seed, cfg),
-        water_pan_check(seed),
     ]
+}
+
+/// Replays an hourly count series through a monitor built from `cfg`
+/// and returns the alerts it raised. Timestamps are derived from the
+/// sample index, so the replay is deterministic.
+fn replay_counts(counts: &[u64], cfg: MonitorConfig) -> Vec<Alert> {
+    let mut monitor = Monitor::new(cfg);
+    let mut alerts = Vec::new();
+    for (i, &count) in counts.iter().enumerate() {
+        alerts.extend(monitor.observe(i as u64 * HOUR_NANOS, count, 3600.0));
+    }
+    alerts
 }
 
 fn synthetic_series(seed: u64, cfg: WatchConfig, step_at: Option<usize>) -> Vec<u64> {
@@ -101,7 +111,7 @@ fn false_positive_check(seed: u64, cfg: WatchConfig) -> CheckResult {
     let mut misfires = 0u64;
     for s in 0..cfg.seeds {
         let counts = synthetic_series(seed ^ (0x57A7 + s), cfg, None);
-        let (_, alerts) = replay_counts(&counts, 3600.0, tinii_monitor_config());
+        let alerts = replay_counts(&counts, scenario_monitor_config());
         if !alerts.is_empty() {
             misfires += 1;
         }
@@ -129,7 +139,7 @@ fn detection_power_check(seed: u64, cfg: WatchConfig) -> CheckResult {
     let mut misses = 0u64;
     for s in 0..cfg.seeds {
         let counts = synthetic_series(seed ^ (0xD7EC + s), cfg, Some(step_at));
-        let (_, alerts) = replay_counts(&counts, 3600.0, tinii_monitor_config());
+        let alerts = replay_counts(&counts, scenario_monitor_config());
         let detected = alerts
             .iter()
             .any(|a| step_alert_matches(a, step_at as u64, MAX_DELAY));
@@ -154,33 +164,6 @@ fn detection_power_check(seed: u64, cfg: WatchConfig) -> CheckResult {
     )
 }
 
-/// The end-to-end paper scenario: the statistic is the absolute error of
-/// the refined magnitude against the MC-derived boost (forced to 1.0
-/// when the alert pattern itself is wrong), thresholded at ±0.05.
-fn water_pan_check(seed: u64) -> CheckResult {
-    let report = run_water_pan(seed);
-    let pattern_ok = report.alerts.len() == 1
-        && report.alerts[0].kind == AlertKind::StepUp
-        && report.alerts[0].onset_index + ONSET_SLACK >= report.pre_samples as u64;
-    let statistic = if pattern_ok {
-        (report.magnitude - report.derived_boost).abs()
-    } else {
-        1.0
-    };
-    CheckResult::from_statistic(
-        "watch",
-        "watch.water_pan.magnitude",
-        statistic,
-        0.05,
-        report.samples as u64,
-        format!(
-            "water-pan replay: exactly one step_up past hour {}, refined magnitude \
-             within ±5% of the derived boost ({:+.3})",
-            report.pre_samples, report.derived_boost
-        ),
-    )
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -191,7 +174,7 @@ mod tests {
         let a = run_suite(2020, WatchConfig::quick());
         let b = run_suite(2020, WatchConfig::quick());
         assert_eq!(a, b);
-        assert_eq!(a.len(), 3);
+        assert_eq!(a.len(), 2);
         for c in &a {
             assert!(c.passed, "{c:?}");
             assert_eq!(c.suite, "watch");
@@ -233,10 +216,10 @@ mod tests {
         tn_obs::set_level(Some(tn_obs::Level::Error));
         let cfg = WatchConfig::quick();
         let counts = synthetic_series(2020, cfg, Some(cfg.samples / 2));
-        let mut blunt = tinii_monitor_config();
+        let mut blunt = scenario_monitor_config();
         blunt.cusum_threshold = 1e18;
         blunt.drift_run = usize::MAX;
-        let (_, alerts) = replay_counts(&counts, 3600.0, blunt);
+        let alerts = replay_counts(&counts, blunt);
         assert!(alerts.is_empty(), "blunted monitor must miss the step");
     }
 }

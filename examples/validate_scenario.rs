@@ -11,10 +11,16 @@
 //! missing field, a malformed alert/event/channel entry, a report that
 //! is not conformant, or a built-in campaign that does not show its
 //! expected outcome (e.g. "normal" must be alert-free, the
-//! "loss-of-moderation" step must land as a `step_down`).
+//! "water-pan" step must land as one `step_up` within ±0.05 of the
+//! Monte-Carlo-derived boost, the "loss-of-moderation" step as a
+//! `step_down`).
 
 use std::process::ExitCode;
 use thermal_neutrons::core_api::json;
+
+/// Absolute tolerance of the water pan's refined step magnitude against
+/// the MC expectation.
+const WATER_PAN_TOL: f64 = 0.05;
 
 fn finite(doc: &json::Json, key: &str) -> Result<f64, String> {
     let value = doc
@@ -149,7 +155,7 @@ fn validate(text: &str) -> Result<(), String> {
         }
     }
 
-    // Per-campaign gates for the four built-ins; a custom scenario only
+    // Per-campaign gates for the five built-ins; a custom scenario only
     // gets the generic shape checks above.
     match name.as_str() {
         "normal" if !alerts.is_empty() || !events.is_empty() || !drifting.is_empty() => {
@@ -160,6 +166,40 @@ fn validate(text: &str) -> Result<(), String> {
                 "\"{name}\" must credit both weather steps, credited {}",
                 detected_kinds.len()
             ));
+        }
+        "water-pan" => {
+            if finite(&doc, "moderation_boost")? <= 0.0 {
+                return Err("moderated campaign without a positive MC boost".into());
+            }
+            if alerts.len() != 1 || detected_kinds != ["step_up"] {
+                return Err(format!(
+                    "\"{name}\" must credit exactly one step_up, got {} alert(s) and {detected_kinds:?}",
+                    alerts.len()
+                ));
+            }
+            if alerts[0].get("kind").and_then(|v| v.as_str()) != Some("step_up") {
+                return Err("the single alert is not a step_up".into());
+            }
+            let event = &events[0];
+            let step_at = event.get("at_hour").and_then(|v| v.as_u64()).unwrap();
+            let onset = alerts[0]
+                .get("onset_index")
+                .and_then(|v| v.as_u64())
+                .unwrap();
+            if onset < step_at {
+                return Err(format!(
+                    "step_up onset {onset} precedes the water going on at hour {step_at}"
+                ));
+            }
+            let refined = finite(event, "refined_magnitude")?;
+            let expected = finite(event, "expected_magnitude")?;
+            let error = (refined - expected).abs();
+            if error > WATER_PAN_TOL {
+                return Err(format!(
+                    "refined magnitude {refined:.4} misses the MC expectation \
+                     {expected:.4} by {error:.4} (tol {WATER_PAN_TOL})"
+                ));
+            }
         }
         "loss-of-moderation" => {
             if finite(&doc, "moderation_boost")? <= 0.0 {

@@ -164,26 +164,22 @@ fi
 rm -rf "$bless_dir"
 echo "tn-verify gate OK"
 
-# ---- tn-watch gate ---------------------------------------------------------
-# Replay the paper's water-pan scenario through the streaming monitor:
-# the CLI exits non-zero unless it detects the thermal step, and the
-# report it writes must satisfy the schema the validator enforces
-# (exactly one step_up, magnitude within ±0.05 of the derived boost).
-watch_report="$(mktemp)"
-target/release/thermal-neutrons watch --seed 2020 --out "$watch_report"
-cargo run --offline --example validate_watch -- "$watch_report"
-rm -f "$watch_report"
-echo "tn-watch gate OK"
-
 # ---- tn-scenario gate ------------------------------------------------------
 # Run every built-in campaign twice: the CLI exits non-zero unless the
 # campaign meets its conformance contract, the two reports must be
 # byte-identical (the whole engine is deterministic in the seed), and
 # each report must satisfy the per-campaign schema the validator
-# enforces (e.g. "normal" alert-free, "loss-of-moderation" crediting
-# exactly one step_down).
+# enforces (e.g. "normal" alert-free, "water-pan" crediting exactly one
+# step_up within ±0.05 of the MC-derived boost, "loss-of-moderation"
+# exactly one step_down). The names come from `scenario --list` (each
+# line is `name: ...`), so a new built-in joins the gate by itself.
+scenario_names="$(target/release/thermal-neutrons scenario --list | cut -d: -f1)"
+if [ -z "$scenario_names" ]; then
+    echo "scenario gate FAILED: scenario --list printed no built-ins" >&2
+    exit 1
+fi
 scenario_dir="$(mktemp -d)"
-for name in normal rainstorm-at-leadville loss-of-moderation detector-channel-drift; do
+for name in $scenario_names; do
     target/release/thermal-neutrons scenario --name "$name" --seed 2020 \
         --out "$scenario_dir/$name.a.json" >/dev/null
     target/release/thermal-neutrons scenario --name "$name" --seed 2020 \

@@ -13,7 +13,6 @@
 //!                            [--histories N] [--diffuse] [--vr] [--seed N]
 //! thermal-neutrons profile <command> [args...]
 //! thermal-neutrons verify [--quick] [--seed N] [--out FILE]
-//! thermal-neutrons watch [--seed N] [--json] [--out FILE]
 //! thermal-neutrons scenario [--name NAME | --file FILE | --list]
 //!                           [--seed N] [--json] [--out FILE]
 //! ```
@@ -66,7 +65,6 @@ fn run(args: &[String]) -> Result<(), String> {
         "transport" => return transport(args, seed),
         "profile" => return profile(args),
         "verify" => return verify(args, seed, quick),
-        "watch" => return watch(args, seed),
         "scenario" => return scenario(args, seed),
         "help" | "--help" | "-h" => help(),
         other => return Err(format!("unknown command `{other}`\n\n{}", help_text())),
@@ -304,91 +302,15 @@ fn verify(args: &[String], seed: u64, quick: bool) -> Result<(), String> {
     }
 }
 
-/// `watch [--json] [--out FILE]` — replay the built-in water-pan
-/// scenario (paper Fig. 6) through the tn-watch streaming monitor and
-/// report the change-point alerts it raised.
-///
-/// A [`tn::obs::VirtualClock`] is installed first so telemetry
-/// timestamps are deterministic: the same seed always produces
-/// byte-identical output. Exits non-zero when the scenario's step is
-/// not detected as the paper describes (exactly one `step_up`, onset in
-/// the post-water segment, magnitude within ±5 % of the derived boost).
-fn watch(args: &[String], seed: u64) -> Result<(), String> {
-    tn::obs::set_clock(std::sync::Arc::new(tn::obs::VirtualClock::starting_at(0)));
-    let json = args.iter().any(|a| a == "--json");
-    let out_path = flag_value::<String>(args, "--out")?;
-
-    let report = tn::detector::run_water_pan(seed);
-    if json {
-        println!("{}", report.to_json());
-    } else {
-        println!(
-            "tn-watch: {} scenario, seed {seed} ({} hourly samples, water at hour {})",
-            report.scenario, report.samples, report.pre_samples
-        );
-        println!(
-            "  baseline {:.1} counts/h, MC-derived boost {:+.1}%",
-            3600.0 * report.baseline_rate,
-            100.0 * report.derived_boost
-        );
-        if report.alerts.is_empty() {
-            println!("  no alerts raised");
-        }
-        for a in &report.alerts {
-            println!(
-                "  alert: {} onset hour {} (detected hour {}), \
-                 rate {:.1} -> {:.1} counts/h",
-                a.kind.label(),
-                a.onset_index,
-                a.detected_index,
-                3600.0 * a.baseline_rate,
-                3600.0 * a.observed_rate
-            );
-        }
-        if let Some(delay) = report.detection_delay {
-            println!(
-                "  step magnitude {:+.1}% (refined over the post-onset segment), \
-                 detection delay {delay}h",
-                100.0 * report.magnitude
-            );
-        }
-        println!(
-            "  detection: {}",
-            if report.detects_paper_step(0.05) {
-                "PASS (one step_up, magnitude within ±5% of the derived boost)"
-            } else {
-                "FAIL"
-            }
-        );
-    }
-    if let Some(path) = out_path {
-        std::fs::write(&path, report.to_json())
-            .map_err(|e| format!("watch: cannot write `{path}`: {e}"))?;
-        if !json {
-            println!("  -> {path}");
-        }
-    }
-    if report.detects_paper_step(0.05) {
-        Ok(())
-    } else {
-        Err(format!(
-            "watch: scenario step not detected as expected \
-             ({} alert(s), magnitude {:+.3} vs derived boost {:+.3})",
-            report.alerts.len(),
-            report.magnitude,
-            report.derived_boost
-        ))
-    }
-}
-
 /// `scenario [--name NAME | --file FILE | --list] [--json] [--out FILE]`
 /// — run a scripted environment campaign through the tn-scenario engine
-/// and report per-event detection outcomes and channel health.
+/// and report per-event detection outcomes and channel health. The
+/// paper's Figure-6 replay is `scenario --name water-pan`.
 ///
-/// Like `watch`, a [`tn::obs::VirtualClock`] is installed so telemetry
-/// timestamps are deterministic (the runner itself keeps a private
-/// virtual clock either way). Exits non-zero when the campaign misses
-/// its conformance contract.
+/// A [`tn::obs::VirtualClock`] is installed so telemetry timestamps are
+/// deterministic (the runner itself keeps a private virtual clock either
+/// way): the same seed always produces byte-identical output. Exits
+/// non-zero when the campaign misses its conformance contract.
 fn scenario(args: &[String], seed: u64) -> Result<(), String> {
     tn::obs::set_clock(std::sync::Arc::new(tn::obs::VirtualClock::starting_at(0)));
     if args.iter().any(|a| a == "--list") {
@@ -594,13 +516,11 @@ fn help_text() -> String {
      \x20 verify     statistical GOF + differential-oracle + golden-snapshot\n\
      \x20            suites; writes VERIFY_report.json (--out FILE overrides;\n\
      \x20            TN_BLESS=1 re-blesses the golden files)\n\
-     \x20 watch      replay the water-pan scenario through the tn-watch\n\
-     \x20            streaming change-point monitor (--json, --out FILE);\n\
-     \x20            exits non-zero when the paper's step is not detected\n\
      \x20 scenario   run a scripted environment campaign with fault injection\n\
      \x20            (--name NAME for a built-in, --file FILE for a scenario\n\
      \x20            document, --list, --json, --out FILE); exits non-zero\n\
-     \x20            when the campaign misses its conformance contract\n\
+     \x20            when the campaign misses its conformance contract;\n\
+     \x20            --name water-pan replays the paper's Fig. 6 step\n\
      \n\
      options: --seed N (default 2020), --quick (fast low-statistics run),\n\
      \x20        --transport-threads N (Monte-Carlo workers; results are\n\
@@ -665,7 +585,7 @@ mod tests {
     #[test]
     fn bad_seed_and_unknown_command_share_the_error_path() {
         assert!(run(&args(&["figure5", "--seed", "NaN"])).is_err());
-        for command in ["frobnicate", "load"] {
+        for command in ["frobnicate", "load", "watch"] {
             let err = run(&args(&[command])).unwrap_err();
             let expected = format!("unknown command `{command}`");
             assert!(err.contains(&expected), "{err}");
@@ -754,13 +674,15 @@ mod tests {
     fn watch_detects_the_paper_step_and_writes_the_report() {
         let out = std::env::temp_dir().join("tn_main_watch_test.json");
         let out_str = out.to_string_lossy().to_string();
-        let a = args(&["watch", "--seed", "2020", "--json", "--out", &out_str]);
+        let a = args(&[
+            "scenario", "--name", "water-pan", "--seed", "2020", "--json", "--out", &out_str,
+        ]);
         assert_eq!(run(&a), Ok(()));
         let text = std::fs::read_to_string(&out).expect("report written");
         let doc = tn::json::parse(&text).expect("report parses");
         assert_eq!(
-            doc.get("scenario").and_then(|v| v.as_str()),
-            Some("water_pan")
+            doc.get("scenario").and_then(|s| s.get("name")).and_then(|v| v.as_str()),
+            Some("water-pan")
         );
         let alerts = doc.get("alerts").and_then(|v| v.as_array()).unwrap();
         assert_eq!(alerts.len(), 1);

@@ -1,5 +1,5 @@
 //! End-to-end coverage of the tn-scenario subsystem from the workspace
-//! root: the four named built-in campaigns as conformance fixtures,
+//! root: the five named built-in campaigns as conformance fixtures,
 //! byte-determinism of their reports across repeated runs and transport
 //! thread counts, 2oo3 voting tolerance under a faulted channel, and
 //! parser round-trip guarantees the CI gate depends on.
