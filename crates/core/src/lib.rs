@@ -31,13 +31,11 @@ pub mod pipeline;
 pub mod registry;
 pub mod report;
 mod shortest;
-pub mod validation;
 
 pub use json::Json;
 pub use pipeline::{Pipeline, PipelineConfig};
 pub use registry::{find_device, workloads_for, DeviceEntry};
 pub use report::{DeviceReport, StudyReport};
-pub use validation::{validate, Validation};
 
 pub use tn_beamline as beamline;
 pub use tn_obs as obs;

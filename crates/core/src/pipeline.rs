@@ -1,10 +1,11 @@
 //! The end-to-end study pipeline: fault-injection profiling → paired
 //! ChipIR/ROTAX campaigns → per-device reports.
 
-use crate::registry::full_roster;
+use crate::registry::{workloads_for, DeviceEntry};
 use crate::report::{DeviceReport, StudyReport};
 use std::collections::HashMap;
 use tn_beamline::{Campaign, Facility};
+use tn_devices::{catalog, Device};
 use tn_fault_injection::{InjectionCampaign, InjectionStats};
 use tn_physics::units::Seconds;
 use tn_workloads::Workload;
@@ -36,7 +37,8 @@ impl PipelineConfig {
         }
     }
 
-    /// A high-statistics configuration for the benches.
+    /// The high-statistics configuration every row of the reproduction
+    /// ledger (`tn_verify::paper`) is measured with.
     pub fn thorough() -> Self {
         Self {
             injection_runs: 800,
@@ -73,14 +75,20 @@ impl Pipeline {
             .execute()
     }
 
-    /// Runs the full study: every device, its codes, both beams.
+    /// Runs the full study: every catalog device, its codes, both beams.
+    pub fn run(&self) -> StudyReport {
+        self.run_devices(catalog::all_compute_devices())
+    }
+
+    /// Runs the study over `devices` instead of the catalog, in the
+    /// given order: each device runs its kind's codes on both beams.
     ///
     /// Workload profiling is done once per distinct code (the profile
     /// depends only on the program, not the device); the per-device
     /// campaign pairs then run on scoped worker threads. Results are
     /// deterministic for a given seed regardless of thread count: every
     /// campaign derives its own RNG stream from `(device, workload)`.
-    pub fn run(&self) -> StudyReport {
+    pub fn run_devices(&self, devices: Vec<Device>) -> StudyReport {
         // Stage spans feed the `tn_span_seconds` histograms behind the
         // CLI `profile` report and `/metrics`; they are telemetry-only
         // and never touch the RNG streams (tests/determinism.rs pins
@@ -94,7 +102,13 @@ impl Pipeline {
                 ("beam_hours", self.config.beam_hours.into()),
             ],
         );
-        let roster = full_roster(self.seed);
+        let roster: Vec<DeviceEntry> = devices
+            .into_iter()
+            .map(|device| DeviceEntry {
+                workloads: workloads_for(device.kind(), self.seed),
+                device,
+            })
+            .collect();
         // Workload profiles depend only on the workload, not the device:
         // cache them by name so MxM is profiled once, not five times.
         let profile_span = tn_obs::span("pipeline.profile");

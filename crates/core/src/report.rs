@@ -203,56 +203,6 @@ impl StudyReport {
         out.push_str("]}");
         out
     }
-
-    /// Renders the Figure-5 table (average HE/thermal cross-section
-    /// ratios) as fixed-width text.
-    pub fn render_ratio_table(&self) -> String {
-        let mut out = String::new();
-        out.push_str(&format!("{:<22} {:>10} {:>10}\n", "device", "SDC", "DUE"));
-        for device in &self.devices {
-            let fmt = |r: f64| {
-                if r.is_finite() {
-                    format!("{r:.2}")
-                } else {
-                    "n/a".to_string()
-                }
-            };
-            out.push_str(&format!(
-                "{:<22} {:>10} {:>10}\n",
-                device.name,
-                fmt(device.sdc_ratio()),
-                fmt(device.due_ratio())
-            ));
-        }
-        out
-    }
-
-    /// Renders the thermal-share FIT table for a set of labelled
-    /// environments.
-    pub fn render_fit_table(&self, environments: &[(&str, Environment)]) -> String {
-        let mut out = String::new();
-        out.push_str(&format!("{:<22}", "device"));
-        for (label, _) in environments {
-            out.push_str(&format!(" {:>14}", format!("{label} SDC")));
-            out.push_str(&format!(" {:>14}", format!("{label} DUE")));
-        }
-        out.push('\n');
-        for device in &self.devices {
-            out.push_str(&format!("{:<22}", device.name));
-            for (_, env) in environments {
-                out.push_str(&format!(
-                    " {:>13.1}%",
-                    100.0 * device.sdc_fit(env).thermal_share()
-                ));
-                out.push_str(&format!(
-                    " {:>13.1}%",
-                    100.0 * device.due_fit(env).thermal_share()
-                ));
-            }
-            out.push('\n');
-        }
-        out
-    }
 }
 
 #[cfg(test)]
@@ -307,21 +257,6 @@ mod tests {
         let mut r = report();
         r.rotax = vec![result("MxM", "ROTAX", 0.0, 0.0)];
         assert!(r.sdc_ratio().is_infinite());
-    }
-
-    #[test]
-    fn rendered_tables_contain_every_device_row() {
-        let study = StudyReport::new(vec![report()], 42);
-        let ratio_table = study.render_ratio_table();
-        assert!(ratio_table.contains("dev"));
-        assert!(ratio_table.contains("2.00"));
-        let fit_table = study.render_fit_table(&[
-            ("NYC", Environment::nyc_reference()),
-            ("Leadville", Environment::leadville_machine_room()),
-        ]);
-        assert!(fit_table.contains("NYC SDC"));
-        assert!(fit_table.contains("Leadville DUE"));
-        assert_eq!(fit_table.lines().count(), 2, "header + one device");
     }
 
     #[test]

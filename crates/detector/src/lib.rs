@@ -5,11 +5,12 @@
 //! thermals. The difference of their rates, times an efficiency, is the
 //! thermal-neutron flux — exactly the subtraction the paper performs.
 //!
-//! The headline experiment (Figure 6) is scripted here: count for several
-//! days in a data-center-like ambient field, then place two inches of
-//! water over the detector and watch the thermal count rate step up. The
-//! size of the step is *derived* from Monte-Carlo moderation in the water
-//! slab (`tn-transport`), not hard-coded.
+//! The headline experiment (Figure 6) counts for several days in a
+//! data-center-like ambient field, then places two inches of water over
+//! the detector and watches the thermal count rate step up. The size of
+//! the step is *derived* here from Monte-Carlo moderation in the water
+//! slab (`tn-transport`), not hard-coded; the campaign itself is the
+//! `water-pan` scenario of tn-scenario.
 //!
 //! ## Example
 //!
@@ -33,4 +34,4 @@ pub mod tinii;
 
 pub use calibration::{calibrate_pair, CalibrationResult};
 pub use he3::{He3Tube, Shielding};
-pub use tinii::{CountSample, TinII, WaterBoxExperiment, WaterBoxOutcome};
+pub use tinii::{CountSample, TinII, WaterBoxExperiment};

@@ -1,5 +1,6 @@
 //! The Tin-II detector: a calibrated bare + Cd-shielded He-3 pair, its
-//! counting time series, and the paper's water-box experiment (Figure 6).
+//! counting time series, and the Monte-Carlo thermal boost of the paper's
+//! water box (Figure 6), whose campaign is the `water-pan` scenario.
 
 use crate::he3::{thermal_flux_from_pair, He3Tube, Shielding};
 use tn_rng::Rng;
@@ -117,59 +118,27 @@ impl Default for TinII {
     }
 }
 
-/// Outcome of the water-box experiment.
-#[derive(Debug, Clone, PartialEq)]
-pub struct WaterBoxOutcome {
-    /// Hourly samples across the whole campaign.
-    pub series: Vec<CountSample>,
-    /// Mean reconstructed thermal flux (bare − shielded, the quantity the
-    /// paper plots as "thermal neutron counts") before the water.
-    pub mean_before: f64,
-    /// Mean reconstructed thermal flux after.
-    pub mean_after: f64,
-    /// The Monte-Carlo-derived thermal boost applied while the water was
-    /// in place.
-    pub derived_boost: f64,
-}
-
-impl WaterBoxOutcome {
-    /// The observed relative step in the counting rate.
-    pub fn step(&self) -> f64 {
-        if self.mean_before == 0.0 {
-            0.0
-        } else {
-            self.mean_after / self.mean_before - 1.0
-        }
-    }
-}
-
-/// The Figure-6 experiment: count for `days_before`, place two inches of
-/// water over the detector, count for `days_after`.
+/// The Figure-6 water box: two inches of water placed over the detector.
+/// Its thermal boost is derived here; the counting campaign around it is
+/// the `water-pan` scenario (tn-scenario).
 #[derive(Debug, Clone, PartialEq)]
 pub struct WaterBoxExperiment {
     detector: TinII,
-    environment: Environment,
     water_thickness: Length,
     /// Fraction of the detector's thermal acceptance covered by the box
     /// (it sits directly on the tube, covering the upper hemisphere the
     /// thermal field arrives from).
     coverage: f64,
-    days_before: f64,
-    days_after: f64,
     mc_histories: u64,
 }
 
 impl WaterBoxExperiment {
-    /// The paper's configuration: two inches of water, several days each
-    /// side of the placement.
-    pub fn paper_configuration(environment: Environment) -> Self {
+    /// The paper's configuration: two inches of water over the tube.
+    pub fn paper_configuration() -> Self {
         Self {
             detector: TinII::new(),
-            environment,
             water_thickness: Length::from_inches(2.0),
             coverage: 1.0,
-            days_before: 4.0,
-            days_after: 3.0,
             mc_histories: 20_000,
         }
     }
@@ -177,18 +146,6 @@ impl WaterBoxExperiment {
     /// Overrides the water thickness.
     pub fn water_thickness(mut self, thickness: Length) -> Self {
         self.water_thickness = thickness;
-        self
-    }
-
-    /// Overrides the campaign durations.
-    ///
-    /// # Panics
-    ///
-    /// Panics unless both durations are at least one day.
-    pub fn days(mut self, before: f64, after: f64) -> Self {
-        assert!(before >= 1.0 && after >= 1.0, "need at least a day each side");
-        self.days_before = before;
-        self.days_after = after;
         self
     }
 
@@ -207,38 +164,6 @@ impl WaterBoxExperiment {
         let r = self.detector.fast_to_thermal_ratio;
         self.coverage
             * (effect.thermal_transmission - 1.0 + r * effect.fast_to_thermal_yield)
-    }
-
-    /// Runs the full campaign.
-    pub fn run(&self, seed: u64) -> WaterBoxOutcome {
-        let mut rng = Rng::seed_from_u64(seed);
-        let boost = self.derive_boost(seed ^ 0x5ca1e);
-        let before = self.detector.count_series(
-            &self.environment,
-            Seconds::from_days(self.days_before),
-            1.0,
-            0.0,
-            &mut rng,
-        );
-        let after = self.detector.count_series(
-            &self.environment,
-            Seconds::from_days(self.days_after),
-            1.0 + boost,
-            self.days_before * 24.0,
-            &mut rng,
-        );
-        let mean = |s: &[CountSample]| {
-            s.iter().map(|c| c.thermal_flux.value()).sum::<f64>() / s.len().max(1) as f64
-        };
-        let (mean_before, mean_after) = (mean(&before), mean(&after));
-        let mut series = before;
-        series.extend(after);
-        WaterBoxOutcome {
-            series,
-            mean_before,
-            mean_after,
-            derived_boost: boost,
-        }
     }
 }
 
@@ -293,7 +218,7 @@ mod tests {
     fn derived_boost_is_near_the_paper_value() {
         // Figure 6 reports ≈ +24 %. The MC derivation (not a fit — the
         // water physics and field ratio set it) must land in the band.
-        let exp = WaterBoxExperiment::paper_configuration(lanl_building());
+        let exp = WaterBoxExperiment::paper_configuration();
         let boost = exp.derive_boost(11);
         assert!(
             (0.12..0.40).contains(&boost),
@@ -302,35 +227,12 @@ mod tests {
     }
 
     #[test]
-    fn water_box_step_is_visible_and_positive() {
-        let exp = WaterBoxExperiment::paper_configuration(lanl_building());
-        let outcome = exp.run(7);
-        assert!(outcome.step() > 0.05, "step = {}", outcome.step());
-        // Measured on the thermal-subtracted signal, the step tracks the
-        // derived boost closely (the raw bare counts would dilute it with
-        // the tubes' fast-sensitivity pedestal).
-        assert!(
-            (outcome.step() - outcome.derived_boost).abs() < 0.05,
-            "step {} vs boost {}",
-            outcome.step(),
-            outcome.derived_boost
-        );
-        assert_eq!(outcome.series.len(), (4 + 3) * 24);
-    }
-
-    #[test]
     fn thicker_water_does_not_reduce_the_boost_below_thin_film() {
-        let thin = WaterBoxExperiment::paper_configuration(lanl_building())
+        let thin = WaterBoxExperiment::paper_configuration()
             .water_thickness(Length(0.5))
             .derive_boost(5);
-        let paper = WaterBoxExperiment::paper_configuration(lanl_building()).derive_boost(5);
+        let paper = WaterBoxExperiment::paper_configuration().derive_boost(5);
         // Two inches moderate far more than half a centimetre.
         assert!(paper > thin, "paper {paper} vs thin {thin}");
-    }
-
-    #[test]
-    #[should_panic(expected = "at least a day")]
-    fn too_short_campaign_rejected() {
-        let _ = WaterBoxExperiment::paper_configuration(lanl_building()).days(0.5, 3.0);
     }
 }

@@ -112,6 +112,13 @@ impl Device {
         &self.response
     }
 
+    /// The same device with `response` in place of its fitted one, e.g. a
+    /// deliberately mis-calibrated copy that a check must reject.
+    pub fn with_response(mut self, response: DeviceResponse) -> Self {
+        self.response = response;
+        self
+    }
+
     /// The paper ratio targets used in the fit: `(SDC, DUE)`; `None` DUE
     /// means the paper observed none (FPGA).
     pub fn target_ratios(&self) -> (f64, Option<f64>) {

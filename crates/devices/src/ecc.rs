@@ -7,7 +7,7 @@
 //! This module provides the word-level SECDED outcome model used to turn
 //! a classified error log into corrected/detected/uncorrected counts.
 
-use crate::ddr::{ClassifiedErrors, CorrectLoopLog};
+use crate::ddr::CorrectLoopLog;
 use std::collections::BTreeMap;
 
 /// ECC word width in data bits (the standard x72/x64 DIMM organisation).
@@ -80,14 +80,6 @@ pub fn replay_with_ecc(log: &CorrectLoopLog) -> EccReport {
     report
 }
 
-/// The paper's qualitative claim, as a checkable predicate: given a
-/// classified log, SECDED handles everything except SEFIs.
-pub fn secded_sufficient_outside_sefis(classified: &ClassifiedErrors) -> bool {
-    // Transient/intermittent/permanent errors are all single-bit; only
-    // SEFI episodes produce multi-bit words.
-    classified.max_bits_in_sweep < 2 || classified.sefi > 0
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -122,7 +114,6 @@ mod tests {
         if classified.sefi > 0 {
             assert!(report.uncorrected > 0, "SEFI should defeat SECDED");
         }
-        assert!(secded_sufficient_outside_sefis(&classified));
     }
 
     #[test]

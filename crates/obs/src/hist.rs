@@ -148,8 +148,8 @@ impl Histogram {
     }
 }
 
-/// An immutable copy of a histogram's counters, supporting deltas and
-/// quantile estimation.
+/// An immutable copy of a histogram's counters, supporting quantile
+/// estimation.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct Snapshot {
     buckets: Vec<u64>,
@@ -174,28 +174,6 @@ impl Snapshot {
             0.0
         } else {
             self.sum as f64 / self.count as f64
-        }
-    }
-
-    /// The observations recorded since `earlier` was taken.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `earlier` is not actually earlier (counts went down).
-    pub fn delta(&self, earlier: &Snapshot) -> Snapshot {
-        assert!(
-            self.count >= earlier.count,
-            "snapshot delta: earlier snapshot has more observations"
-        );
-        Snapshot {
-            buckets: self
-                .buckets
-                .iter()
-                .zip(&earlier.buckets)
-                .map(|(a, b)| a - b)
-                .collect(),
-            count: self.count - earlier.count,
-            sum: self.sum - earlier.sum,
         }
     }
 
@@ -262,18 +240,6 @@ mod tests {
         assert_eq!(s.quantile(1.0), 8.0);
         // An empty histogram quantile is 0.
         assert_eq!(Histogram::new("e", "", &[], Unit::Count).snapshot().quantile(0.5), 0.0);
-    }
-
-    #[test]
-    fn delta_isolates_new_observations() {
-        let h = Histogram::new("t", "test", &[], Unit::Nanos);
-        h.observe(100);
-        let before = h.snapshot();
-        h.observe(200);
-        h.observe(300);
-        let d = h.snapshot().delta(&before);
-        assert_eq!(d.count(), 2);
-        assert_eq!(d.sum(), 500);
     }
 
     #[test]

@@ -90,10 +90,21 @@ pub fn ln_gamma(x: f64) -> f64 {
     0.5 * (2.0 * std::f64::consts::PI).ln() + (x + 0.5) * t.ln() - t + a.ln()
 }
 
+/// Shapes above this use [`large_shape_cdf`]; below it the series and the
+/// continued fraction converge within [`MAX_TERMS`] iterations.
+const LARGE_SHAPE: f64 = 1.0e5;
+
+/// Iteration cap of the series and the continued fraction. Near `x = a`
+/// both need about 8.3·√a terms, so this covers every shape up to
+/// [`LARGE_SHAPE`].
+const MAX_TERMS: u32 = 10_000;
+
 /// Regularized lower incomplete gamma function P(a, x) = γ(a,x)/Γ(a).
 ///
 /// Series expansion for `x < a + 1`, continued fraction otherwise
-/// (Numerical Recipes style).
+/// (Numerical Recipes style); shapes above `1e5` integrate the density
+/// numerically instead, by Gauss–Legendre quadrature in the standardised
+/// variable.
 ///
 /// # Panics
 ///
@@ -104,13 +115,16 @@ pub fn reg_lower_gamma(a: f64, x: f64) -> f64 {
     if x == 0.0 {
         return 0.0;
     }
+    if a > LARGE_SHAPE {
+        return large_shape_cdf(a, (x - a) / a.sqrt());
+    }
     let lg = ln_gamma(a);
     if x < a + 1.0 {
         // Series: P(a,x) = x^a e^-x / Γ(a) * Σ x^n Γ(a)/Γ(a+1+n)
         let mut term = 1.0 / a;
         let mut sum = term;
         let mut ap = a;
-        for _ in 0..500 {
+        for _ in 0..MAX_TERMS {
             ap += 1.0;
             term *= x / ap;
             sum += term;
@@ -126,7 +140,7 @@ pub fn reg_lower_gamma(a: f64, x: f64) -> f64 {
         let mut c = 1.0 / tiny;
         let mut d = 1.0 / b;
         let mut h = d;
-        for i in 1..500 {
+        for i in 1..MAX_TERMS {
             let an = -(i as f64) * (i as f64 - a);
             b += 2.0;
             d = an * d + b;
@@ -149,6 +163,77 @@ pub fn reg_lower_gamma(a: f64, x: f64) -> f64 {
     }
 }
 
+/// P(a, a + s·√a) for a large shape `a`: Gauss–Legendre quadrature of
+/// the gamma density in the standardised variable `s`, over the twelve
+/// units on the near side of `s` (the far tail beyond is below 1e-30).
+///
+/// Stirling's series normalises the density, so no lnΓ(a) — of size
+/// a·ln a, whose rounding alone would swamp the result — is ever formed:
+/// with t = a(1 + u) and u = s/√a the density is
+/// exp(a·(ln(1+u) − u) − μ(a)) / ((1 + u)·√(2π)), μ the Stirling
+/// correction.
+fn large_shape_cdf(a: f64, s: f64) -> f64 {
+    // Five-point Gauss–Legendre nodes and weights on [-1, 1].
+    const NODES: [f64; 5] = [
+        0.0,
+        0.538_469_310_105_683_1,
+        -0.538_469_310_105_683_1,
+        0.906_179_845_938_664,
+        -0.906_179_845_938_664,
+    ];
+    const WEIGHTS: [f64; 5] = [
+        128.0 / 225.0,
+        0.478_628_670_499_366_47,
+        0.478_628_670_499_366_47,
+        0.236_926_885_056_189_08,
+        0.236_926_885_056_189_08,
+    ];
+    const TAIL: f64 = 12.0;
+    const PANELS: usize = 48;
+    let root = a.sqrt();
+    let mu = 1.0 / (12.0 * a) - 1.0 / (360.0 * a * a * a);
+    let density = |t: f64| {
+        let u = t / root;
+        (a * ln1p_minus_x(u) - mu).exp() / (1.0 + u)
+    };
+    // Integrate the lower tail below s, or the upper tail above it.
+    let (from, to) = if s <= 0.0 {
+        ((s - TAIL).max(-root), s)
+    } else {
+        (s, s + TAIL)
+    };
+    let half = 0.5 * (to - from) / PANELS as f64;
+    let mut area = 0.0;
+    for panel in 0..PANELS {
+        let mid = from + (2 * panel + 1) as f64 * half;
+        for (node, weight) in NODES.iter().zip(WEIGHTS) {
+            area += weight * density(mid + node * half);
+        }
+    }
+    let area = area * half / (2.0 * std::f64::consts::PI).sqrt();
+    if s <= 0.0 {
+        area
+    } else {
+        1.0 - area
+    }
+}
+
+/// ln(1 + u) − u, without the cancellation of the direct form near 0.
+fn ln1p_minus_x(u: f64) -> f64 {
+    if u.abs() >= 0.01 {
+        return u.ln_1p() - u;
+    }
+    // −u²/2 + u³/3 − …: twelve terms reach double precision at |u| < 0.01.
+    let mut power = u * u;
+    let mut sum = 0.0;
+    for k in 2..=13 {
+        let term = power / k as f64;
+        sum += if k % 2 == 0 { -term } else { term };
+        power *= u;
+    }
+    sum
+}
+
 /// Quantile of the chi-square distribution with `k` degrees of freedom,
 /// solved by bisection on the regularized incomplete gamma CDF.
 ///
@@ -158,6 +243,21 @@ pub fn reg_lower_gamma(a: f64, x: f64) -> f64 {
 pub fn chi_square_quantile(p: f64, k: f64) -> f64 {
     assert!(k > 0.0, "degrees of freedom must be positive");
     assert!(p > 0.0 && p < 1.0, "p must be in (0,1), got {p}");
+    let a = k / 2.0;
+    if a > LARGE_SHAPE {
+        // Bisect in the standardised variable s (x = a + s·√a), where the
+        // quantile's resolution does not shrink as the shape grows.
+        let (mut lo, mut hi) = (-40.0f64, 40.0f64);
+        while hi - lo > 1e-13 {
+            let mid = 0.5 * (lo + hi);
+            if large_shape_cdf(a, mid) < p {
+                lo = mid;
+            } else {
+                hi = mid;
+            }
+        }
+        return 2.0 * (a + 0.5 * (lo + hi) * a.sqrt());
+    }
     let cdf = |x: f64| reg_lower_gamma(k / 2.0, x / 2.0);
     let (mut lo, mut hi) = (0.0, k.max(1.0));
     while cdf(hi) < p {
@@ -435,6 +535,65 @@ mod tests {
         let (lo0, hi0) = garwood_interval(0, 0.999);
         assert_eq!(lo0, 0.0);
         assert!(hi0 > 0.0);
+    }
+
+    /// Wilson–Hilferty's closed form of the 95 % Garwood bounds, an
+    /// independent oracle that tightens as the count grows.
+    fn wilson_hilferty(count: u64) -> (f64, f64) {
+        const Z: f64 = 1.959_963_984_540_054;
+        let cube =
+            |k: f64, sign: f64| k * (1.0 - 1.0 / (9.0 * k) + sign * Z / (3.0 * k.sqrt())).powi(3);
+        let k = count as f64;
+        (cube(k, -1.0), cube(k + 1.0, 1.0))
+    }
+
+    #[test]
+    fn garwood_interval_matches_wilson_hilferty_up_to_u64_max() {
+        // Wilson–Hilferty's own error falls as count^-1.5: 5.5e-7 at 1e3,
+        // 1.0e-7 at 3e3, 1.6e-8 at 1e4.
+        let cases: [(u64, f64); 18] = [
+            (1_000, 1e-6),
+            (3_000, 2e-7),
+            (10_000, 1e-7),
+            (30_000, 1e-7),
+            (60_000, 1e-6),
+            (99_999, 1e-6),
+            (100_001, 1e-6),
+            (300_000, 1e-6),
+            (1_000_000, 1e-6),
+            (10_000_000, 1e-6),
+            (100_000_000, 1e-6),
+            (10_000_000_000, 1e-6),
+            (1_000_000_000_000, 1e-6),
+            (100_000_000_000_000, 1e-6),
+            (1 << 53, 1e-6),
+            (1_000_000_000_000_000_000, 1e-6),
+            (u64::MAX - 1, 1e-6),
+            (u64::MAX, 1e-6),
+        ];
+        for (count, tolerance) in cases {
+            let (lo, hi) = garwood_interval(count, 0.95);
+            let (wh_lo, wh_hi) = wilson_hilferty(count);
+            let k = count as f64;
+            assert!(lo < k && k < hi, "count {count}: [{lo}, {hi}]");
+            assert!(
+                ((lo - wh_lo) / wh_lo).abs() <= tolerance,
+                "count {count}: lower {lo} vs {wh_lo}"
+            );
+            assert!(
+                ((hi - wh_hi) / wh_hi).abs() <= tolerance,
+                "count {count}: upper {hi} vs {wh_hi}"
+            );
+            // The half-widths, not just the bounds, agree: at 1e8 the old
+            // truncated series put the lower bound above the count itself.
+            for (bound, oracle) in [(lo, wh_lo), (hi, wh_hi)] {
+                let (width, oracle_width) = ((bound - k).abs(), (oracle - k).abs());
+                assert!(
+                    ((width - oracle_width) / oracle_width).abs() <= 1e-5,
+                    "count {count}: half-width {width} vs {oracle_width}"
+                );
+            }
+        }
     }
 
     #[test]

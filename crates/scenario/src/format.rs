@@ -716,6 +716,15 @@ fn parse_faults(value: &Json, channels: u8) -> Result<Vec<ChannelFault>, Scenari
                 ))
             }
         };
+        if matches!(kind, FaultKind::BiasDrift { .. } | FaultKind::Garbage) && channels < 3 {
+            // Both alter the reading itself: below three channels the
+            // median vote follows the faulty channel, so health checks can
+            // never single it out.
+            return Err(ScenarioError::new(
+                format!("{path}.kind"),
+                format!("{kind_label} needs at least 3 channels to be voted out, got {channels}"),
+            ));
+        }
         if !matches!(kind, FaultKind::BiasDrift { .. }) && per_hour.is_some() {
             return Err(ScenarioError::new(
                 format!("{path}.per_hour"),
@@ -835,14 +844,17 @@ mod tests {
         let mut faults = Vec::new();
         for channel in 0..channels {
             if rng.gen_bool(0.3) {
+                // Faults that alter a reading need three channels to be
+                // voted out; smaller arrays draw a dropout instead.
+                let votable = channels >= 3;
                 let kind = match rng.gen_range(0..=3u32) {
                     0 => FaultKind::StuckAt,
-                    1 => FaultKind::BiasDrift {
+                    1 if votable => FaultKind::BiasDrift {
                         per_hour: rng.gen_range(1..=20u32) as f64 / 100.0
                             * if rng.gen_bool(0.5) { 1.0 } else { -1.0 },
                     },
-                    2 => FaultKind::Dropout,
-                    _ => FaultKind::Garbage,
+                    3 if votable => FaultKind::Garbage,
+                    _ => FaultKind::Dropout,
                 };
                 faults.push(ChannelFault {
                     channel,
@@ -949,6 +961,22 @@ mod tests {
                 r#"{"name":"x","duration_hours":48,"location":"new-york","faults":[{"at_hour":10,"channel":0,"kind":"dropout","per_hour":0.1}]}"#,
                 "$.faults[0].per_hour",
             ),
+            (
+                r#"{"name":"x","duration_hours":48,"location":"new-york","channels":1,"faults":[{"at_hour":10,"channel":0,"kind":"bias_drift","per_hour":0.01}]}"#,
+                "$.faults[0].kind",
+            ),
+            (
+                r#"{"name":"x","duration_hours":48,"location":"new-york","channels":2,"faults":[{"at_hour":10,"channel":1,"kind":"bias_drift","per_hour":0.01}]}"#,
+                "$.faults[0].kind",
+            ),
+            (
+                r#"{"name":"x","duration_hours":48,"location":"new-york","channels":1,"faults":[{"at_hour":10,"channel":0,"kind":"garbage"}]}"#,
+                "$.faults[0].kind",
+            ),
+            (
+                r#"{"name":"x","duration_hours":48,"location":"new-york","channels":2,"faults":[{"at_hour":10,"channel":0,"kind":"garbage"}]}"#,
+                "$.faults[0].kind",
+            ),
         ];
         for (text, want_path) in cases {
             let err = Scenario::from_json(text).expect_err(text);
@@ -958,6 +986,35 @@ mod tests {
                 err.path
             );
             assert!(!err.message.is_empty());
+        }
+    }
+
+    #[test]
+    fn faults_an_array_cannot_vote_out_need_three_channels() {
+        let doc = |channels: u8, kind: &str| {
+            let per_hour = if kind == "bias_drift" {
+                r#","per_hour":0.01"#
+            } else {
+                ""
+            };
+            format!(
+                r#"{{"name":"x","duration_hours":48,"location":"new-york","channels":{channels},"faults":[{{"at_hour":10,"channel":0,"kind":"{kind}"{per_hour}}}]}}"#
+            )
+        };
+        for channels in 1..=2 {
+            for kind in ["bias_drift", "garbage"] {
+                let err = Scenario::from_json(&doc(channels, kind)).expect_err(kind);
+                assert_eq!(err.path, "$.faults[0].kind", "{kind} at {channels}");
+            }
+            for kind in ["stuck_at", "dropout"] {
+                assert!(
+                    Scenario::from_json(&doc(channels, kind)).is_ok(),
+                    "{kind} at {channels}"
+                );
+            }
+        }
+        for kind in ["bias_drift", "garbage", "stuck_at", "dropout"] {
+            assert!(Scenario::from_json(&doc(3, kind)).is_ok(), "{kind} at 3");
         }
     }
 

@@ -241,10 +241,9 @@ impl ScenarioRunner {
         // The water pan's thermal boost is derived by Monte-Carlo
         // moderation once per campaign (same seed derivation as the
         // Figure-6 experiment), only when the scenario needs it.
-        let moderation_boost = scenario.uses_moderation().then(|| {
-            WaterBoxExperiment::paper_configuration(scenario.initial_environment())
-                .derive_boost(seed ^ 0x5ca1e)
-        });
+        let moderation_boost = scenario
+            .uses_moderation()
+            .then(|| WaterBoxExperiment::paper_configuration().derive_boost(seed ^ 0x5ca1e));
 
         let mut array = DetectorArray::new(seed, scenario.channels, &scenario.faults);
         let mut monitor = Monitor::new(scenario_monitor_config());
@@ -555,6 +554,30 @@ mod tests {
 
     fn quiet() {
         tn_obs::set_level(Some(tn_obs::Level::Error));
+    }
+
+    #[test]
+    fn garbage_readings_reaching_the_monitor_do_not_panic() {
+        // A garbage fault on a one-channel array (which `from_json` now
+        // rejects, but the type still allows) feeds its 1e12 readings to
+        // the monitor unvoted; their Garwood bounds used to panic.
+        quiet();
+        let mut scenario = Scenario::from_json(
+            r#"{"name":"garbage","duration_hours":72,"location":"new-york","channels":1}"#,
+        )
+        .unwrap();
+        scenario.faults.push(crate::format::ChannelFault {
+            channel: 0,
+            at_hour: 24,
+            kind: FaultKind::Garbage,
+        });
+        let report = run_scenario(&scenario, 2020);
+        assert_eq!(report.samples, 72);
+        assert!(
+            report.fused.iter().any(|&c| c >= 1_000_000_000_000),
+            "{:?}",
+            report.fused
+        );
     }
 
     #[test]

@@ -751,6 +751,33 @@ fn timeline_ingest_batch_boundary_is_exact() {
     server.stop();
 }
 
+/// Huge counts, up to 2^53 (the largest integer `count` the JSON layer
+/// accepts), are ingested and answered, and the server keeps answering
+/// ingests and health checks on fresh connections afterwards. Their
+/// Garwood bounds once panicked the shard thread and poisoned the
+/// timeline monitor for every later request.
+#[test]
+fn timeline_ingest_survives_huge_counts() {
+    let server = start(2);
+    let addr = server.addr();
+    for count in [100_000_000_000_000u64, 1 << 53] {
+        let (status, _, body) = post(
+            addr,
+            "/v1/timeline/ingest",
+            &format!("{{\"count\":{count}}}"),
+        );
+        assert_eq!(status, 200, "count {count}: {body}");
+        assert!(body.contains("\"ingested\":1"), "{body}");
+    }
+    for _ in 0..4 {
+        let (status, _, body) = post(addr, "/v1/timeline/ingest", "{\"count\":500}");
+        assert_eq!(status, 200, "{body}");
+        let (status, _, body) = get(addr, "/healthz");
+        assert_eq!(status, 200, "{body}");
+    }
+    server.stop();
+}
+
 /// `GET /v1/scenarios` lists the built-ins; `POST /v1/scenario/run`
 /// serves byte-identical reports (second hit from the LRU cache) and
 /// 404s an unknown name without dying.

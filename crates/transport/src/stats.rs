@@ -98,10 +98,11 @@ mod tests {
 
     #[test]
     fn shard_histogram_is_shared() {
-        let before = shard_histogram().snapshot();
+        // Other tests may observe shards concurrently, so the count grows
+        // by at least this one observation.
+        let before = shard_histogram().snapshot().count();
         shard_histogram().observe(1_000);
-        let delta = shard_histogram().snapshot().delta(&before);
-        assert_eq!(delta.count(), 1);
+        assert!(shard_histogram().snapshot().count() > before);
         assert!(tn_obs::global()
             .render_prometheus()
             .contains("tn_transport_shard_seconds_count"));

@@ -2,9 +2,10 @@
 //!
 //! Blessed JSON artefacts live under `tests/golden/` at the workspace
 //! root: the full quick-profile [`StudyReport`], the `/v1/fit` and
-//! `/v1/cross-sections` response bodies, and the "loss-of-moderation"
-//! scenario campaign report, all pinned to [`GOLDEN_SEED`] regardless
-//! of the CLI seed so the blessed files stay valid for every `verify`
+//! `/v1/cross-sections` response bodies, the "loss-of-moderation"
+//! scenario campaign report and the reproduction ledger
+//! ([`crate::paper`]), all pinned to [`GOLDEN_SEED`] regardless of the
+//! CLI seed so the blessed files stay valid for every `verify`
 //! invocation.
 //!
 //! Comparison is field-by-field with per-field tolerance classes:
@@ -182,7 +183,7 @@ pub fn bless_requested() -> bool {
     std::env::var("TN_BLESS").map(|v| v == "1").unwrap_or(false)
 }
 
-/// Generates the four golden artefacts at [`GOLDEN_SEED`].
+/// Generates the five golden artefacts at [`GOLDEN_SEED`].
 ///
 /// Endpoint bodies come from [`router::handle`] on requests built by the
 /// server's own [`RequestParser`] (no sockets). Only bodies are pinned,
@@ -230,6 +231,7 @@ pub fn render_artefacts() -> Vec<(&'static str, String)> {
             "scenario_loss_of_moderation.json",
             scenario_report.to_json(),
         ),
+        ("reproduction.json", crate::paper::ledger().to_json()),
     ]
 }
 
@@ -393,7 +395,7 @@ mod tests {
         let a = render_artefacts();
         let b = render_artefacts();
         assert_eq!(a, b);
-        assert_eq!(a.len(), 4);
+        assert_eq!(a.len(), 5);
         for (name, text) in &a {
             assert!(
                 tn_core::json::parse(text).is_ok(),

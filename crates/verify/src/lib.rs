@@ -1,6 +1,6 @@
 //! # tn-verify — correctness tooling for the thermal-neutron stack
 //!
-//! A std-only subsystem with three layers, surfaced by the
+//! A std-only subsystem of six suites, surfaced by the
 //! `thermal-neutrons verify [--quick]` CLI subcommand:
 //!
 //! 1. **Statistical test kit** ([`stat`]) — chi-square and
@@ -18,8 +18,9 @@
 //!    over rng-driven input sweeps rather than single pinned cases.
 //! 3. **Golden snapshots** ([`golden`]) — blessed JSON artefacts under
 //!    `tests/golden/` (full `StudyReport`, `/v1/fit` and
-//!    `/v1/cross-sections` bodies) compared field-by-field with
-//!    per-field tolerance classes and regenerated via `TN_BLESS=1`.
+//!    `/v1/cross-sections` bodies, a scenario report and the
+//!    reproduction ledger) compared field-by-field with per-field
+//!    tolerance classes and regenerated via `TN_BLESS=1`.
 //! 4. **Watch monitor checks** ([`watch`]) — false-positive and
 //!    detection-power sweeps of synthetic Poisson series through the
 //!    tn-watch streaming change-point monitor at the scenario tuning.
@@ -29,11 +30,15 @@
 //!    with bounded delay, the water-pan and loss-of-moderation
 //!    magnitudes match the MC expectation, and 2oo3 voting holds the
 //!    fused rate under a faulted channel.
+//! 6. **The paper ledger** ([`paper`]) — every number EXPERIMENTS.md
+//!    reports, regenerated at seed 2020 with its interval and judged
+//!    against the paper's value; a deviation must state its cause.
 //!
-//! A built-in **self-test** layer injects two known bugs — a Gamma(1)
-//! Maxwellian sampler and a ×1.01 cached-cross-section divergence — and
-//! passes only when the corresponding layers *detect* them, so every
-//! `verify` run also proves the harness has teeth.
+//! A built-in **self-test** layer injects three known bugs — a Gamma(1)
+//! Maxwellian sampler, a ×1.01 cached-cross-section divergence and a
+//! Xeon Phi with ¹⁰B ×1.3 — and passes only when the corresponding
+//! layers *detect* them, so every `verify` run also proves the harness
+//! has teeth.
 //!
 //! The whole run is instrumented with tn-obs spans (`verify`,
 //! `verify.stat`, …) and reduces to a [`VerifyReport`]: a pass/fail
@@ -45,6 +50,7 @@
 
 pub mod golden;
 pub mod oracle;
+pub mod paper;
 pub mod report;
 pub mod scenario;
 pub mod stat;
@@ -73,8 +79,9 @@ impl Default for VerifyOptions {
     }
 }
 
-/// Runs all six suites (stat, oracle, golden, watch, scenario and the
-/// self-test) and collects the report.
+/// Runs all seven suites (stat, oracle, golden, watch, scenario, paper
+/// and the self-test) and collects the report. The golden and paper
+/// suites share one ledger computation per process.
 pub fn run_all(options: VerifyOptions) -> VerifyReport {
     let _root = obs::span("verify");
     let (stat_cfg, oracle_cfg, watch_cfg, scenario_cfg) = if options.quick {
@@ -112,6 +119,10 @@ pub fn run_all(options: VerifyOptions) -> VerifyReport {
     {
         let _s = obs::span("verify.scenario");
         checks.extend(scenario::run_suite(options.seed, scenario_cfg));
+    }
+    {
+        let _s = obs::span("verify.paper");
+        checks.extend(paper::run_suite());
     }
     {
         let _s = obs::span("verify.selftest");
@@ -159,6 +170,23 @@ pub fn selftest_suite(seed: u64) -> Vec<CheckResult> {
         "cached-XS divergence detected by the oracle layer",
         "oracle layer FAILED to flag a 1% cached-XS divergence",
     ));
+
+    // A Xeon Phi with its ¹⁰B population scaled ×1.3 must fail at least
+    // one of its Fig. 5 ledger rows.
+    let rows = paper::sabotaged_xeon_phi_rows();
+    let failing = rows.iter().filter(|r| !r.passes()).count();
+    checks.push(invert(
+        CheckResult::from_statistic(
+            "paper",
+            "paper.b10_injected_bug",
+            failing as f64,
+            0.0,
+            rows.len() as u64,
+            "",
+        ),
+        "Xeon Phi ¹⁰B ×1.3 detected by the paper ledger",
+        "paper ledger FAILED to flag a Xeon Phi with ¹⁰B ×1.3",
+    ));
     checks
 }
 
@@ -181,9 +209,9 @@ mod tests {
     use super::*;
 
     #[test]
-    fn selftest_detects_both_injected_bugs() {
+    fn selftest_detects_every_injected_bug() {
         let checks = selftest_suite(2020);
-        assert_eq!(checks.len(), 2);
+        assert_eq!(checks.len(), 3);
         for c in &checks {
             assert!(c.passed, "{c:?}");
             assert_eq!(c.suite, "selftest");

@@ -15,7 +15,9 @@ use std::process::ExitCode;
 use thermal_neutrons::core_api::json;
 
 /// Suites every report must contain at least one check from.
-const REQUIRED_SUITES: &[&str] = &["stat", "oracle", "golden", "watch", "scenario", "selftest"];
+const REQUIRED_SUITES: &[&str] = &[
+    "stat", "oracle", "golden", "watch", "scenario", "paper", "selftest",
+];
 
 fn validate(text: &str) -> Result<(), String> {
     let doc = json::parse(text).map_err(|e| format!("malformed JSON: {e:?}"))?;

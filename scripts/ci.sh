@@ -140,8 +140,9 @@ rm -f "$smoke_log" "$trace_file"
 
 # ---- tn-verify gate --------------------------------------------------------
 # The quick verification profile (statistical GOF, differential oracles,
-# golden snapshots, injected-bug self-tests) must pass, and the report it
-# writes must satisfy the schema the dashboards consume.
+# golden snapshots, scenario campaigns, the paper ledger, injected-bug
+# self-tests) must pass, and the report it writes must satisfy the schema
+# the dashboards consume.
 verify_report="$(mktemp)"
 target/release/thermal-neutrons verify --quick --out "$verify_report"
 cargo run --offline --example validate_verify -- "$verify_report"
@@ -152,9 +153,12 @@ rm -f "$verify_report"
 # tests/golden/. Catches a committed output-format change whose goldens
 # were not regenerated (the in-run golden suite only enforces the
 # per-field tolerance classes; CI holds the stricter byte-level line).
+# The re-render runs the Monte-Carlo transport on 8 threads, so every
+# golden, the reproduction ledger included, is also pinned across
+# thread counts.
 bless_dir="$(mktemp -d)"
 TN_BLESS=1 TN_GOLDEN_DIR="$bless_dir" target/release/thermal-neutrons verify --quick \
-    --out "$bless_dir/VERIFY_report.json" >/dev/null
+    --transport-threads 8 --out "$bless_dir/VERIFY_report.json" >/dev/null
 rm -f "$bless_dir/VERIFY_report.json"
 if ! diff -ru tests/golden "$bless_dir"; then
     echo "golden bless-drift FAILED: tests/golden is stale; run TN_BLESS=1 target/release/thermal-neutrons verify and commit the result" >&2

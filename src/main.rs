@@ -1,11 +1,6 @@
 //! `thermal-neutrons` — command-line front end for the study.
 //!
 //! ```text
-//! thermal-neutrons figure5 [--seed N] [--quick]
-//! thermal-neutrons fit [--seed N]
-//! thermal-neutrons waterbox [--seed N]
-//! thermal-neutrons ddr [--seed N]
-//! thermal-neutrons spectra
 //! thermal-neutrons serve [--addr A] [--threads N] [--seed N] [--fleet FILE]
 //!                        [--idle-timeout-ms N] [--max-requests-per-conn N]
 //!                        [--surface-cache FILE]
@@ -26,8 +21,6 @@
 //! exits with status 2.
 
 use thermal_neutrons::core_api as tn;
-use tn::environment::{Environment, Location, Surroundings, Weather};
-use tn::{Pipeline, PipelineConfig};
 use tn_server::{Server, ServerConfig};
 
 fn main() {
@@ -56,20 +49,17 @@ fn run(args: &[String]) -> Result<(), String> {
     }
 
     match command {
-        "figure5" => figure5(seed, quick),
-        "fit" => fit(seed, quick),
-        "waterbox" => waterbox(seed),
-        "ddr" => ddr(seed),
-        "spectra" => spectra(),
-        "serve" => return serve(args, seed),
-        "transport" => return transport(args, seed),
-        "profile" => return profile(args),
-        "verify" => return verify(args, seed, quick),
-        "scenario" => return scenario(args, seed),
-        "help" | "--help" | "-h" => help(),
-        other => return Err(format!("unknown command `{other}`\n\n{}", help_text())),
+        "serve" => serve(args, seed),
+        "transport" => transport(args, seed),
+        "profile" => profile(args),
+        "verify" => verify(args, seed, quick),
+        "scenario" => scenario(args, seed),
+        "help" | "--help" | "-h" => {
+            println!("{}", help_text());
+            Ok(())
+        }
+        other => Err(format!("unknown command `{other}`\n\n{}", help_text())),
     }
-    Ok(())
 }
 
 /// `profile <command> [args...]` — run a subcommand, then print a timing
@@ -282,8 +272,10 @@ fn transport(args: &[String], seed: u64) -> Result<(), String> {
 }
 
 /// `verify [--quick] [--out FILE]` — run the tn-verify statistical,
-/// oracle, golden-snapshot and self-test suites, print the pass/fail
-/// table and write the machine-readable `VERIFY_report.json`.
+/// oracle, golden-snapshot, scenario, paper-ledger and self-test suites,
+/// print the pass/fail table and write the machine-readable
+/// `VERIFY_report.json`. The paper ledger always runs at seed 2020 and
+/// the thorough study profile, whatever `--seed` and `--quick` say.
 ///
 /// `TN_BLESS=1` regenerates the golden artefacts instead of comparing;
 /// `TN_GOLDEN_DIR` redirects where they are read from / written to.
@@ -414,108 +406,18 @@ fn scenario(args: &[String], seed: u64) -> Result<(), String> {
     }
 }
 
-fn config(quick: bool) -> PipelineConfig {
-    if quick {
-        PipelineConfig::quick()
-    } else {
-        PipelineConfig::default()
-    }
-}
-
-fn figure5(seed: u64, quick: bool) {
-    let report = Pipeline::new(config(quick)).seed(seed).run();
-    println!("Average cross-section ratio (high energy / thermal), seed {seed}:\n");
-    print!("{}", report.render_ratio_table());
-}
-
-fn fit(seed: u64, quick: bool) {
-    let report = Pipeline::new(config(quick)).seed(seed).run();
-    let room = Surroundings::hpc_machine_room();
-    let environments = [
-        (
-            "NYC",
-            Environment::new(Location::new_york(), Weather::Sunny, room),
-        ),
-        (
-            "Leadville",
-            Environment::new(Location::leadville(), Weather::Sunny, room),
-        ),
-    ];
-    println!("Thermal share of the total FIT rate (machine-room field), seed {seed}:\n");
-    print!("{}", report.render_fit_table(&environments));
-}
-
-fn waterbox(seed: u64) {
-    let env = Environment::new(
-        Location::los_alamos(),
-        Weather::Sunny,
-        Surroundings::concrete_floor(),
-    );
-    let outcome = tn::detector::WaterBoxExperiment::paper_configuration(env).run(seed);
-    println!(
-        "Tin-II water box: derived boost {:+.1}%, observed step {:+.1}% (paper: +24%)",
-        100.0 * outcome.derived_boost,
-        100.0 * outcome.step()
-    );
-    for (day, chunk) in outcome.series.chunks(24).enumerate() {
-        let mean = chunk.iter().map(|s| s.bare as f64).sum::<f64>() / chunk.len() as f64;
-        let bar = "#".repeat((mean / 200.0) as usize);
-        let marker = if day >= 4 { " <- water" } else { "" };
-        println!("  day {:>2}: {:>6.0} {}{}", day + 1, mean, bar, marker);
-    }
-}
-
-fn ddr(seed: u64) {
-    use tn::devices::ddr::{classify, CorrectLoop, DdrModule};
-    use tn::physics::units::{Flux, Seconds};
-    for (module, hours) in [(DdrModule::ddr3(), 2.0), (DdrModule::ddr4(), 20.0)] {
-        let generation = module.generation();
-        let mut tester = CorrectLoop::new(module, seed);
-        let log = tester.run(Flux(2.72e6), Seconds::from_hours(hours), Seconds(10.0));
-        let c = classify(&log);
-        println!(
-            "{generation}: {} transient, {} intermittent, {} permanent, {} SEFI \
-             (permanent {:.0}%)",
-            c.transient,
-            c.intermittent,
-            c.permanent,
-            c.sefi,
-            100.0 * c.permanent_fraction()
-        );
-    }
-}
-
-fn spectra() {
-    use tn::physics::spectrum::{chipir_reference, rotax_reference};
-    use tn::physics::EnergyBand;
-    for s in [chipir_reference(), rotax_reference()] {
-        println!("{}:", s.name());
-        for band in EnergyBand::ALL {
-            println!("  {band:?}: {:.3e} n/cm2/s", s.flux_in(band).value());
-        }
-    }
-}
-
-fn help() {
-    println!("{}", help_text());
-}
-
 fn help_text() -> String {
     "thermal-neutrons — simulation study of thermal-neutron reliability risk\n\
      \n\
      commands:\n\
-     \x20 figure5    per-device HE/thermal cross-section ratios (paper Fig. 5)\n\
-     \x20 fit        thermal share of device FIT rates at NYC and Leadville\n\
-     \x20 waterbox   the Tin-II water-box experiment (paper Fig. 6)\n\
-     \x20 ddr        DDR3/DDR4 correct-loop classification (paper Fig. 4)\n\
-     \x20 spectra    beamline band fluxes (paper Fig. 2)\n\
      \x20 serve      HTTP JSON API daemon (tn-server)\n\
      \x20 transport  one-slab Monte-Carlo tally (--material M, --thickness-cm T,\n\
      \x20            --energy-ev E, --histories N, --diffuse, --vr)\n\
      \x20 profile    run a command, then print span/latency percentiles\n\
-     \x20 verify     statistical GOF + differential-oracle + golden-snapshot\n\
-     \x20            suites; writes VERIFY_report.json (--out FILE overrides;\n\
-     \x20            TN_BLESS=1 re-blesses the golden files)\n\
+     \x20 verify     statistical GOF, differential-oracle, golden-snapshot and\n\
+     \x20            paper-ledger suites (every paper number with its interval\n\
+     \x20            and verdict); writes VERIFY_report.json (--out FILE\n\
+     \x20            overrides; TN_BLESS=1 re-blesses the golden files)\n\
      \x20 scenario   run a scripted environment campaign with fault injection\n\
      \x20            (--name NAME for a built-in, --file FILE for a scenario\n\
      \x20            document, --list, --json, --out FILE); exits non-zero\n\
@@ -584,8 +486,17 @@ mod tests {
 
     #[test]
     fn bad_seed_and_unknown_command_share_the_error_path() {
-        assert!(run(&args(&["figure5", "--seed", "NaN"])).is_err());
-        for command in ["frobnicate", "load", "watch"] {
+        assert!(run(&args(&["verify", "--seed", "NaN"])).is_err());
+        for command in [
+            "frobnicate",
+            "load",
+            "watch",
+            "figure5",
+            "fit",
+            "waterbox",
+            "ddr",
+            "spectra",
+        ] {
             let err = run(&args(&[command])).unwrap_err();
             let expected = format!("unknown command `{command}`");
             assert!(err.contains(&expected), "{err}");
@@ -601,7 +512,7 @@ mod tests {
 
     #[test]
     fn bad_log_level_is_a_usage_error() {
-        let err = run(&args(&["spectra", "--log-level", "blaring"])).unwrap_err();
+        let err = run(&args(&["help", "--log-level", "blaring"])).unwrap_err();
         assert!(err.contains("--log-level"), "{err}");
     }
 

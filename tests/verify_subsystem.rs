@@ -81,3 +81,61 @@ fn full_and_quick_reports_cover_the_same_check_set() {
     };
     assert_eq!(names(true), names(false));
 }
+
+#[test]
+fn every_paper_check_passes_and_the_known_deviations_state_their_cause() {
+    use tn_verify::paper::{ledger, run_suite, Verdict};
+    let failed: Vec<_> = run_suite().into_iter().filter(|c| !c.passed).collect();
+    assert!(failed.is_empty(), "failing paper checks: {failed:#?}");
+    let row = |id: &str| {
+        ledger()
+            .rows
+            .iter()
+            .find(|r| r.id() == id)
+            .unwrap_or_else(|| panic!("no ledger row {id}"))
+    };
+    for id in [
+        "fig5.due.apu_cpu",
+        "fig5.due.apu_gpu",
+        "fig5.due.apu_hybrid",
+    ] {
+        assert_eq!(row(id).verdict, Verdict::Deviation, "{id}");
+        assert!(
+            row(id)
+                .cause
+                .is_some_and(|c| c.contains("Campaign::expected_rates")),
+            "{id} must state the datapath-DUE cause"
+        );
+    }
+    for id in ["fig5.sdc.xeon_phi", "fig5.sdc.zynq"] {
+        assert_eq!(row(id).verdict, Verdict::Consistent, "{id}");
+    }
+    for id in [
+        "fig4.sigma_ratio",
+        "exte.mc_concrete",
+        "exte.mc_water",
+        "exte.mc_room",
+    ] {
+        assert_eq!(row(id).verdict, Verdict::Calibrated, "{id}");
+    }
+}
+
+#[test]
+fn experiments_tables_render_from_the_committed_ledger() {
+    // EXPERIMENTS.md's tables are the rendering of the blessed ledger:
+    // editing a number by hand, or re-blessing the ledger without
+    // re-rendering, fails here. `TN_BLESS=1` rewrites the tables.
+    let path = std::path::Path::new(env!("CARGO_MANIFEST_DIR")).join("EXPERIMENTS.md");
+    let committed = std::fs::read_to_string(&path).expect("EXPERIMENTS.md");
+    let rendered = tn_verify::paper::splice_tables(&committed, tn_verify::paper::blessed())
+        .unwrap_or_else(|e| panic!("EXPERIMENTS.md blocks: {e}"));
+    if golden::bless_requested() {
+        std::fs::write(&path, &rendered).expect("rewrite EXPERIMENTS.md");
+        return;
+    }
+    assert!(
+        rendered == committed,
+        "EXPERIMENTS.md tables differ from the committed ledger; re-render with \
+         TN_BLESS=1 cargo test --test verify_subsystem experiments_tables"
+    );
+}
