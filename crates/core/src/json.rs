@@ -6,15 +6,18 @@
 //! * **writing** — the `push_json_*` helpers append escaped fragments to
 //!   a `String`; they started life in [`crate::report`] and moved here so
 //!   the HTTP server and the report exporter share one escaping policy;
-//! * **parsing** — [`parse`] is a recursive-descent parser producing the
-//!   [`Json`] tree, used by the server to decode request bodies;
+//! * **parsing** — [`Scanner`] is the one lexer: a pull scanner with
+//!   object and array walkers and a `skip`, whose unescaped strings are
+//!   slices of the input. The server decodes each request body with it,
+//!   straight into the members its handler reads. [`parse`] builds the
+//!   [`Json`] tree on top of it, for snapshots, scenario files and the
+//!   surface cache;
 //! * **canonicalisation** — [`Json::to_canonical_string`] re-serialises a
-//!   tree with object keys sorted and numbers in a fixed form, so two
-//!   textually different but semantically identical requests map to the
-//!   same cache key. Inline fleet requests are the exception: they are
-//!   keyed by their validated entries' exact bits
-//!   (`tn_fleet::FleetEntry::push_cache_key`), which also tells `-0`
-//!   from `0`, as their rendered bodies do.
+//!   tree with object keys sorted and numbers in a fixed form (snapshot
+//!   lines, report fixed points). Cache keys are not canonical JSON: the
+//!   server writes each from its decoded request's exact bits with
+//!   [`crate::cache_key`], which also tells `-0` from `0`, as rendered
+//!   bodies do.
 //!
 //! Escaping covers *every* control character below `U+0020` (the common
 //! ones as the two-character escapes `\n`, `\r`, `\t`, `\b`, `\f`; the
@@ -33,12 +36,14 @@
 //! input: strings are scanned and copied in runs of plain bytes, numbers
 //! are formatted in place, and a canonical object is written without a
 //! per-object map. A float costs tens of nanoseconds, about half of what
-//! `{:e}` costs. Request bodies reach [`parse`] at most once per
-//! request (the server memoises the decoded body), so a body at the
-//! 1 MiB HTTP cap costs milliseconds, never seconds, on an event-loop
-//! shard.
+//! `{:e}` costs. The server scans each request body once (a fleet
+//! request's decode is memoised for the router and the handler), so a
+//! body at the 1 MiB HTTP cap costs milliseconds, never seconds, on an
+//! event-loop shard.
 
+use std::borrow::Cow;
 use std::fmt::{self, Write as _};
+use std::ops::Range;
 
 use crate::shortest;
 
@@ -105,6 +110,52 @@ pub fn push_json_num(out: &mut String, v: f64) {
     }
 }
 
+/// A scalar a writer puts in a JSON document: a number in the report's
+/// format ([`push_json_f64`]), a string escaped, an integer or a boolean
+/// as is.
+pub trait JsonScalar {
+    /// Appends the value to `out`.
+    fn push_to(self, out: &mut String);
+}
+
+impl JsonScalar for f64 {
+    fn push_to(self, out: &mut String) {
+        push_json_f64(out, self);
+    }
+}
+
+impl JsonScalar for &str {
+    fn push_to(self, out: &mut String) {
+        push_json_str(out, self);
+    }
+}
+
+impl JsonScalar for u64 {
+    fn push_to(self, out: &mut String) {
+        let _ = write!(out, "{self}");
+    }
+}
+
+impl JsonScalar for usize {
+    fn push_to(self, out: &mut String) {
+        let _ = write!(out, "{self}");
+    }
+}
+
+impl JsonScalar for bool {
+    fn push_to(self, out: &mut String) {
+        out.push_str(if self { "true" } else { "false" });
+    }
+}
+
+/// Appends one object member: `key`, which carries the member's
+/// punctuation and quoted name (`{"seed":` to open an object, `,"seed":`
+/// after another member), then `value`.
+pub fn push_json_member(out: &mut String, key: &str, value: impl JsonScalar) {
+    out.push_str(key);
+    value.push_to(out);
+}
+
 /// A parsed JSON value.
 ///
 /// Object member order is preserved as parsed; lookups are linear, which
@@ -157,14 +208,7 @@ impl Json {
     /// this is a non-negative number with no fractional part within the
     /// exactly-representable range (≤ 2⁵³).
     pub fn as_u64(&self) -> Option<u64> {
-        match self {
-            Json::Num(v)
-                if *v >= 0.0 && v.trunc() == *v && *v <= 9.007_199_254_740_992e15 =>
-            {
-                Some(*v as u64)
-            }
-            _ => None,
-        }
+        self.as_f64().and_then(exact_u64)
     }
 
     /// The boolean payload, if this is a boolean.
@@ -189,9 +233,9 @@ impl Json {
     }
 
     /// Serialises with object keys sorted lexicographically and numbers
-    /// in canonical form — the cache-key representation: two requests
-    /// that parse to the same tree always canonicalise to the same
-    /// string, regardless of member order or number spelling.
+    /// in canonical form — the snapshot-line representation: two
+    /// documents that parse to the same tree always canonicalise to the
+    /// same string, regardless of member order or number spelling.
     pub fn to_canonical_string(&self) -> String {
         let mut out = String::new();
         self.write(&mut out, true);
@@ -262,7 +306,7 @@ impl Json {
 
 impl fmt::Display for Json {
     /// Serialises in document order (numbers in the report's scientific
-    /// notation); use [`Json::to_canonical_string`] for cache keys.
+    /// notation); use [`Json::to_canonical_string`] for a canonical form.
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         let mut out = String::new();
         self.write(&mut out, false);
@@ -292,39 +336,347 @@ impl std::error::Error for JsonError {}
 /// this are hostile, not data.
 const MAX_DEPTH: usize = 64;
 
-/// Parses a complete JSON document (one value plus optional whitespace).
+/// Parses a complete JSON document (one value plus optional whitespace)
+/// into a tree, with [`Scanner`].
 pub fn parse(input: &str) -> Result<Json, JsonError> {
-    Parser::new(input).document()
+    let mut scanner = Scanner::new(input);
+    let doc = scanner.tree()?;
+    scanner.finish()?;
+    Ok(doc)
 }
 
-struct Parser<'a> {
+/// One value as a [`Scanner`] reads it: a scalar whole, a container by
+/// its kind alone (its contents walked by [`Scanner::members`] or
+/// [`Scanner::items`], or skipped by [`Scanner::scalar`]).
+#[derive(Debug, Clone, PartialEq)]
+pub enum Value<'a> {
+    /// `null`.
+    Null,
+    /// `true` / `false`.
+    Bool(bool),
+    /// Any JSON number.
+    Num(f64),
+    /// A string, borrowed from the input when it holds no escape.
+    Str(Cow<'a, str>),
+    /// An array.
+    Array,
+    /// An object.
+    Object,
+}
+
+impl Value<'_> {
+    /// The string payload, if this is a string.
+    pub fn as_str(&self) -> Option<&str> {
+        match self {
+            Value::Str(s) => Some(s),
+            _ => None,
+        }
+    }
+
+    /// The numeric payload, if this is a number.
+    pub fn as_f64(&self) -> Option<f64> {
+        match self {
+            Value::Num(v) => Some(*v),
+            _ => None,
+        }
+    }
+
+    /// The numeric payload as an exact unsigned integer, as
+    /// [`Json::as_u64`] reads it.
+    pub fn as_u64(&self) -> Option<u64> {
+        self.as_f64().and_then(exact_u64)
+    }
+
+    /// The boolean payload, if this is a boolean.
+    pub fn as_bool(&self) -> Option<bool> {
+        match self {
+            Value::Bool(b) => Some(*b),
+            _ => None,
+        }
+    }
+
+    /// The value with its string, if any, owned: no longer tied to the
+    /// scanner's input.
+    pub fn into_owned(self) -> Value<'static> {
+        match self {
+            Value::Null => Value::Null,
+            Value::Bool(b) => Value::Bool(b),
+            Value::Num(v) => Value::Num(v),
+            Value::Str(s) => Value::Str(Cow::Owned(s.into_owned())),
+            Value::Array => Value::Array,
+            Value::Object => Value::Object,
+        }
+    }
+}
+
+/// A string a [`Scanner`] read, kept apart from its input: the span of
+/// the input it is, or the text itself when it held escapes.
+#[derive(Debug, Clone, PartialEq, Eq)]
+pub enum Text {
+    /// Where the string lies in the input.
+    Span(Range<usize>),
+    /// An escaped string, unescaped.
+    Owned(String),
+}
+
+impl Text {
+    /// The string, given the input it was read from.
+    pub fn get<'b>(&'b self, input: &'b str) -> &'b str {
+        match self {
+            Text::Span(span) => &input[span.clone()],
+            Text::Owned(text) => text,
+        }
+    }
+}
+
+/// `v` as an unsigned integer, if it is one within the exactly
+/// representable range (≤ 2⁵³).
+fn exact_u64(v: f64) -> Option<u64> {
+    (v >= 0.0 && v.trunc() == v && v <= 9.007_199_254_740_992e15).then_some(v as u64)
+}
+
+/// A pull scanner over one JSON document: the one lexer behind [`parse`]
+/// and the server's request decoders.
+///
+/// A caller reads values with [`Scanner::members`] (an object's members
+/// by key), [`Scanner::items`] (an array's items), [`Scanner::scalar`]
+/// or [`Scanner::skip`], and ends with [`Scanner::finish`]. Errors carry the byte offset and
+/// message [`parse`] reports, so a decoder built on the scanner rejects
+/// exactly the texts `parse` rejects, with the same error, whatever it
+/// keeps of the values it reads. Strings without escapes are slices of
+/// the input, so reading them allocates nothing, and
+/// [`Scanner::keep`] keeps one as its span.
+#[derive(Debug, Clone)]
+pub struct Scanner<'a> {
     text: &'a str,
     bytes: &'a [u8],
     pos: usize,
+    /// Containers opened and not yet closed.
+    depth: usize,
     /// Test builds can route strings through the char-at-a-time oracle.
     #[cfg(test)]
     char_at_a_time: bool,
 }
 
-impl<'a> Parser<'a> {
-    fn new(text: &'a str) -> Self {
-        Parser {
+impl<'a> Scanner<'a> {
+    /// A scanner at the start of `text`.
+    pub fn new(text: &'a str) -> Self {
+        Scanner {
             text,
             bytes: text.as_bytes(),
             pos: 0,
+            depth: 0,
             #[cfg(test)]
             char_at_a_time: false,
         }
     }
 
-    fn document(&mut self) -> Result<Json, JsonError> {
+    /// Reads the next value: a scalar whole, a container only opened
+    /// (walk it before reading on).
+    fn value(&mut self) -> Result<Value<'a>, JsonError> {
         self.skip_ws();
-        let value = self.value(0)?;
-        self.skip_ws();
-        if self.pos != self.bytes.len() {
-            return Err(self.error("trailing characters after the JSON value"));
+        if self.depth > MAX_DEPTH {
+            return Err(self.error("nesting deeper than 64 levels"));
         }
+        match self.peek() {
+            Some(b'n') => self.literal("null", Value::Null),
+            Some(b't') => self.literal("true", Value::Bool(true)),
+            Some(b'f') => self.literal("false", Value::Bool(false)),
+            Some(b'"') => Ok(Value::Str(self.string()?)),
+            Some(open @ (b'[' | b'{')) => {
+                self.pos += 1;
+                self.depth += 1;
+                Ok(if open == b'[' { Value::Array } else { Value::Object })
+            }
+            Some(b'-' | b'0'..=b'9') => Ok(Value::Num(self.number()?)),
+            Some(other) => Err(self.error(format!("unexpected byte 0x{other:02x}"))),
+            None => Err(self.error("unexpected end of input")),
+        }
+    }
+
+    /// Walks an array [`Scanner::value`] opened: `item` reads each
+    /// element with one value read of its own.
+    fn array(
+        &mut self,
+        mut item: impl FnMut(&mut Self) -> Result<(), JsonError>,
+    ) -> Result<(), JsonError> {
+        self.skip_ws();
+        if self.peek() == Some(b']') {
+            self.pos += 1;
+        } else {
+            loop {
+                item(self)?;
+                self.skip_ws();
+                match self.peek() {
+                    Some(b',') => self.pos += 1,
+                    Some(b']') => {
+                        self.pos += 1;
+                        break;
+                    }
+                    _ => return Err(self.error("expected `,` or `]` in array")),
+                }
+            }
+        }
+        self.depth -= 1;
+        Ok(())
+    }
+
+    /// Walks an object [`Scanner::value`] opened: `member` gets each key
+    /// and reads its value with one value read of its own.
+    fn object(
+        &mut self,
+        mut member: impl FnMut(&mut Self, Cow<'a, str>) -> Result<(), JsonError>,
+    ) -> Result<(), JsonError> {
+        self.skip_ws();
+        if self.peek() == Some(b'}') {
+            self.pos += 1;
+        } else {
+            loop {
+                self.skip_ws();
+                let key = self.string()?;
+                self.skip_ws();
+                self.expect(b':')?;
+                member(self, key)?;
+                self.skip_ws();
+                match self.peek() {
+                    Some(b',') => self.pos += 1,
+                    Some(b'}') => {
+                        self.pos += 1;
+                        break;
+                    }
+                    _ => return Err(self.error("expected `,` or `}` in object")),
+                }
+            }
+        }
+        self.depth -= 1;
+        Ok(())
+    }
+
+    /// Reads the next value. An object's first member named `keys[i]`
+    /// goes to `field(self, i)`, which reads its value, and every other
+    /// member is skipped, later duplicates included: the members
+    /// [`Json::get`] finds. Any other value is read as
+    /// [`Scanner::scalar`] reads it. Returns the value, an object as
+    /// [`Value::Object`].
+    pub fn members<const N: usize>(
+        &mut self,
+        keys: [&str; N],
+        mut field: impl FnMut(&mut Self, usize) -> Result<(), JsonError>,
+    ) -> Result<Value<'a>, JsonError> {
+        let value = self.value()?;
+        if value != Value::Object {
+            self.skip_rest(&value)?;
+            return Ok(value);
+        }
+        let mut seen = [false; N];
+        self.object(|s, key| match keys.iter().position(|k| key == *k) {
+            Some(i) if !seen[i] => {
+                seen[i] = true;
+                field(s, i)
+            }
+            _ => s.skip(),
+        })?;
         Ok(value)
+    }
+
+    /// Reads the next value. An array's first `cap` items go to `item`,
+    /// which reads each, and the rest are skipped but counted. Returns
+    /// the array's length, or `None` for any other value (skipped).
+    pub fn items(
+        &mut self,
+        cap: usize,
+        mut item: impl FnMut(&mut Self) -> Result<(), JsonError>,
+    ) -> Result<Option<usize>, JsonError> {
+        let value = self.value()?;
+        if value != Value::Array {
+            return self.skip_rest(&value).map(|()| None);
+        }
+        let mut len = 0;
+        self.array(|s| {
+            len += 1;
+            if len > cap {
+                s.skip()
+            } else {
+                item(s)
+            }
+        })?;
+        Ok(Some(len))
+    }
+
+    /// Skips the contents of a container `value` opened (and nothing
+    /// for a scalar), checking their syntax all the same.
+    fn skip_rest(&mut self, value: &Value<'a>) -> Result<(), JsonError> {
+        match value {
+            Value::Array => self.array(Self::skip),
+            Value::Object => self.object(|s, _| s.skip()),
+            _ => Ok(()),
+        }
+    }
+
+    /// Reads the next value, skipping a container's contents: a
+    /// container comes back as [`Value::Array`] or [`Value::Object`],
+    /// already closed.
+    pub fn scalar(&mut self) -> Result<Value<'a>, JsonError> {
+        let value = self.value()?;
+        self.skip_rest(&value)?;
+        Ok(value)
+    }
+
+    /// Skips the next value, checking its syntax.
+    pub fn skip(&mut self) -> Result<(), JsonError> {
+        self.scalar().map(drop)
+    }
+
+    /// Ends the document: nothing but whitespace may follow its value.
+    pub fn finish(mut self) -> Result<(), JsonError> {
+        self.skip_ws();
+        if self.pos == self.bytes.len() {
+            Ok(())
+        } else {
+            Err(self.error("trailing characters after the JSON value"))
+        }
+    }
+
+    /// `value` as a [`Text`], if it is a string this scanner read: a
+    /// span of the input when it held no escape.
+    pub fn keep(&self, value: Value<'_>) -> Option<Text> {
+        match value {
+            Value::Str(Cow::Borrowed(text)) => {
+                let start = (text.as_ptr() as usize)
+                    .checked_sub(self.text.as_ptr() as usize)
+                    .filter(|start| start + text.len() <= self.text.len())
+                    .expect("an unescaped string is a slice of the input");
+                Some(Text::Span(start..start + text.len()))
+            }
+            Value::Str(Cow::Owned(text)) => Some(Text::Owned(text)),
+            _ => None,
+        }
+    }
+
+    /// Reads the next value whole, as a tree.
+    fn tree(&mut self) -> Result<Json, JsonError> {
+        Ok(match self.value()? {
+            Value::Null => Json::Null,
+            Value::Bool(b) => Json::Bool(b),
+            Value::Num(v) => Json::Num(v),
+            Value::Str(s) => Json::Str(s.into_owned()),
+            Value::Array => {
+                let mut items = Vec::new();
+                self.array(|s| {
+                    items.push(s.tree()?);
+                    Ok(())
+                })?;
+                Json::Array(items)
+            }
+            Value::Object => {
+                let mut members = Vec::new();
+                self.object(|s, key| {
+                    members.push((key.into_owned(), s.tree()?));
+                    Ok(())
+                })?;
+                Json::Object(members)
+            }
+        })
     }
 
     fn error(&self, message: impl Into<String>) -> JsonError {
@@ -353,7 +705,7 @@ impl<'a> Parser<'a> {
         }
     }
 
-    fn literal(&mut self, text: &str, value: Json) -> Result<Json, JsonError> {
+    fn literal(&mut self, text: &str, value: Value<'a>) -> Result<Value<'a>, JsonError> {
         if self.bytes[self.pos..].starts_with(text.as_bytes()) {
             self.pos += text.len();
             Ok(value)
@@ -362,98 +714,39 @@ impl<'a> Parser<'a> {
         }
     }
 
-    fn value(&mut self, depth: usize) -> Result<Json, JsonError> {
-        if depth > MAX_DEPTH {
-            return Err(self.error("nesting deeper than 64 levels"));
-        }
-        match self.peek() {
-            Some(b'n') => self.literal("null", Json::Null),
-            Some(b't') => self.literal("true", Json::Bool(true)),
-            Some(b'f') => self.literal("false", Json::Bool(false)),
-            Some(b'"') => Ok(Json::Str(self.string()?)),
-            Some(b'[') => self.array(depth),
-            Some(b'{') => self.object(depth),
-            Some(b'-' | b'0'..=b'9') => self.number(),
-            Some(other) => Err(self.error(format!("unexpected byte 0x{other:02x}"))),
-            None => Err(self.error("unexpected end of input")),
-        }
-    }
-
-    fn array(&mut self, depth: usize) -> Result<Json, JsonError> {
-        self.expect(b'[')?;
-        let mut items = Vec::new();
-        self.skip_ws();
-        if self.peek() == Some(b']') {
-            self.pos += 1;
-            return Ok(Json::Array(items));
-        }
-        loop {
-            self.skip_ws();
-            items.push(self.value(depth + 1)?);
-            self.skip_ws();
-            match self.peek() {
-                Some(b',') => self.pos += 1,
-                Some(b']') => {
-                    self.pos += 1;
-                    return Ok(Json::Array(items));
-                }
-                _ => return Err(self.error("expected `,` or `]` in array")),
-            }
-        }
-    }
-
-    fn object(&mut self, depth: usize) -> Result<Json, JsonError> {
-        self.expect(b'{')?;
-        let mut members = Vec::new();
-        self.skip_ws();
-        if self.peek() == Some(b'}') {
-            self.pos += 1;
-            return Ok(Json::Object(members));
-        }
-        loop {
-            self.skip_ws();
-            let key = self.string()?;
-            self.skip_ws();
-            self.expect(b':')?;
-            self.skip_ws();
-            let value = self.value(depth + 1)?;
-            members.push((key, value));
-            self.skip_ws();
-            match self.peek() {
-                Some(b',') => self.pos += 1,
-                Some(b'}') => {
-                    self.pos += 1;
-                    return Ok(Json::Object(members));
-                }
-                _ => return Err(self.error("expected `,` or `}` in object")),
-            }
-        }
-    }
-
-    fn string(&mut self) -> Result<String, JsonError> {
+    fn string(&mut self) -> Result<Cow<'a, str>, JsonError> {
         #[cfg(test)]
         if self.char_at_a_time {
-            return self.string_char_at_a_time();
+            return self.string_char_at_a_time().map(Cow::Owned);
         }
         self.expect(b'"')?;
-        let mut out = String::new();
+        // Only a string with an escape needs a buffer of its own.
+        let mut unescaped: Option<String> = None;
         loop {
-            // Copy the run of plain bytes up to the next quote, backslash
-            // or control byte. Each of those is ASCII, so both ends of
-            // the run are UTF-8 boundaries of the (valid) input.
+            // The run of plain bytes up to the next quote, backslash or
+            // control byte. Each of those is ASCII, so both ends of the
+            // run are UTF-8 boundaries of the (valid) input.
             let run = self.bytes[self.pos..]
                 .iter()
                 .position(|&b| b == b'"' || b == b'\\' || b < 0x20)
                 .unwrap_or(self.bytes.len() - self.pos);
-            out.push_str(&self.text[self.pos..self.pos + run]);
+            let plain = &self.text[self.pos..self.pos + run];
             self.pos += run;
             match self.peek() {
                 None => return Err(self.error("unterminated string")),
                 Some(b'"') => {
                     self.pos += 1;
-                    return Ok(out);
+                    return Ok(match unescaped {
+                        None => Cow::Borrowed(plain),
+                        Some(mut out) => {
+                            out.push_str(plain);
+                            Cow::Owned(out)
+                        }
+                    });
                 }
                 Some(b'\\') => {
+                    let out = unescaped.get_or_insert_with(String::new);
+                    out.push_str(plain);
                     self.pos += 1;
                     out.push(self.escape()?);
                 }
@@ -463,7 +756,7 @@ impl<'a> Parser<'a> {
     }
 
     /// The original scanner, one scalar per step: the differential
-    /// oracle for [`Parser::string`].
+    /// oracle for [`Scanner::string`].
     #[cfg(test)]
     fn string_char_at_a_time(&mut self) -> Result<String, JsonError> {
         self.expect(b'"')?;
@@ -556,7 +849,7 @@ impl<'a> Parser<'a> {
         Ok(code)
     }
 
-    fn number(&mut self) -> Result<Json, JsonError> {
+    fn number(&mut self) -> Result<f64, JsonError> {
         let start = self.pos;
         if self.peek() == Some(b'-') {
             self.pos += 1;
@@ -579,10 +872,8 @@ impl<'a> Parser<'a> {
             self.digits()?;
         }
         let text = &self.text[start..self.pos];
-        let v: f64 = text
-            .parse()
-            .map_err(|_| self.error(format!("unparseable number `{text}`")))?;
-        Ok(Json::Num(v))
+        text.parse()
+            .map_err(|_| self.error(format!("unparseable number `{text}`")))
     }
 
     fn digits(&mut self) -> Result<(), JsonError> {
@@ -744,6 +1035,59 @@ mod tests {
         let deep = "[".repeat(100) + &"]".repeat(100);
         let err = parse(&deep).unwrap_err();
         assert!(err.message.contains("nesting"));
+        // 65 levels of containers hold no value; a value inside them is
+        // one level too deep, for the tree and the skip alike.
+        let limit = "[".repeat(65) + &"]".repeat(65);
+        assert!(parse(&limit).is_ok());
+        let over = "[".repeat(65) + "1" + &"]".repeat(65);
+        assert_eq!(parse(&over).unwrap_err().offset, 65);
+        assert_parsers_agree(&over);
+    }
+
+    #[test]
+    fn scanner_borrows_plain_strings_and_reads_first_members() {
+        let text = r#"{"b":"plain","a":"esc\"aped","b":2,"c":[1,{"b":3}],"a":null}"#;
+        let mut scanner = Scanner::new(text);
+        let mut read = Vec::new();
+        let value = scanner.members(["a", "b", "c"], |s, i| {
+            read.push((i, s.scalar()?));
+            Ok(())
+        });
+        assert_eq!(value, Ok(Value::Object));
+        scanner.clone().finish().unwrap();
+        // Each key's first member, in document order; the array is
+        // skipped whole.
+        assert_eq!(
+            read,
+            [
+                (1, Value::Str(Cow::Borrowed("plain"))),
+                (0, Value::Str(Cow::Owned("esc\"aped".into()))),
+                (2, Value::Array),
+            ]
+        );
+        let kept: Vec<_> = read.into_iter().map(|(_, v)| scanner.keep(v)).collect();
+        assert_eq!(
+            kept,
+            [Some(Text::Span(6..11)), Some(Text::Owned("esc\"aped".into())), None]
+        );
+        assert_eq!(kept[0].as_ref().unwrap().get(text), "plain");
+        // A value that is not an object is read whole.
+        let mut scanner = Scanner::new(r#" ["x", {"a": 1}] "#);
+        assert_eq!(scanner.members(["a"], |_, _| panic!("no members")), Ok(Value::Array));
+        scanner.finish().unwrap();
+        // Array items past the cap are skipped but counted.
+        let mut scanner = Scanner::new("[1, [2], 3, {}]");
+        let mut kept = Vec::new();
+        let len = scanner.items(2, |s| {
+            kept.push(s.scalar()?);
+            Ok(())
+        });
+        assert_eq!((len, kept), (Ok(Some(4)), vec![Value::Num(1.0), Value::Array]));
+        assert_eq!(Scanner::new("{}").items(9, |_| panic!("no items")), Ok(None));
+        assert_eq!(Value::Num(7.0).as_u64(), Some(7));
+        assert_eq!(Value::Num(-1.0).as_u64(), None);
+        assert_eq!(Value::Bool(true).as_bool(), Some(true));
+        assert_eq!(Value::Null.as_f64(), None);
     }
 
     #[test]
@@ -963,18 +1307,35 @@ mod tests {
     }
 
     fn parse_char_at_a_time(input: &str) -> Result<Json, JsonError> {
-        let mut p = Parser::new(input);
-        p.char_at_a_time = true;
-        p.document()
+        let mut scanner = Scanner::new(input);
+        scanner.char_at_a_time = true;
+        let doc = scanner.tree()?;
+        scanner.finish()?;
+        Ok(doc)
+    }
+
+    /// Skips `input` as one document: the scanner's syntax check, with
+    /// no tree built.
+    fn skip_document(input: &str) -> Result<(), JsonError> {
+        let mut scanner = Scanner::new(input);
+        scanner.skip()?;
+        scanner.finish()
     }
 
     /// Both scanners must agree exactly: the same value, or the same
-    /// error offset and message.
+    /// error offset and message; and skipping the document must meet
+    /// the same error, or none.
     fn assert_parsers_agree(input: &str) {
+        let parsed = parse(input);
         assert_eq!(
-            parse(input),
+            parsed,
             parse_char_at_a_time(input),
             "parsers disagree on {input:?}"
+        );
+        assert_eq!(
+            skip_document(input),
+            parsed.map(drop),
+            "skipping disagrees on {input:?}"
         );
     }
 

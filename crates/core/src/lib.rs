@@ -26,6 +26,7 @@
 #![forbid(unsafe_code)]
 #![warn(missing_docs, missing_debug_implementations)]
 
+pub mod cache_key;
 pub mod json;
 pub mod pipeline;
 pub mod registry;

@@ -399,6 +399,10 @@ impl CorrectLoop {
             let mean = rate * dt;
             let n_events = poisson(&mut self.rng, mean);
             let mut errors: Vec<BitError> = Vec::new();
+            // Cells that turned intermittent in this sweep: already
+            // logged as new events, so the flaky loop must not log them
+            // again.
+            let mut fresh_flaky: Vec<u64> = Vec::new();
             for _ in 0..n_events {
                 let kind = self.sample_kind();
                 let direction = self.sample_direction();
@@ -413,6 +417,7 @@ impl CorrectLoop {
                     DdrErrorKind::Intermittent => {
                         self.flaky
                             .insert(address, (direction, Self::INTERMITTENT_RECURRENCE));
+                        fresh_flaky.push(address);
                         if observable {
                             errors.push(BitError { address, direction });
                         }
@@ -447,7 +452,12 @@ impl CorrectLoop {
                 .map(|(&address, &(direction, p))| (address, direction, p))
                 .collect();
             for (address, direction, p) in flaky {
-                if self.pattern.observes(direction, index) && self.rng.gen_f64() < p {
+                // A fresh cell still takes its draw, so every later draw
+                // is the one it would be without this check.
+                if self.pattern.observes(direction, index)
+                    && self.rng.gen_f64() < p
+                    && !fresh_flaky.contains(&address)
+                {
                     errors.push(BitError { address, direction });
                 }
             }
@@ -778,6 +788,39 @@ mod tests {
         assert!(Alternating.observes(FlipDirection::OneToZero, 0));
         assert!(Alternating.observes(FlipDirection::ZeroToOne, 1));
         assert!(!Alternating.observes(FlipDirection::ZeroToOne, 0));
+    }
+
+    #[test]
+    fn no_sweep_outside_a_sefi_lists_an_address_twice() {
+        // The ledger's EXT-B runs: a cell logged twice in one sweep reads
+        // as a double-bit word that SECDED cannot correct.
+        for (module, hours) in [(DdrModule::ddr3(), 2.0), (DdrModule::ddr4(), 20.0)] {
+            let mut tester = CorrectLoop::new(module, 2020);
+            let log = tester.run(
+                tn_physics::constants::ROTAX_THERMAL_FLUX,
+                Seconds::from_hours(hours),
+                Seconds(10.0),
+            );
+            let mut checked = 0;
+            for sweep in &log.sweeps {
+                let one = CorrectLoopLog {
+                    generation: log.generation,
+                    pattern: log.pattern,
+                    fluence: log.fluence,
+                    sweeps: vec![sweep.clone()],
+                };
+                if classify(&one).sefi > 0 {
+                    continue;
+                }
+                let mut addresses: Vec<u64> = sweep.errors.iter().map(|e| e.address).collect();
+                addresses.sort_unstable();
+                let before = addresses.len();
+                addresses.dedup();
+                assert_eq!(addresses.len(), before, "{hours} h, sweep {}", sweep.index);
+                checked += before;
+            }
+            assert!(checked > 100, "{checked} errors checked");
+        }
     }
 
     #[test]

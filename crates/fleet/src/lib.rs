@@ -24,5 +24,7 @@ pub mod registry;
 pub mod stats;
 pub mod surface;
 
-pub use registry::{FleetEntry, FleetError, FleetRegistry, RegistrySnapshot};
+pub use registry::{
+    EntryFields, EntryMembers, FleetEntry, FleetError, FleetRegistry, RegistrySnapshot,
+};
 pub use surface::{RiskAssessment, RiskSource, RiskSurface, SiteParams, SurfaceConfig};

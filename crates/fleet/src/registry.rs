@@ -29,7 +29,8 @@
 //! would make every later write copy the whole registry.
 
 use std::sync::Arc;
-use tn_core::json::{self, Json};
+use tn_core::cache_key;
+use tn_core::json::{self, Json, JsonError, Scanner, Text, Value};
 use tn_core::registry::find_device;
 
 /// Why a fleet entry or snapshot was rejected.
@@ -95,31 +96,196 @@ pub struct FleetEntry {
     pub avf: f64,
 }
 
+/// The members an entry is read from, in a JSON object: the three
+/// strings, then the numbers in the order of [`EntryFields`]' number
+/// fields.
+const ENTRY_KEYS: [&str; 8] = [
+    "id",
+    "device",
+    "site",
+    "altitude_m",
+    "rigidity_factor",
+    "b10_areal_cm2",
+    "thermal_scaling",
+    "avf",
+];
+
+/// Defaults of the five numbers an entry's object may leave out: an
+/// unshielded NYC-reference deployment at AVF 1.
+const NUMBER_DEFAULTS: [f64; 5] = [10.0, 1.0, 0.0, 1.0, 1.0];
+
 impl FleetEntry {
     /// An unshielded NYC-reference entry for a device; adjust fields
     /// from there.
     pub fn new(id: impl Into<String>, device: impl Into<String>) -> Self {
+        let [altitude_m, rigidity_factor, b10_areal_cm2, thermal_scaling, avf] = NUMBER_DEFAULTS;
         Self {
             id: id.into(),
             device: device.into(),
             site: String::new(),
-            altitude_m: 10.0,
-            rigidity_factor: 1.0,
-            b10_areal_cm2: 0.0,
-            thermal_scaling: 1.0,
-            avf: 1.0,
+            altitude_m,
+            rigidity_factor,
+            b10_areal_cm2,
+            thermal_scaling,
+            avf,
+        }
+    }
+
+    /// The entry's fields, borrowed.
+    pub fn fields(&self) -> EntryFields<'_> {
+        // Destructured, so a field added later fails to compile here
+        // until the borrowed fields cover it.
+        let FleetEntry {
+            id,
+            device,
+            site,
+            altitude_m,
+            rigidity_factor,
+            b10_areal_cm2,
+            thermal_scaling,
+            avf,
+        } = self;
+        EntryFields {
+            id,
+            device,
+            site,
+            altitude_m: *altitude_m,
+            rigidity_factor: *rigidity_factor,
+            b10_areal_cm2: *b10_areal_cm2,
+            thermal_scaling: *thermal_scaling,
+            avf: *avf,
         }
     }
 
     /// Validates the entry and canonicalises the device name against
-    /// the catalog (case-insensitive match, catalog spelling wins).
-    pub fn validate(mut self) -> Result<Self, FleetError> {
+    /// the catalog (case-insensitive match, catalog spelling wins); see
+    /// [`EntryFields::validate`].
+    pub fn validate(self) -> Result<Self, FleetError> {
+        let device = self.fields().validate()?.device.to_string();
+        Ok(Self { device, ..self })
+    }
+
+    /// The entry as a JSON object (alphabetical keys match the
+    /// canonical serialisation, so snapshots are fixed points).
+    pub fn to_json(&self) -> Json {
+        Json::Object(vec![
+            ("altitude_m".into(), Json::Num(self.altitude_m)),
+            ("avf".into(), Json::Num(self.avf)),
+            ("b10_areal_cm2".into(), Json::Num(self.b10_areal_cm2)),
+            ("device".into(), Json::Str(self.device.clone())),
+            ("id".into(), Json::Str(self.id.clone())),
+            ("rigidity_factor".into(), Json::Num(self.rigidity_factor)),
+            ("site".into(), Json::Str(self.site.clone())),
+            ("thermal_scaling".into(), Json::Num(self.thermal_scaling)),
+        ])
+    }
+
+    /// Appends the entry's cache key to `out`; see
+    /// [`EntryFields::push_cache_key`].
+    pub fn push_cache_key(&self, out: &mut String) {
+        self.fields().push_cache_key(out);
+    }
+
+    /// Builds and validates an entry from a JSON object. Only `id` and
+    /// `device` are required; the other fields default to an
+    /// unshielded NYC-reference deployment at AVF 1.
+    pub fn from_json(doc: &Json) -> Result<Self, FleetError> {
+        Self::from_json_or_id(doc, None)
+    }
+
+    /// [`FleetEntry::from_json`] for an object that may leave out its
+    /// `id` member: it then takes `default_id` (inline fleet requests
+    /// number their entries this way). An `id` that is present but not
+    /// a string is still an error.
+    pub fn from_json_or_id(doc: &Json, default_id: Option<String>) -> Result<Self, FleetError> {
+        if !matches!(doc, Json::Object(_)) {
+            return Err(FleetError::BadSnapshot("entry is not an object".into()));
+        }
+        let id = match doc.get("id") {
+            None => default_id.as_deref(),
+            Some(id) => id.as_str(),
+        };
+        let text = |key: &str| doc.get(key).and_then(Json::as_str);
+        let number = |key: &str| doc.get(key).map(Json::as_f64);
+        let [_, _, _, numbers @ ..] = ENTRY_KEYS;
+        let fields = EntryFields::from_members(id, text("device"), text("site"), numbers.map(number))?;
+        Ok(fields.validate()?.to_entry())
+    }
+}
+
+/// A fleet entry's fields, borrowed: from a [`FleetEntry`], or straight
+/// from a request body, so a request can be validated and keyed without
+/// building an owned entry.
+#[derive(Debug, Clone, Copy, PartialEq)]
+pub struct EntryFields<'a> {
+    /// Unique entry id (registry key).
+    pub id: &'a str,
+    /// Device name; the catalog spelling once validated.
+    pub device: &'a str,
+    /// Free-form site label (not interpreted).
+    pub site: &'a str,
+    /// Site altitude in metres.
+    pub altitude_m: f64,
+    /// Geomagnetic rigidity factor.
+    pub rigidity_factor: f64,
+    /// ¹⁰B areal density of the shield, in atoms/cm².
+    pub b10_areal_cm2: f64,
+    /// Local thermal-field scaling.
+    pub thermal_scaling: f64,
+    /// Workload architectural vulnerability factor.
+    pub avf: f64,
+}
+
+impl<'a> EntryFields<'a> {
+    /// An entry's fields as a JSON object's members give them, read the
+    /// way every decoder of entries reads them, not yet validated:
+    /// - `id` is the id member when it is a string, or the caller's
+    ///   default when there is none; `None` is the empty-id error;
+    /// - a `device` that is missing or not a string is the unknown
+    ///   device `<missing>`; a `site` that is not a string is empty;
+    /// - each of the five numbers, in the order of the struct's fields,
+    ///   is absent (`None`: its default), not a number (`Some(None)`: a
+    ///   bad field with value NaN) or its value, checked in that order.
+    fn from_members(
+        id: Option<&'a str>,
+        device: Option<&'a str>,
+        site: Option<&'a str>,
+        numbers: [Option<Option<f64>>; 5],
+    ) -> Result<Self, FleetError> {
+        let id = id.ok_or(FleetError::EmptyId)?;
+        let device = device.ok_or_else(|| FleetError::UnknownDevice("<missing>".into()))?;
+        let mut values = NUMBER_DEFAULTS;
+        for ((value, member), field) in values.iter_mut().zip(numbers).zip(&ENTRY_KEYS[3..]) {
+            if let Some(member) = member {
+                *value = member.ok_or(FleetError::BadField {
+                    field,
+                    value: f64::NAN,
+                })?;
+            }
+        }
+        let [altitude_m, rigidity_factor, b10_areal_cm2, thermal_scaling, avf] = values;
+        Ok(Self {
+            id,
+            device,
+            site: site.unwrap_or_default(),
+            altitude_m,
+            rigidity_factor,
+            b10_areal_cm2,
+            thermal_scaling,
+            avf,
+        })
+    }
+
+    /// Validates the fields and canonicalises the device name against
+    /// the catalog (case-insensitive match, catalog spelling wins). The
+    /// checks run in a fixed order, so an entry with several faults
+    /// always reports the same one.
+    pub fn validate(self) -> Result<Self, FleetError> {
         if self.id.trim().is_empty() {
             return Err(FleetError::EmptyId);
         }
-        let device =
-            find_device(&self.device).ok_or_else(|| FleetError::UnknownDevice(self.device.clone()))?;
-        self.device = device.name().to_string();
+        let device = find_device(self.device)
+            .ok_or_else(|| FleetError::UnknownDevice(self.device.to_string()))?;
         if !(-430.0..=9_000.0).contains(&self.altitude_m) || !self.altitude_m.is_finite() {
             return Err(FleetError::AltitudeOutOfRange(self.altitude_m));
         }
@@ -144,35 +310,22 @@ impl FleetEntry {
                 value: self.avf,
             });
         }
-        Ok(self)
+        Ok(Self {
+            device: device.name(),
+            ..self
+        })
     }
 
-    /// The entry as a JSON object (alphabetical keys match the
-    /// canonical serialisation, so snapshots are fixed points).
-    pub fn to_json(&self) -> Json {
-        Json::Object(vec![
-            ("altitude_m".into(), Json::Num(self.altitude_m)),
-            ("avf".into(), Json::Num(self.avf)),
-            ("b10_areal_cm2".into(), Json::Num(self.b10_areal_cm2)),
-            ("device".into(), Json::Str(self.device.clone())),
-            ("id".into(), Json::Str(self.id.clone())),
-            ("rigidity_factor".into(), Json::Num(self.rigidity_factor)),
-            ("site".into(), Json::Str(self.site.clone())),
-            ("thermal_scaling".into(), Json::Num(self.thermal_scaling)),
-        ])
-    }
-
-    /// Appends a cache key for the entry to `out`: each string as its
-    /// decimal byte length, `:` and its bytes, then each number as the
-    /// 16 hex digits of its bit pattern. Every entry's key is
-    /// self-delimiting, so a run of them is too, and two entries write
-    /// the same key exactly when their strings are equal and their
-    /// numbers have the same bits (`-0` and `0` differ, as they do in a
-    /// rendered body). It allocates nothing beyond `out`'s growth.
+    /// Appends a cache key for the entry to `out`, through the shared
+    /// key writer ([`tn_core::cache_key`]): the three strings, then the
+    /// bits of the five numbers. Two entries write the same key exactly
+    /// when their strings are equal and their numbers have the same
+    /// bits (`-0` and `0` differ, as they do in a rendered body), and a
+    /// run of entry keys is self-delimiting too.
     pub fn push_cache_key(&self, out: &mut String) {
         // Destructured, so a field added later fails to compile here
         // until the key covers it.
-        let FleetEntry {
+        let EntryFields {
             id,
             device,
             site,
@@ -181,80 +334,88 @@ impl FleetEntry {
             b10_areal_cm2,
             thermal_scaling,
             avf,
-        } = self;
+        } = *self;
         for text in [id, device, site] {
-            push_length_prefix(out, text.len());
-            out.push_str(text);
+            cache_key::push_text(out, text);
         }
-        // All five numbers go into one buffer and one push: a push per
-        // number cost more than writing its digits.
-        const HEX: &[u8; 16] = b"0123456789abcdef";
-        let mut digits = [0u8; 5 * 16];
         let numbers = [altitude_m, rigidity_factor, b10_areal_cm2, thermal_scaling, avf];
-        for (number, value) in digits.chunks_exact_mut(16).zip(numbers) {
-            let bits = value.to_bits();
-            for (i, digit) in number.iter_mut().enumerate() {
-                *digit = HEX[((bits >> (60 - 4 * i)) & 0xf) as usize];
-            }
-        }
-        out.push_str(std::str::from_utf8(&digits).expect("ASCII hex digits"));
+        cache_key::push_bits(out, &numbers.map(f64::to_bits));
     }
 
-    /// Builds and validates an entry from a JSON object. Only `id` and
-    /// `device` are required; the other fields default to an
-    /// unshielded NYC-reference deployment at AVF 1.
-    pub fn from_json(doc: &Json) -> Result<Self, FleetError> {
-        Self::from_json_or_id(doc, None)
-    }
-
-    /// [`FleetEntry::from_json`] for an object that may leave out its
-    /// `id` member: it then takes `default_id` (inline fleet requests
-    /// number their entries this way). An `id` that is present but not
-    /// a string is still an error.
-    pub fn from_json_or_id(doc: &Json, default_id: Option<String>) -> Result<Self, FleetError> {
-        if !matches!(doc, Json::Object(_)) {
-            return Err(FleetError::BadSnapshot("entry is not an object".into()));
+    /// The fields as an owned entry.
+    pub fn to_entry(&self) -> FleetEntry {
+        FleetEntry {
+            id: self.id.to_string(),
+            device: self.device.to_string(),
+            site: self.site.to_string(),
+            altitude_m: self.altitude_m,
+            rigidity_factor: self.rigidity_factor,
+            b10_areal_cm2: self.b10_areal_cm2,
+            thermal_scaling: self.thermal_scaling,
+            avf: self.avf,
         }
-        let str_field = |key: &str| doc.get(key).and_then(Json::as_str).map(str::to_string);
-        let id = match doc.get("id") {
-            None => default_id,
-            Some(id) => id.as_str().map(str::to_string),
-        };
-        let num_field = |key: &'static str, default: f64| match doc.get(key) {
-            None => Ok(default),
-            Some(v) => v.as_f64().ok_or(FleetError::BadField {
-                field: key,
-                value: f64::NAN,
-            }),
-        };
-        let entry = Self {
-            id: id.ok_or(FleetError::EmptyId)?,
-            device: str_field("device")
-                .ok_or_else(|| FleetError::UnknownDevice("<missing>".into()))?,
-            site: str_field("site").unwrap_or_default(),
-            altitude_m: num_field("altitude_m", 10.0)?,
-            rigidity_factor: num_field("rigidity_factor", 1.0)?,
-            b10_areal_cm2: num_field("b10_areal_cm2", 0.0)?,
-            thermal_scaling: num_field("thermal_scaling", 1.0)?,
-            avf: num_field("avf", 1.0)?,
-        };
-        entry.validate()
     }
 }
 
-/// Appends `len` in decimal and a `:`, through a stack buffer.
-fn push_length_prefix(out: &mut String, mut len: usize) {
-    let mut prefix = [b':'; 21];
-    let mut start = prefix.len() - 1;
-    loop {
-        start -= 1;
-        prefix[start] = b'0' + (len % 10) as u8;
-        len /= 10;
-        if len == 0 {
-            break;
-        }
+/// A fleet entry's object as a [`Scanner`] read it, before any check:
+/// each member by its key's first occurrence, strings kept as spans of
+/// the input. The server reads inline `devices` items and upsert bodies
+/// this way, so neither builds a `Json` tree.
+#[derive(Debug, Clone, Default)]
+pub struct EntryMembers {
+    /// Whether the value was an object at all.
+    object: bool,
+    /// `id`: absent, or its string (`None` when not a string).
+    id: Option<Option<Text>>,
+    /// `device`, when a string.
+    device: Option<Text>,
+    /// `site`, when a string.
+    site: Option<Text>,
+    /// The five numbers: absent, or the number (`None` when not one).
+    numbers: [Option<Option<f64>>; 5],
+}
+
+impl EntryMembers {
+    /// Reads the next value as an entry's object; any other value has no
+    /// members.
+    pub fn read(s: &mut Scanner<'_>) -> Result<Self, JsonError> {
+        let mut members = Self::default();
+        let value = s.members(ENTRY_KEYS, |s, i| {
+            let value = s.scalar()?;
+            match i {
+                0 => members.id = Some(s.keep(value)),
+                1 => members.device = s.keep(value),
+                2 => members.site = s.keep(value),
+                n => members.numbers[n - 3] = Some(value.as_f64()),
+            }
+            Ok(())
+        })?;
+        members.object = value == Value::Object;
+        Ok(members)
     }
-    out.push_str(std::str::from_utf8(&prefix[start..]).expect("ASCII digits and `:`"));
+
+    /// Whether the object has a string `id`.
+    pub fn has_id(&self) -> bool {
+        matches!(self.id, Some(Some(_)))
+    }
+
+    /// The entry's fields, validated: the members read as
+    /// [`FleetEntry::from_json_or_id`] reads an object's (`default_id`
+    /// stands in for an absent `id`), from the `input` they were read
+    /// from.
+    pub fn fields<'b>(
+        &'b self,
+        input: &'b str,
+        default_id: Option<&'b str>,
+    ) -> Result<EntryFields<'b>, FleetError> {
+        if !self.object {
+            return Err(FleetError::BadSnapshot("entry is not an object".into()));
+        }
+        let text = |text: &'b Option<Text>| text.as_ref().map(|t| t.get(input));
+        let id = self.id.as_ref().map_or(default_id, text);
+        EntryFields::from_members(id, text(&self.device), text(&self.site), self.numbers)?
+            .validate()
+    }
 }
 
 /// An O(1) view of the registry at one moment: the entries and their

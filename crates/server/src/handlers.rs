@@ -1,28 +1,32 @@
 //! Endpoint implementations and the shared application state.
 //!
-//! Every POST endpoint follows the same shape: read the request's
-//! decoded JSON body, resolve defaults, canonicalise the resolved
-//! request into a cache key (an inline fleet request is keyed by its
-//! validated entries instead), then go through the result cache and the
+//! Every POST endpoint follows the same shape: scan the body once into
+//! the members it reads (`crate::decode`), check them and resolve
+//! defaults, write the resolved request's exact bits into a cache key
+//! (`tn_core::cache_key`), then go through the result cache and the
 //! single-flight layer. Because the pipeline is deterministic in
 //! (config, seed), a cached body is byte-identical to a recomputed one.
 //! A handler that can reject its request returns
 //! `Result<Response, BadRequest>`; the router renders the error.
 
 use crate::cache::ShardedCache;
+use crate::decode::{self, scan, Field, FLEET_MAX_ENTRIES};
 use crate::http::{Request, Response};
 use crate::metrics::Metrics;
 use crate::singleflight::{Outcome, SingleFlight};
+use std::fmt::Write as _;
 use std::ops::Range;
 use std::sync::{Arc, Mutex};
-use tn_core::json::{self, push_json_f64, push_json_num, push_json_str, Json};
+use tn_core::cache_key;
+use tn_core::json::{self, push_json_f64, push_json_member as member, push_json_num, push_json_str};
+use tn_core::json::{Json, Value};
 use tn_core::{registry, Pipeline, PipelineConfig};
 use tn_core::report::StudyReport;
 use tn_environment::{DataCenterRoom, Environment, Location, SolarActivity, Surroundings, Weather};
 use tn_fit::{CheckpointPlan, DeviceFit};
 use tn_fleet::{
-    FleetEntry, FleetError, FleetRegistry, RegistrySnapshot, RiskAssessment, RiskSurface,
-    SurfaceConfig,
+    EntryFields, EntryMembers, FleetEntry, FleetError, FleetRegistry, RegistrySnapshot,
+    RiskAssessment, RiskSurface, SurfaceConfig,
 };
 use tn_obs::timeline::{Alert, Monitor, MonitorConfig};
 use tn_physics::units::{Fit, Seconds};
@@ -39,9 +43,6 @@ const SURFACE_MEMO_SLOTS: usize = 2;
 
 /// Entries the demo fleet is seeded with when no snapshot is loaded.
 const DEMO_FLEET_SIZE: usize = 24;
-
-/// Largest number of inline devices one bulk request may carry.
-const FLEET_MAX_ENTRIES: usize = 10_000;
 
 /// Bytes of an inline entry's cache key besides its three strings:
 /// three length prefixes with their `:` (well under 8 bytes each for a
@@ -395,19 +396,15 @@ pub(crate) fn healthz() -> Response {
 pub(crate) fn devices(state: &AppState) -> Response {
     let roster = registry::full_roster(state.seed);
     let mut body = String::with_capacity(1024);
-    body.push_str("{\"count\":");
-    body.push_str(&roster.len().to_string());
+    member(&mut body, "{\"count\":", roster.len());
     body.push_str(",\"devices\":[");
     for (i, entry) in roster.iter().enumerate() {
         if i > 0 {
             body.push(',');
         }
-        body.push_str("{\"name\":");
-        push_json_str(&mut body, entry.device.name());
-        body.push_str(",\"vendor\":");
-        push_json_str(&mut body, entry.device.vendor());
-        body.push_str(",\"kind\":");
-        push_json_str(&mut body, &format!("{:?}", entry.device.kind()));
+        member(&mut body, "{\"name\":", entry.device.name());
+        member(&mut body, ",\"vendor\":", entry.device.vendor());
+        member(&mut body, ",\"kind\":", format!("{:?}", entry.device.kind()).as_str());
         body.push_str(",\"workloads\":[");
         for (j, w) in entry.workloads.iter().enumerate() {
             if j > 0 {
@@ -427,6 +424,7 @@ pub(crate) fn metrics(state: &AppState) -> Response {
 }
 
 /// A request that failed validation, carrying the status it maps to.
+#[derive(Debug, Clone)]
 pub(crate) struct BadRequest {
     status: u16,
     message: String,
@@ -460,47 +458,22 @@ fn parse_surface_line(line: &str) -> Result<(bool, RiskSurface), String> {
     Ok((quick, surface))
 }
 
-fn required_str<'a>(doc: &'a Json, key: &str) -> Result<&'a str, BadRequest> {
-    doc.get(key)
-        .and_then(Json::as_str)
-        .ok_or_else(|| BadRequest::new(400, format!("missing or non-string field `{key}`")))
-}
-
-fn optional_u64(doc: &Json, key: &str, default: u64) -> Result<u64, BadRequest> {
-    match doc.get(key) {
-        None => Ok(default),
-        Some(v) => v
-            .as_u64()
-            .ok_or_else(|| BadRequest::new(400, format!("field `{key}` must be a non-negative integer"))),
-    }
-}
-
-fn optional_bool(doc: &Json, key: &str, default: bool) -> Result<bool, BadRequest> {
-    match doc.get(key) {
-        None => Ok(default),
-        Some(v) => v
-            .as_bool()
-            .ok_or_else(|| BadRequest::new(400, format!("field `{key}` must be a boolean"))),
-    }
-}
-
-fn positive_f64(doc: &Json, key: &str) -> Result<f64, BadRequest> {
-    let v = doc
-        .get(key)
-        .and_then(Json::as_f64)
-        .ok_or_else(|| BadRequest::new(400, format!("missing or non-numeric field `{key}`")))?;
-    if v > 0.0 && v.is_finite() {
-        Ok(v)
-    } else {
-        Err(BadRequest::new(400, format!("field `{key}` must be finite and > 0")))
-    }
-}
-
-fn resolve_location(doc: &Json) -> Result<(Location, Json), BadRequest> {
-    match doc.get("location") {
-        None => Ok((Location::new_york(), Json::Str("new_york".into()))),
-        Some(Json::Str(name)) => {
-            let loc = match name.as_str() {
+/// Resolves `location`, writing it into the cache key: a preset as the
+/// name given, or, for a custom site, an empty text (no preset has that
+/// name) and then its name, altitude and rigidity. An absent location is
+/// keyed as the default preset it stands for.
+fn resolve_location(
+    location: Field<'_>,
+    custom: [Field<'_>; 3],
+    key: &mut String,
+) -> Result<Location, BadRequest> {
+    match location.value {
+        None => {
+            cache_key::push_text(key, "new_york");
+            Ok(Location::new_york())
+        }
+        Some(Value::Str(name)) => {
+            let loc = match &*name {
                 "new_york" | "nyc" => Location::new_york(),
                 "leadville" => Location::leadville(),
                 "los_alamos" => Location::los_alamos(),
@@ -515,25 +488,27 @@ fn resolve_location(doc: &Json) -> Result<(Location, Json), BadRequest> {
                     ))
                 }
             };
-            Ok((loc, Json::Str(name.clone())))
+            cache_key::push_text(key, &name);
+            Ok(loc)
         }
-        Some(obj @ Json::Object(_)) => {
-            let altitude_m = obj
-                .get("altitude_m")
-                .and_then(Json::as_f64)
+        Some(Value::Object) => {
+            let [altitude_m, rigidity, name] = custom;
+            let altitude_m = altitude_m
+                .value
+                .as_ref()
+                .and_then(Value::as_f64)
                 .ok_or_else(|| BadRequest::new(400, "location object needs numeric `altitude_m`"))?;
-            let rigidity = match obj.get("rigidity_factor") {
+            let rigidity = match &rigidity.value {
                 None => 1.0,
                 Some(v) => v
                     .as_f64()
                     .ok_or_else(|| BadRequest::new(400, "`rigidity_factor` must be a number"))?,
             };
-            let name = match obj.get("name") {
-                None => "custom site".to_string(),
+            let name = match &name.value {
+                None => "custom site",
                 Some(v) => v
                     .as_str()
-                    .ok_or_else(|| BadRequest::new(400, "location `name` must be a string"))?
-                    .to_string(),
+                    .ok_or_else(|| BadRequest::new(400, "location `name` must be a string"))?,
             };
             if !(-430.0..=9_000.0).contains(&altitude_m) {
                 return Err(BadRequest::new(
@@ -544,82 +519,68 @@ fn resolve_location(doc: &Json) -> Result<(Location, Json), BadRequest> {
             if !(rigidity > 0.0 && rigidity.is_finite()) {
                 return Err(BadRequest::new(400, "`rigidity_factor` must be finite and > 0"));
             }
-            let canonical = Json::Object(vec![
-                ("altitude_m".into(), Json::Num(altitude_m)),
-                ("name".into(), Json::Str(name.clone())),
-                ("rigidity_factor".into(), Json::Num(rigidity)),
-            ]);
-            Ok((Location::new(name, altitude_m, rigidity), canonical))
+            for text in ["", name] {
+                cache_key::push_text(key, text);
+            }
+            cache_key::push_bits(key, &[altitude_m.to_bits(), rigidity.to_bits()]);
+            Ok(Location::new(name, altitude_m, rigidity))
         }
         Some(_) => Err(BadRequest::new(400, "`location` must be a preset string or an object")),
     }
 }
 
-fn resolve_weather(doc: &Json) -> Result<Weather, BadRequest> {
-    match doc.get("weather") {
-        None => Ok(Weather::Sunny),
-        Some(v) => match v.as_str() {
-            Some("sunny") => Ok(Weather::Sunny),
-            Some("rainy") => Ok(Weather::Rainy),
-            Some("thunderstorm") => Ok(Weather::Thunderstorm),
-            Some("snowpack") => Ok(Weather::Snowpack),
-            _ => Err(BadRequest::new(
-                400,
-                "`weather` must be sunny, rainy, thunderstorm or snowpack",
-            )),
-        },
-    }
-}
+/// The weather presets `/v1/fit` takes, the default first.
+const WEATHER: [(&str, Weather); 4] = [
+    ("sunny", Weather::Sunny),
+    ("rainy", Weather::Rainy),
+    ("thunderstorm", Weather::Thunderstorm),
+    ("snowpack", Weather::Snowpack),
+];
+
+/// The solar-activity presets `/v1/fit` takes, the default first.
+const SOLAR: [(&str, SolarActivity); 3] = [
+    ("minimum", SolarActivity::Minimum),
+    ("average", SolarActivity::Average),
+    ("maximum", SolarActivity::Maximum),
+];
 
 /// Histories per Monte-Carlo room derivation (`derived_*` surroundings).
 /// Matches the count the environment crate uses to validate the
 /// calibrated boosts; responses are cached per `(surroundings, seed)`.
 const ROOM_DERIVATION_HISTORIES: u64 = 4_000;
 
-fn resolve_surroundings(doc: &Json, seed: u64) -> Result<(Surroundings, &'static str), BadRequest> {
-    // The `derived_*` presets run the seeded tn-transport moderation
-    // model (respecting the configured `transport_threads`) instead of
-    // the paper's calibrated additive boosts.
-    let derived = |room: DataCenterRoom, name: &'static str| {
+/// The surroundings presets `/v1/fit` takes, the default first; each
+/// names the surroundings [`surroundings`] builds.
+const SURROUNDINGS: [(&str, ()); 6] = [
+    ("hpc_machine_room", ()),
+    ("outdoors", ()),
+    ("concrete_floor", ()),
+    ("water_cooled", ()),
+    ("derived_air_cooled", ()),
+    ("derived_liquid_cooled", ()),
+];
+
+/// The surroundings a preset name stands for. The `derived_*` presets
+/// run the seeded tn-transport moderation model (respecting the
+/// configured `transport_threads`) instead of the paper's calibrated
+/// additive boosts, so a response runs them only when it is computed,
+/// never on a cache hit.
+fn surroundings(name: &str, seed: u64) -> Surroundings {
+    let derived = |room: DataCenterRoom| {
         let boost = room.derive_thermal_factor(ROOM_DERIVATION_HISTORIES, seed) - 1.0;
-        Ok((Surroundings::outdoors().with_extra_boost(boost), name))
+        Surroundings::outdoors().with_extra_boost(boost)
     };
-    match doc.get("surroundings").map(|v| v.as_str()) {
-        None => Ok((Surroundings::hpc_machine_room(), "hpc_machine_room")),
-        Some(Some("outdoors")) => Ok((Surroundings::outdoors(), "outdoors")),
-        Some(Some("concrete_floor")) => Ok((Surroundings::concrete_floor(), "concrete_floor")),
-        Some(Some("water_cooled")) => Ok((Surroundings::water_cooled(), "water_cooled")),
-        Some(Some("hpc_machine_room")) => {
-            Ok((Surroundings::hpc_machine_room(), "hpc_machine_room"))
-        }
-        Some(Some("derived_air_cooled")) => {
-            derived(DataCenterRoom::air_cooled(), "derived_air_cooled")
-        }
-        Some(Some("derived_liquid_cooled")) => {
-            derived(DataCenterRoom::liquid_cooled(), "derived_liquid_cooled")
-        }
-        _ => Err(BadRequest::new(
-            400,
-            "`surroundings` must be outdoors, concrete_floor, water_cooled, \
-             hpc_machine_room, derived_air_cooled or derived_liquid_cooled",
-        )),
+    match name {
+        "outdoors" => Surroundings::outdoors(),
+        "concrete_floor" => Surroundings::concrete_floor(),
+        "water_cooled" => Surroundings::water_cooled(),
+        "derived_air_cooled" => derived(DataCenterRoom::air_cooled()),
+        "derived_liquid_cooled" => derived(DataCenterRoom::liquid_cooled()),
+        _ => Surroundings::hpc_machine_room(),
     }
 }
 
-fn resolve_solar(doc: &Json) -> Result<(SolarActivity, &'static str), BadRequest> {
-    match doc.get("solar_activity").map(|v| v.as_str()) {
-        None => Ok((SolarActivity::Minimum, "minimum")),
-        Some(Some("minimum")) => Ok((SolarActivity::Minimum, "minimum")),
-        Some(Some("average")) => Ok((SolarActivity::Average, "average")),
-        Some(Some("maximum")) => Ok((SolarActivity::Maximum, "maximum")),
-        _ => Err(BadRequest::new(
-            400,
-            "`solar_activity` must be minimum, average or maximum",
-        )),
-    }
-}
-
-/// Runs a cacheable POST handler: canonical key → cache → single-flight.
+/// Runs a cacheable POST handler: typed key → cache → single-flight.
 fn cached(state: &AppState, key: &str, compute: impl FnOnce() -> String) -> Response {
     Response::json(200, cached_body(state, key, || compute().into()))
 }
@@ -648,18 +609,17 @@ fn cached_body(state: &AppState, key: &str, compute: impl FnOnce() -> Arc<str>) 
 }
 
 fn push_fit_fields(out: &mut String, fit: &DeviceFit) {
-    out.push_str("{\"high_energy_fit\":");
-    push_json_f64(out, fit.high_energy.value());
-    out.push_str(",\"thermal_fit\":");
-    push_json_f64(out, fit.thermal.value());
-    out.push_str(",\"total_fit\":");
-    push_json_f64(out, fit.total().value());
-    out.push_str(",\"thermal_share\":");
-    push_json_f64(out, fit.thermal_share());
-    out.push_str(",\"underestimation_factor\":");
-    push_json_f64(out, fit.underestimation_factor());
+    member(out, "{\"high_energy_fit\":", fit.high_energy.value());
+    member(out, ",\"thermal_fit\":", fit.thermal.value());
+    member(out, ",\"total_fit\":", fit.total().value());
+    member(out, ",\"thermal_share\":", fit.thermal_share());
+    member(out, ",\"underestimation_factor\":", fit.underestimation_factor());
     out.push('}');
 }
+
+/// The members `POST /v1/fit` reads, in the order it checks them.
+const FIT_KEYS: [&str; 7] =
+    ["device", "location", "weather", "seed", "surroundings", "solar_activity", "quick"];
 
 /// `POST /v1/fit` — fold a device's beam-measured cross sections with a
 /// terrestrial environment.
@@ -669,30 +629,50 @@ fn push_fit_fields(out: &mut String, fit: &DeviceFit) {
 /// "solar_activity": <preset>, "seed": <u64>, "quick": <bool>}`
 /// (everything but `device` optional).
 pub(crate) fn fit(state: &AppState, request: &Request) -> Result<Response, BadRequest> {
-    let doc = request.json().map_err(|e| BadRequest::new(400, e))?;
-    let device_name = required_str(doc, "device")?;
+    const CUSTOM_KEYS: [&str; 3] = ["altitude_m", "rigidity_factor", "name"];
+    let mut fields = FIT_KEYS.map(Field::absent);
+    let mut custom = CUSTOM_KEYS.map(Field::absent);
+    scan(request.body(), |s| {
+        s.members(FIT_KEYS, |s, i| {
+            // A custom location's own members are read too.
+            let value = if i == 1 {
+                s.members(CUSTOM_KEYS, |s, j| {
+                    custom[j].value = Some(s.scalar()?);
+                    Ok(())
+                })?
+            } else {
+                s.scalar()?
+            };
+            fields[i].value = Some(value);
+            Ok(())
+        })
+    })?;
+    let [device, location, weather, seed, surroundings_name, solar, quick] = fields;
+    let device_name = device.str()?;
     let device = registry::find_device(device_name)
         .ok_or_else(|| BadRequest::new(404, format!("unknown device `{device_name}`")))?;
-    let (location, canonical_location) = resolve_location(doc)?;
-    let weather = resolve_weather(doc)?;
-    let seed = optional_u64(doc, "seed", state.seed)?;
-    let (surroundings, surroundings_name) = resolve_surroundings(doc, seed)?;
-    let (solar, solar_name) = resolve_solar(doc)?;
-    let quick = optional_bool(doc, "quick", true)?;
+    let mut key = String::from("fit|");
+    cache_key::push_text(&mut key, device.name());
+    let location = resolve_location(location, custom, &mut key)?;
+    let (weather_name, weather) =
+        weather.preset(&WEATHER, "`weather` must be sunny, rainy, thunderstorm or snowpack")?;
+    let seed = seed.u64_or(state.seed)?;
+    let (surroundings_name, ()) = surroundings_name.preset(
+        &SURROUNDINGS,
+        "`surroundings` must be outdoors, concrete_floor, water_cooled, \
+         hpc_machine_room, derived_air_cooled or derived_liquid_cooled",
+    )?;
+    let (solar_name, solar) =
+        solar.preset(&SOLAR, "`solar_activity` must be minimum, average or maximum")?;
+    let quick = quick.bool_or(true)?;
+    for text in [weather_name, surroundings_name, solar_name] {
+        cache_key::push_text(&mut key, text);
+    }
+    cache_key::push_bits(&mut key, &[seed, u64::from(quick)]);
 
-    let resolved = Json::Object(vec![
-        ("device".into(), Json::Str(device.name().to_string())),
-        ("location".into(), canonical_location),
-        ("weather".into(), Json::Str(weather.to_string())),
-        ("surroundings".into(), Json::Str(surroundings_name.into())),
-        ("solar_activity".into(), Json::Str(solar_name.into())),
-        ("seed".into(), Json::Num(seed as f64)),
-        ("quick".into(), Json::Bool(quick)),
-    ]);
-    let key = format!("fit|{}", resolved.to_canonical_string());
-
-    let env = Environment::new(location, weather, surroundings).with_solar_activity(solar);
     Ok(cached(state, &key, || {
+        let env = Environment::new(location, weather, surroundings(surroundings_name, seed))
+            .with_solar_activity(solar);
         let study = state.study(seed, quick);
         let report = study
             .device(device.name())
@@ -700,26 +680,18 @@ pub(crate) fn fit(state: &AppState, request: &Request) -> Result<Response, BadRe
         let sdc = report.sdc_fit(&env);
         let due = report.due_fit(&env);
         let mut out = String::with_capacity(512);
-        out.push_str("{\"device\":");
-        push_json_str(&mut out, device.name());
-        out.push_str(",\"seed\":");
-        out.push_str(&seed.to_string());
-        out.push_str(",\"quick\":");
-        out.push_str(if quick { "true" } else { "false" });
+        member(&mut out, "{\"device\":", device.name());
+        member(&mut out, ",\"seed\":", seed);
+        member(&mut out, ",\"quick\":", quick);
         out.push_str(",\"environment\":{\"location\":");
         push_json_str(&mut out, env.location().name());
         out.push_str(",\"altitude_m\":");
         push_json_num(&mut out, env.location().altitude_m());
-        out.push_str(",\"weather\":");
-        push_json_str(&mut out, &env.weather().to_string());
-        out.push_str(",\"surroundings\":");
-        push_json_str(&mut out, surroundings_name);
-        out.push_str(",\"solar_activity\":");
-        push_json_str(&mut out, solar_name);
-        out.push_str(",\"high_energy_flux_cm2_s\":");
-        push_json_f64(&mut out, env.high_energy_flux().value());
-        out.push_str(",\"thermal_flux_cm2_s\":");
-        push_json_f64(&mut out, env.thermal_flux().value());
+        member(&mut out, ",\"weather\":", env.weather().to_string().as_str());
+        member(&mut out, ",\"surroundings\":", surroundings_name);
+        member(&mut out, ",\"solar_activity\":", solar_name);
+        member(&mut out, ",\"high_energy_flux_cm2_s\":", env.high_energy_flux().value());
+        member(&mut out, ",\"thermal_flux_cm2_s\":", env.thermal_flux().value());
         out.push_str("},\"sdc\":");
         push_fit_fields(&mut out, &sdc);
         out.push_str(",\"due\":");
@@ -734,20 +706,17 @@ pub(crate) fn fit(state: &AppState, request: &Request) -> Result<Response, BadRe
 /// Request: `{"due_fit_per_node": <f64>, "nodes": <u64>,
 /// "checkpoint_cost_s": <f64>}` (`nodes` optional, default 1).
 pub(crate) fn checkpoint(state: &AppState, request: &Request) -> Result<Response, BadRequest> {
-    let doc = request.json().map_err(|e| BadRequest::new(400, e))?;
-    let per_node = positive_f64(doc, "due_fit_per_node")?;
-    let cost_s = positive_f64(doc, "checkpoint_cost_s")?;
-    let nodes = optional_u64(doc, "nodes", 1)?;
+    let [per_node, cost_s, nodes] = scan(request.body(), |s| {
+        decode::fields(s, ["due_fit_per_node", "checkpoint_cost_s", "nodes"])
+    })?;
+    let per_node = per_node.positive()?;
+    let cost_s = cost_s.positive()?;
+    let nodes = nodes.u64_or(1)?;
     if nodes == 0 {
         return Err(BadRequest::new(400, "field `nodes` must be >= 1"));
     }
-
-    let resolved = Json::Object(vec![
-        ("due_fit_per_node".into(), Json::Num(per_node)),
-        ("nodes".into(), Json::Num(nodes as f64)),
-        ("checkpoint_cost_s".into(), Json::Num(cost_s)),
-    ]);
-    let key = format!("checkpoint|{}", resolved.to_canonical_string());
+    let mut key = String::from("checkpoint|");
+    cache_key::push_bits(&mut key, &[per_node.to_bits(), nodes, cost_s.to_bits()]);
 
     Ok(cached(state, &key, || {
         let fleet_fit = per_node * nodes as f64;
@@ -755,20 +724,13 @@ pub(crate) fn checkpoint(state: &AppState, request: &Request) -> Result<Response
         let young = plan.young_interval();
         let daly = plan.daly_interval();
         let mut out = String::with_capacity(256);
-        out.push_str("{\"nodes\":");
-        out.push_str(&nodes.to_string());
-        out.push_str(",\"fleet_due_fit\":");
-        push_json_f64(&mut out, fleet_fit);
-        out.push_str(",\"mtbf_s\":");
-        push_json_f64(&mut out, plan.mtbf().value());
-        out.push_str(",\"young_interval_s\":");
-        push_json_f64(&mut out, young.value());
-        out.push_str(",\"daly_interval_s\":");
-        push_json_f64(&mut out, daly.value());
-        out.push_str(",\"overhead_at_young\":");
-        push_json_f64(&mut out, plan.overhead_at(young));
-        out.push_str(",\"overhead_at_daly\":");
-        push_json_f64(&mut out, plan.overhead_at(daly));
+        member(&mut out, "{\"nodes\":", nodes);
+        member(&mut out, ",\"fleet_due_fit\":", fleet_fit);
+        member(&mut out, ",\"mtbf_s\":", plan.mtbf().value());
+        member(&mut out, ",\"young_interval_s\":", young.value());
+        member(&mut out, ",\"daly_interval_s\":", daly.value());
+        member(&mut out, ",\"overhead_at_young\":", plan.overhead_at(young));
+        member(&mut out, ",\"overhead_at_daly\":", plan.overhead_at(daly));
         out.push('}');
         out
     }))
@@ -780,17 +742,14 @@ pub(crate) fn checkpoint(state: &AppState, request: &Request) -> Result<Response
 ///
 /// Request: `{"device": <name>, "seed": <u64>}` (`seed` optional).
 pub(crate) fn cross_sections(state: &AppState, request: &Request) -> Result<Response, BadRequest> {
-    let doc = request.json().map_err(|e| BadRequest::new(400, e))?;
-    let device_name = required_str(doc, "device")?;
+    let [device, seed] = scan(request.body(), |s| decode::fields(s, ["device", "seed"]))?;
+    let device_name = device.str()?;
     let device = registry::find_device(device_name)
         .ok_or_else(|| BadRequest::new(404, format!("unknown device `{device_name}`")))?;
-    let seed = optional_u64(doc, "seed", state.seed)?;
-
-    let resolved = Json::Object(vec![
-        ("device".into(), Json::Str(device.name().to_string())),
-        ("seed".into(), Json::Num(seed as f64)),
-    ]);
-    let key = format!("cross-sections|{}", resolved.to_canonical_string());
+    let seed = seed.u64_or(state.seed)?;
+    let mut key = String::from("cross-sections|");
+    cache_key::push_text(&mut key, device.name());
+    cache_key::push_bits(&mut key, &[seed]);
 
     Ok(cached(state, &key, || {
         let study = state.study(seed, true);
@@ -798,12 +757,9 @@ pub(crate) fn cross_sections(state: &AppState, request: &Request) -> Result<Resp
             .device(device.name())
             .expect("catalog device present in every study");
         let mut out = String::with_capacity(2048);
-        out.push_str("{\"seed\":");
-        out.push_str(&seed.to_string());
-        out.push_str(",\"sdc_ratio\":");
-        push_json_f64(&mut out, report.sdc_ratio());
-        out.push_str(",\"due_ratio\":");
-        push_json_f64(&mut out, report.due_ratio());
+        member(&mut out, "{\"seed\":", seed);
+        member(&mut out, ",\"sdc_ratio\":", report.sdc_ratio());
+        member(&mut out, ",\"due_ratio\":", report.due_ratio());
         out.push_str(",\"report\":");
         out.push_str(&report.to_json());
         out.push('}');
@@ -835,6 +791,10 @@ fn resolve_material(name: &str) -> Result<tn_physics::Material, BadRequest> {
     }
 }
 
+/// The members `POST /v1/transport` reads, in the order it checks them.
+const TRANSPORT_KEYS: [&str; 6] =
+    ["layers", "energy_ev", "histories", "seed", "source", "variance_reduction"];
+
 /// `POST /v1/transport` — slab-stack Monte-Carlo transport on demand.
 pub(crate) fn transport(state: &AppState, request: &Request) -> Result<Response, BadRequest> {
     use tn_core::transport::{
@@ -842,41 +802,61 @@ pub(crate) fn transport(state: &AppState, request: &Request) -> Result<Response,
     };
     use tn_physics::units::{Energy, Length};
 
-    let doc = request.json().map_err(|e| BadRequest::new(400, e))?;
-    let layers_doc = doc
-        .get("layers")
-        .and_then(Json::as_array)
-        .ok_or_else(|| BadRequest::new(400, "missing or non-array field `layers`"))?;
-    let mut layers = Vec::with_capacity(layers_doc.len());
-    let mut canonical_layers = Vec::with_capacity(layers_doc.len());
-    for (i, entry) in layers_doc.iter().enumerate() {
-        let material_name = entry
-            .get("material")
-            .and_then(Json::as_str)
-            .ok_or_else(|| {
-                BadRequest::new(400, format!("layer {i}: missing or non-string `material`"))
-            })?;
+    let mut fields = TRANSPORT_KEYS.map(Field::absent);
+    // A layer the checks below reject before resolving anything: the
+    // layers after it are only scanned, so a body of a few hundred
+    // thousand empty items keeps one.
+    let incomplete = |[material, thickness]: &[Field<'_>; 2]| {
+        material.value.as_ref().and_then(Value::as_str).is_none()
+            || thickness.value.as_ref().and_then(Value::as_f64).is_none()
+    };
+    let (mut layers, mut is_array) = (Vec::new(), false);
+    scan(request.body(), |s| {
+        s.members(TRANSPORT_KEYS, |s, i| {
+            if i > 0 {
+                fields[i].value = Some(s.scalar()?);
+                return Ok(());
+            }
+            is_array = (s.items(usize::MAX, |s| {
+                if layers.last().is_some_and(incomplete) {
+                    return s.skip();
+                }
+                layers.push(decode::fields(s, ["material", "thickness_cm"])?);
+                Ok(())
+            })?)
+            .is_some();
+            Ok(())
+        })
+    })?;
+    let [_, energy_ev, histories, seed, source, vr] = fields;
+    if !is_array {
+        return Err(BadRequest::new(400, "missing or non-array field `layers`"));
+    }
+    // The layer count first: each layer's key is self-delimiting, so the
+    // key stays one sequence of fields whatever the count.
+    let mut key = String::from("transport|");
+    cache_key::push_bits(&mut key, &[layers.len() as u64]);
+    let mut stack = Vec::with_capacity(layers.len());
+    for (i, [material, thickness_cm]) in layers.iter().enumerate() {
+        let material_name = material.value.as_ref().and_then(Value::as_str).ok_or_else(|| {
+            BadRequest::new(400, format!("layer {i}: missing or non-string `material`"))
+        })?;
         let material = resolve_material(material_name)?;
-        let thickness_cm = entry
-            .get("thickness_cm")
-            .and_then(Json::as_f64)
-            .ok_or_else(|| {
-                BadRequest::new(400, format!("layer {i}: missing or non-numeric `thickness_cm`"))
-            })?;
+        let thickness_cm = thickness_cm.value.as_ref().and_then(Value::as_f64).ok_or_else(|| {
+            BadRequest::new(400, format!("layer {i}: missing or non-numeric `thickness_cm`"))
+        })?;
         // Construction-time geometry validation: a zero or negative
         // thickness surfaces as a 400 here instead of panicking a
         // worker thread inside the transport kernel.
         let layer = Layer::try_new(material, Length(thickness_cm))
             .map_err(|e| BadRequest::new(400, format!("layer {i}: {e}")))?;
-        layers.push(layer);
-        canonical_layers.push(Json::Object(vec![
-            ("material".into(), Json::Str(material_name.into())),
-            ("thickness_cm".into(), Json::Num(thickness_cm)),
-        ]));
+        stack.push(layer);
+        cache_key::push_text(&mut key, material_name);
+        cache_key::push_bits(&mut key, &[thickness_cm.to_bits()]);
     }
-    let stack = SlabStack::try_new(layers).map_err(|e| BadRequest::new(400, e.to_string()))?;
+    let stack = SlabStack::try_new(stack).map_err(|e| BadRequest::new(400, e.to_string()))?;
 
-    let energy_ev = match doc.get("energy_ev") {
+    let energy_ev = match &energy_ev.value {
         None => 0.0253,
         Some(v) => v
             .as_f64()
@@ -885,88 +865,57 @@ pub(crate) fn transport(state: &AppState, request: &Request) -> Result<Response,
                 BadRequest::new(400, "field `energy_ev` must be finite and > 0")
             })?,
     };
-    let histories = optional_u64(doc, "histories", 10_000)?;
+    let histories = histories.u64_or(10_000)?;
     if histories > TRANSPORT_MAX_HISTORIES {
         return Err(BadRequest::new(
             400,
             format!("field `histories` must be ≤ {TRANSPORT_MAX_HISTORIES}"),
         ));
     }
-    let seed = optional_u64(doc, "seed", state.seed)?;
-    let source = match doc.get("source") {
-        None => "beam",
-        Some(Json::Str(s)) if s == "beam" || s == "diffuse" => s.as_str(),
-        Some(_) => {
-            return Err(BadRequest::new(
-                400,
-                "field `source` must be \"beam\" or \"diffuse\"",
-            ))
-        }
-    };
-    let vr = optional_bool(doc, "variance_reduction", false)?;
-
-    let resolved = Json::Object(vec![
-        ("layers".into(), Json::Array(canonical_layers)),
-        ("energy_ev".into(), Json::Num(energy_ev)),
-        ("histories".into(), Json::Num(histories as f64)),
-        ("seed".into(), Json::Num(seed as f64)),
-        ("source".into(), Json::Str(source.into())),
-        ("variance_reduction".into(), Json::Bool(vr)),
-    ]);
-    let key = format!("transport|{}", resolved.to_canonical_string());
+    let seed = seed.u64_or(state.seed)?;
+    let (source, ()) = source.preset(
+        &[("beam", ()), ("diffuse", ())],
+        "field `source` must be \"beam\" or \"diffuse\"",
+    )?;
+    let vr = vr.bool_or(false)?;
+    cache_key::push_bits(&mut key, &[energy_ev.to_bits(), histories, seed]);
+    cache_key::push_text(&mut key, source);
+    cache_key::push_bits(&mut key, &[u64::from(vr)]);
 
     Ok(cached(state, &key, || {
         let engine = Transport::new(stack);
         let e = Energy(energy_ev);
         let mut out = String::with_capacity(512);
-        out.push_str("{\"seed\":");
-        out.push_str(&seed.to_string());
-        out.push_str(",\"histories\":");
-        out.push_str(&histories.to_string());
-        out.push_str(",\"source\":");
-        push_json_str(&mut out, source);
-        out.push_str(",\"variance_reduction\":");
-        out.push_str(if vr { "true" } else { "false" });
+        member(&mut out, "{\"seed\":", seed);
+        member(&mut out, ",\"histories\":", histories);
+        member(&mut out, ",\"source\":", source);
+        member(&mut out, ",\"variance_reduction\":", vr);
         if vr {
-            let tally = if source == "beam" {
+            let t = if source == "beam" {
                 engine.run_beam_weighted(e, histories, seed, VarianceReduction::default())
             } else {
                 engine.run_diffuse_weighted(e, histories, seed, VarianceReduction::default())
             };
-            out.push_str(",\"transmitted_thermal_fraction\":");
-            push_json_f64(&mut out, tally.transmitted_thermal_fraction());
-            out.push_str(",\"transmitted_fraction\":");
-            push_json_f64(&mut out, tally.transmitted_fraction());
-            out.push_str(",\"reflected_thermal_fraction\":");
-            push_json_f64(&mut out, tally.reflected_thermal_fraction());
-            out.push_str(",\"absorbed_fraction\":");
-            push_json_f64(&mut out, tally.absorbed_fraction());
-            out.push_str(",\"transmitted_thermal_rel_error\":");
-            push_json_f64(&mut out, tally.transmitted_thermal_rel_error());
+            member(&mut out, ",\"transmitted_thermal_fraction\":", t.transmitted_thermal_fraction());
+            member(&mut out, ",\"transmitted_fraction\":", t.transmitted_fraction());
+            member(&mut out, ",\"reflected_thermal_fraction\":", t.reflected_thermal_fraction());
+            member(&mut out, ",\"absorbed_fraction\":", t.absorbed_fraction());
+            member(&mut out, ",\"transmitted_thermal_rel_error\":", t.transmitted_thermal_rel_error());
         } else {
-            let tally = if source == "beam" {
+            let t = if source == "beam" {
                 engine.run_beam(e, histories, seed)
             } else {
                 engine.run_diffuse(e, histories, seed)
             };
-            out.push_str(",\"transmitted_thermal\":");
-            out.push_str(&tally.transmitted_thermal.to_string());
-            out.push_str(",\"transmitted_fast\":");
-            out.push_str(&tally.transmitted_fast.to_string());
-            out.push_str(",\"reflected_thermal\":");
-            out.push_str(&tally.reflected_thermal.to_string());
-            out.push_str(",\"reflected_fast\":");
-            out.push_str(&tally.reflected_fast.to_string());
-            out.push_str(",\"absorbed\":");
-            out.push_str(&tally.absorbed.to_string());
-            out.push_str(",\"lost\":");
-            out.push_str(&tally.lost.to_string());
-            out.push_str(",\"transmitted_thermal_fraction\":");
-            push_json_f64(&mut out, tally.transmitted_thermal_fraction());
-            out.push_str(",\"absorbed_fraction\":");
-            push_json_f64(&mut out, tally.absorbed_fraction());
-            out.push_str(",\"thermal_escape_fraction\":");
-            push_json_f64(&mut out, tally.thermal_escape_fraction());
+            member(&mut out, ",\"transmitted_thermal\":", t.transmitted_thermal);
+            member(&mut out, ",\"transmitted_fast\":", t.transmitted_fast);
+            member(&mut out, ",\"reflected_thermal\":", t.reflected_thermal);
+            member(&mut out, ",\"reflected_fast\":", t.reflected_fast);
+            member(&mut out, ",\"absorbed\":", t.absorbed);
+            member(&mut out, ",\"lost\":", t.lost);
+            member(&mut out, ",\"transmitted_thermal_fraction\":", t.transmitted_thermal_fraction());
+            member(&mut out, ",\"absorbed_fraction\":", t.absorbed_fraction());
+            member(&mut out, ",\"thermal_escape_fraction\":", t.thermal_escape_fraction());
         }
         out.push('}');
         out
@@ -986,22 +935,15 @@ impl From<FleetError> for BadRequest {
 /// Renders one assessed fleet entry as a JSON object (used both as a
 /// bulk-response array element and as one JSONL stream line).
 fn push_fleet_result(out: &mut String, entry: &FleetEntry, assessment: &RiskAssessment) {
-    out.push_str("{\"id\":");
-    push_json_str(out, &entry.id);
-    out.push_str(",\"device\":");
-    push_json_str(out, &entry.device);
-    out.push_str(",\"site\":");
-    push_json_str(out, &entry.site);
+    member(out, "{\"id\":", entry.id.as_str());
+    member(out, ",\"device\":", entry.device.as_str());
+    member(out, ",\"site\":", entry.site.as_str());
     out.push_str(",\"altitude_m\":");
     push_json_num(out, entry.altitude_m);
-    out.push_str(",\"b10_areal_cm2\":");
-    push_json_f64(out, entry.b10_areal_cm2);
-    out.push_str(",\"thermal_scaling\":");
-    push_json_f64(out, entry.thermal_scaling);
-    out.push_str(",\"avf\":");
-    push_json_f64(out, entry.avf);
-    out.push_str(",\"source\":");
-    push_json_str(out, assessment.source.label());
+    member(out, ",\"b10_areal_cm2\":", entry.b10_areal_cm2);
+    member(out, ",\"thermal_scaling\":", entry.thermal_scaling);
+    member(out, ",\"avf\":", entry.avf);
+    member(out, ",\"source\":", assessment.source.label());
     out.push_str(",\"sdc\":");
     push_fit_fields(out, &assessment.sdc);
     out.push_str(",\"due\":");
@@ -1218,52 +1160,29 @@ fn push_fleet_summary(
         sdc_total += assessment.sdc.total().value();
         due_total += assessment.due.total().value();
     }
-    out.push_str("{\"count\":");
-    out.push_str(&assessments.len().to_string());
-    out.push_str(",\"surface_hits\":");
-    out.push_str(&surface_hits.to_string());
-    out.push_str(",\"mc_fallbacks\":");
-    out.push_str(&mc_fallbacks.to_string());
-    out.push_str(",\"surface_digest\":");
-    push_json_str(out, &format!("{:016x}", surface.grid_digest()));
+    member(out, "{\"count\":", assessments.len());
+    member(out, ",\"surface_hits\":", surface_hits);
+    member(out, ",\"mc_fallbacks\":", mc_fallbacks);
+    member(out, ",\"surface_digest\":", format!("{:016x}", surface.grid_digest()).as_str());
     out.push_str(",\"totals\":{\"sdc_fit\":");
     push_json_f64(out, sdc_total);
-    out.push_str(",\"due_fit\":");
-    push_json_f64(out, due_total);
-    out.push_str("},\"seed\":");
-    out.push_str(&query.seed.to_string());
-    out.push_str(",\"quick\":");
-    out.push_str(if query.quick { "true" } else { "false" });
+    member(out, ",\"due_fit\":", due_total);
+    member(out, "},\"seed\":", query.seed);
+    member(out, ",\"quick\":", query.quick);
     if let Some(generation) = query.generation {
-        out.push_str(",\"generation\":");
-        out.push_str(&generation.to_string());
+        member(out, ",\"generation\":", generation);
     }
 }
 
 /// Whether `key` caches a registry-mode fleet body (bulk or stream) of a
 /// generation older than `generation`. Such a body can never be served
-/// again once the registry has reached `generation`, because every
-/// registry-mode key ends in the generation it was rendered from and
-/// generations only grow; each successful registry write therefore drops
-/// these bodies at once instead of leaving them to LRU eviction. Inline
-/// keys never match: their third field is `inline`, and nothing after it
-/// is read.
+/// again once the registry has reached `generation`: every registry-mode
+/// key starts with `registry|` and the generation it was rendered from
+/// (no other key does), and generations only grow. Each successful
+/// registry write therefore drops these bodies at once instead of leaving
+/// them to LRU eviction.
 fn is_dead_registry_key(key: &str, generation: u64) -> bool {
-    let rendered_at = if let Some(rest) = key.strip_prefix("fleet|") {
-        // fleet|{seed}|{quick}|registry|{all or canonical ids}|{generation}
-        let mut fields = rest.splitn(3, '|');
-        match (fields.next(), fields.next(), fields.next()) {
-            (Some(_seed), Some(_quick), Some(mode)) if mode.starts_with("registry|") => {
-                mode.rsplit('|').next()
-            }
-            _ => None,
-        }
-    } else if let Some(rest) = key.strip_prefix("fleet-stream|") {
-        // fleet-stream|{seed}|{quick}|{generation}
-        rest.splitn(3, '|').nth(2)
-    } else {
-        None
-    };
+    let rendered_at = key.strip_prefix("registry|").and_then(|rest| rest.split('|').next());
     rendered_at
         .and_then(|g| g.parse::<u64>().ok())
         .is_some_and(|g| g < generation)
@@ -1280,90 +1199,70 @@ fn is_dead_registry_key(key: &str, generation: u64) -> bool {
 /// a direct Monte-Carlo run (`"source": "mc"` in the result).
 ///
 /// The body is decoded once per request: a request the router already
-/// inspected (see [`fleet_surface_key`]) is not parsed again.
+/// inspected (see `router::wants_worker`) is not scanned again.
 pub(crate) fn fleet(state: &AppState, request: &Request) -> Result<Response, BadRequest> {
-    let doc = request.json().map_err(|e| BadRequest::new(400, e))?;
-    let seed = optional_u64(doc, "seed", state.seed)?;
-    let quick = optional_bool(doc, "quick", true)?;
+    let fleet = request.fleet().map_err(BadRequest::clone)?;
+    let text = std::str::from_utf8(request.body()).expect("a decoded fleet body is UTF-8");
+    let (seed, quick) = fleet.surface(state.seed)?;
 
     // Inline mode carries the entries in the request, and its cache key
-    // is their typed keys (see `FleetEntry::push_cache_key`), so every
-    // spelling of the same validated entries shares one body. Registry
-    // mode snapshots (a subset of) the server fleet, with the registry
-    // generation folded into the cache key so cached responses can
-    // never outlive the registry state they were computed from. The
+    // is their typed keys (see `EntryFields::push_cache_key`), written
+    // from the fields as the body holds them: a hit builds no entry, and
+    // every spelling of the same validated entries shares one body.
+    // Registry mode snapshots (a subset of) the server fleet, with the
+    // registry generation folded into the cache key so cached responses
+    // can never outlive the registry state they were computed from. The
     // whole-registry snapshot is O(1): it shares the registry's entries
     // and write stamps.
-    let mut key = format!("fleet|{seed}|{quick}|");
-    let (entries, generation) = match doc.get("devices") {
+    let mut key = String::new();
+    let (entries, generation) = match &fleet.devices {
         Some(devices) => {
-            let array = devices
-                .as_array()
-                .ok_or_else(|| BadRequest::new(400, "field `devices` must be an array"))?;
-            if array.is_empty() {
-                return Err(BadRequest::new(400, "field `devices` must not be empty"));
+            let raw = devices
+                .as_ref()
+                .ok_or_else(|| BadRequest::new(400, "field `devices` must be an array"))?
+                .within("devices", FLEET_MAX_ENTRIES)?;
+            key.reserve(64 + text.len() + (INLINE_KEY_BYTES + 11) * raw.len());
+            let _ = write!(key, "fleet|{seed}|{quick}|inline|");
+            for (i, entry) in raw.iter().enumerate() {
+                inline_entry(entry, text, i, |fields| fields.push_cache_key(&mut key))?;
             }
-            if array.len() > FLEET_MAX_ENTRIES {
-                return Err(BadRequest::new(
-                    400,
-                    format!("field `devices` must hold ≤ {FLEET_MAX_ENTRIES} entries"),
-                ));
-            }
-            let mut entries = Vec::with_capacity(array.len());
-            for (i, item) in array.iter().enumerate() {
-                // Inline entries get a positional id when none is given.
-                let default_id = item.get("id").is_none().then(|| format!("inline-{i:04}"));
-                let entry = FleetEntry::from_json_or_id(item, default_id).map_err(|e| {
-                    let bad = BadRequest::from(e);
-                    BadRequest::new(bad.status, format!("devices[{i}]: {}", bad.message))
-                })?;
-                entries.push(entry);
-            }
-            let strings: usize = entries
-                .iter()
-                .map(|e| e.id.len() + e.device.len() + e.site.len())
-                .sum();
-            key.reserve("inline|".len() + strings + INLINE_KEY_BYTES * entries.len());
-            key.push_str("inline|");
-            for entry in &entries {
-                entry.push_cache_key(&mut key);
-            }
-            (FleetEntries::Listed(entries), None)
+            (FleetEntries::Inline(raw), None)
         }
-        None => state.with_fleet(|fleet| {
-            if fleet.is_empty() {
+        None => state.with_fleet(|registry| {
+            if registry.is_empty() {
                 return Err(BadRequest::new(400, "fleet registry is empty"));
             }
-            let generation = fleet.generation();
-            match doc.get("ids") {
-                None => {
-                    key += &format!("registry|all|{generation}");
-                    Ok((FleetEntries::Registry(fleet.snapshot()), Some(generation)))
-                }
-                Some(ids) => {
-                    let ids = ids
-                        .as_array()
-                        .ok_or_else(|| BadRequest::new(400, "field `ids` must be an array"))?;
-                    let mut entries = Vec::with_capacity(ids.len());
-                    let mut key_ids = Vec::with_capacity(ids.len());
-                    for id in ids {
-                        let id = id.as_str().ok_or_else(|| {
-                            BadRequest::new(400, "field `ids` must hold strings")
-                        })?;
-                        let entry = fleet.get(id).ok_or_else(|| {
-                            BadRequest::new(404, format!("unknown fleet entry `{id}`"))
-                        })?;
-                        entries.push(entry.clone());
-                        key_ids.push(Json::Str(id.to_string()));
-                    }
-                    if entries.is_empty() {
-                        return Err(BadRequest::new(400, "field `ids` must not be empty"));
-                    }
-                    let canonical = Json::Array(key_ids).to_canonical_string();
-                    key += &format!("registry|{canonical}|{generation}");
-                    Ok((FleetEntries::Listed(entries), Some(generation)))
-                }
+            let generation = registry.generation();
+            key = format!("registry|{generation}|fleet|{seed}|{quick}|");
+            let Some(ids) = &fleet.ids else {
+                key.push_str("all");
+                return Ok((FleetEntries::Registry(registry.snapshot()), Some(generation)));
+            };
+            let ids = ids
+                .as_ref()
+                .ok_or_else(|| BadRequest::new(400, "field `ids` must be an array"))?;
+            if ids.len > FLEET_MAX_ENTRIES {
+                return Err(BadRequest::new(
+                    400,
+                    format!("field `ids` must hold ≤ {FLEET_MAX_ENTRIES} entries"),
+                ));
             }
+            let mut entries = Vec::with_capacity(ids.items.len());
+            for id in &ids.items {
+                let id = id
+                    .as_ref()
+                    .ok_or_else(|| BadRequest::new(400, "field `ids` must hold strings"))?
+                    .get(text);
+                let entry = registry.get(id).ok_or_else(|| {
+                    BadRequest::new(404, format!("unknown fleet entry `{id}`"))
+                })?;
+                entries.push(entry.clone());
+                cache_key::push_text(&mut key, id);
+            }
+            if entries.is_empty() {
+                return Err(BadRequest::new(400, "field `ids` must not be empty"));
+            }
+            Ok((FleetEntries::Listed(entries), Some(generation)))
         })?,
     };
 
@@ -1374,15 +1273,48 @@ pub(crate) fn fleet(state: &AppState, request: &Request) -> Result<Response, Bad
         framing: Framing::Bulk,
     };
     let body = cached_body(state, &key, || match entries {
+        FleetEntries::Inline(raw) => {
+            let entries: Vec<FleetEntry> = (raw.iter().enumerate())
+                .map(|(i, entry)| inline_entry(entry, text, i, |fields| fields.to_entry()))
+                .collect::<Result<_, _>>()
+                .expect("the entries were validated for the key");
+            render_listed(state, query, &entries)
+        }
         FleetEntries::Listed(entries) => render_listed(state, query, &entries),
         FleetEntries::Registry(snapshot) => render_registry(state, query, snapshot),
     });
     Ok(Response::json(200, body))
 }
 
+/// Validates inline entry `i` of a fleet request and hands its fields
+/// to `use_fields`. An entry without an `id` is `inline-{i:04}`, written
+/// on the stack.
+fn inline_entry<T>(
+    entry: &EntryMembers,
+    text: &str,
+    i: usize,
+    use_fields: impl FnOnce(EntryFields<'_>) -> T,
+) -> Result<T, BadRequest> {
+    // Four digits: `i` is below FLEET_MAX_ENTRIES. Written by hand, not
+    // with `write!`: this runs for every entry of every cache hit.
+    let mut id = *b"inline-0000";
+    let mut rest = i;
+    for digit in id[7..].iter_mut().rev() {
+        *digit = b'0' + (rest % 10) as u8;
+        rest /= 10;
+    }
+    let default_id = std::str::from_utf8(&id).expect("ASCII digits");
+    entry.fields(text, Some(default_id)).map(use_fields).map_err(|e| {
+        let bad = BadRequest::from(e);
+        BadRequest::new(bad.status, format!("devices[{i}]: {}", bad.message))
+    })
+}
+
 /// The entries a bulk fleet request assesses.
-enum FleetEntries {
-    /// Inline devices, or an `ids` subset of the registry.
+enum FleetEntries<'a> {
+    /// Inline devices, as decoded and validated.
+    Inline(&'a [EntryMembers]),
+    /// An `ids` subset of the registry.
     Listed(Vec<FleetEntry>),
     /// The whole registry.
     Registry(RegistrySnapshot),
@@ -1399,7 +1331,7 @@ pub(crate) fn fleet_stream(state: &AppState, path: &str) -> Result<Response, Bad
         return Err(BadRequest::new(400, "fleet registry is empty"));
     }
 
-    let key = format!("fleet-stream|{seed}|{quick}|{generation}");
+    let key = format!("registry|{generation}|fleet-stream|{seed}|{quick}");
     let query = FleetQuery {
         seed,
         quick,
@@ -1411,56 +1343,44 @@ pub(crate) fn fleet_stream(state: &AppState, path: &str) -> Result<Response, Bad
     Ok(Response::chunked(200, "application/x-ndjson", text))
 }
 
+/// The `name=value` pairs of `path`'s query string.
+fn query_pairs(path: &str) -> impl Iterator<Item = (&str, &str)> {
+    let query = path.split_once('?').map_or("", |(_, query)| query);
+    let pairs = query.split('&').filter(|p| !p.is_empty());
+    pairs.map(|pair| pair.split_once('=').unwrap_or((pair, "")))
+}
+
+fn unknown_query_parameter(name: &str) -> BadRequest {
+    BadRequest::new(400, format!("unknown query parameter `{name}`"))
+}
+
 /// Parses the `seed`/`quick` query parameters shared by the stream
 /// endpoint and the event loop's offload decision.
-fn stream_params(default_seed: u64, path: &str) -> Result<(u64, bool), BadRequest> {
+pub(crate) fn stream_params(default_seed: u64, path: &str) -> Result<(u64, bool), BadRequest> {
     let (mut seed, mut quick) = (default_seed, true);
-    if let Some((_, query)) = path.split_once('?') {
-        for pair in query.split('&').filter(|p| !p.is_empty()) {
-            let (name, value) = pair.split_once('=').unwrap_or((pair, ""));
-            match name {
-                "seed" => {
-                    seed = value.parse().map_err(|_| {
-                        BadRequest::new(400, "query parameter `seed` must be a non-negative integer")
-                    })?;
-                }
-                "quick" => {
-                    quick = match value {
-                        "true" | "1" | "" => true,
-                        "false" | "0" => false,
-                        _ => {
-                            return Err(BadRequest::new(
-                                400,
-                                "query parameter `quick` must be true or false",
-                            ))
-                        }
-                    };
-                }
-                other => {
-                    return Err(BadRequest::new(
-                        400,
-                        format!("unknown query parameter `{other}`"),
-                    ))
-                }
+    for (name, value) in query_pairs(path) {
+        match name {
+            "seed" => {
+                seed = value.parse().map_err(|_| {
+                    BadRequest::new(400, "query parameter `seed` must be a non-negative integer")
+                })?;
             }
+            "quick" => {
+                quick = match value {
+                    "true" | "1" | "" => true,
+                    "false" | "0" => false,
+                    _ => {
+                        return Err(BadRequest::new(
+                            400,
+                            "query parameter `quick` must be true or false",
+                        ))
+                    }
+                };
+            }
+            other => return Err(unknown_query_parameter(other)),
         }
     }
     Ok((seed, quick))
-}
-
-/// Which `(seed, quick)` risk surface a bulk fleet request would use,
-/// or `None` when the request is malformed (those fail fast without a
-/// surface build, so they never need the worker pool). Used by the
-/// event loop to decide inline-vs-offload before dispatching.
-pub fn fleet_surface_key(state: &AppState, request: &Request) -> Option<(u64, bool)> {
-    let path = request.path.split(['?', '#']).next().unwrap_or("");
-    if path == "/v1/fleet/stream" {
-        return stream_params(state.seed, &request.path).ok();
-    }
-    let doc = request.json().ok()?;
-    let seed = optional_u64(doc, "seed", state.seed).ok()?;
-    let quick = optional_bool(doc, "quick", true).ok()?;
-    Some((seed, quick))
 }
 
 /// `POST /v1/fleet/entries` — inserts or replaces one registry entry.
@@ -1471,11 +1391,12 @@ pub(crate) fn fleet_entry_upsert(
     state: &AppState,
     request: &Request,
 ) -> Result<Response, BadRequest> {
-    let doc = request.json().map_err(|e| BadRequest::new(400, e))?;
-    if doc.get("id").and_then(Json::as_str).is_none() {
+    let raw = scan(request.body(), EntryMembers::read)?;
+    if !raw.has_id() {
         return Err(BadRequest::new(400, "field `id` (string) is required"));
     }
-    let entry = FleetEntry::from_json(doc).map_err(BadRequest::from)?;
+    let text = std::str::from_utf8(request.body()).expect("a scanned body is UTF-8");
+    let entry = raw.fields(text, None).map_err(BadRequest::from)?.to_entry();
     let id = entry.id.clone();
     let (generation, count) = state.with_fleet(|fleet| {
         fleet
@@ -1483,20 +1404,7 @@ pub(crate) fn fleet_entry_upsert(
             .map(|()| (fleet.generation(), fleet.len()))
             .map_err(BadRequest::from)
     })?;
-    state
-        .cache
-        .remove_if(|key| is_dead_registry_key(key, generation));
-    tn_obs::info(
-        "fleet_entry_upsert",
-        &[("id", id.as_str().into()), ("generation", generation.into())],
-    );
-    Ok(Response::json(
-        200,
-        format!(
-            "{{\"op\":\"upsert\",\"id\":{},\"generation\":{generation},\"count\":{count}}}",
-            Json::Str(id).to_canonical_string()
-        ),
-    ))
+    fleet_write_response(state, "upsert", &id, generation, count)
 }
 
 /// `DELETE /v1/fleet/entries/{id}` — removes one registry entry; 404
@@ -1505,63 +1413,56 @@ pub(crate) fn fleet_entry_delete(state: &AppState, id: &str) -> Result<Response,
     let (generation, count) = state
         .with_fleet(|fleet| fleet.remove(id).then(|| (fleet.generation(), fleet.len())))
         .ok_or_else(|| BadRequest::new(404, format!("unknown fleet entry `{id}`")))?;
+    fleet_write_response(state, "delete", id, generation, count)
+}
+
+/// Drops the cached bodies a registry write left dead, logs the write and
+/// answers it.
+fn fleet_write_response(
+    state: &AppState,
+    op: &str,
+    id: &str,
+    generation: u64,
+    count: usize,
+) -> Result<Response, BadRequest> {
     state
         .cache
         .remove_if(|key| is_dead_registry_key(key, generation));
     tn_obs::info(
-        "fleet_entry_delete",
+        if op == "upsert" { "fleet_entry_upsert" } else { "fleet_entry_delete" },
         &[("id", id.into()), ("generation", generation.into())],
     );
-    Ok(Response::json(
-        200,
-        format!(
-            "{{\"op\":\"delete\",\"id\":{},\"generation\":{generation},\"count\":{count}}}",
-            Json::Str(id.to_string()).to_canonical_string()
-        ),
-    ))
+    let mut out = format!("{{\"op\":\"{op}\",\"id\":");
+    push_json_str(&mut out, id);
+    out.push_str(&format!(",\"generation\":{generation},\"count\":{count}}}"));
+    Ok(Response::json(200, out))
 }
 
 /// Renders one timeline point as a JSON object (array element in the
 /// bulk response, one JSONL line in the stream).
 fn push_timeline_point(out: &mut String, p: &tn_obs::timeline::RatePoint) {
-    out.push_str("{\"index\":");
-    out.push_str(&p.index.to_string());
-    out.push_str(",\"ts_nanos\":");
-    out.push_str(&p.ts_nanos.to_string());
-    out.push_str(",\"count\":");
-    out.push_str(&p.count.to_string());
-    out.push_str(",\"exposure_seconds\":");
-    push_json_f64(out, p.exposure_seconds);
-    out.push_str(",\"rate\":");
-    push_json_f64(out, p.rate);
-    out.push_str(",\"window_rate\":");
-    push_json_f64(out, p.window_rate);
-    out.push_str(",\"window_lower\":");
-    push_json_f64(out, p.window_lower);
-    out.push_str(",\"window_upper\":");
-    push_json_f64(out, p.window_upper);
-    out.push_str(",\"baseline\":");
-    push_json_f64(out, p.baseline);
+    member(out, "{\"index\":", p.index);
+    member(out, ",\"ts_nanos\":", p.ts_nanos);
+    member(out, ",\"count\":", p.count);
+    member(out, ",\"exposure_seconds\":", p.exposure_seconds);
+    member(out, ",\"rate\":", p.rate);
+    member(out, ",\"window_rate\":", p.window_rate);
+    member(out, ",\"window_lower\":", p.window_lower);
+    member(out, ",\"window_upper\":", p.window_upper);
+    member(out, ",\"baseline\":", p.baseline);
     out.push('}');
 }
 
 /// Renders one alert as a JSON object. The `kind` field distinguishes
 /// alert lines from point lines in the JSONL stream.
 fn push_timeline_alert(out: &mut String, a: &Alert) {
-    out.push_str("{\"kind\":");
-    push_json_str(out, a.kind.label());
-    out.push_str(",\"onset_index\":");
-    out.push_str(&a.onset_index.to_string());
-    out.push_str(",\"detected_index\":");
-    out.push_str(&a.detected_index.to_string());
-    out.push_str(",\"ts_nanos\":");
-    out.push_str(&a.ts_nanos.to_string());
-    out.push_str(",\"baseline_rate\":");
-    push_json_f64(out, a.baseline_rate);
-    out.push_str(",\"observed_rate\":");
-    push_json_f64(out, a.observed_rate);
-    out.push_str(",\"magnitude\":");
-    push_json_f64(out, a.magnitude);
+    member(out, "{\"kind\":", a.kind.label());
+    member(out, ",\"onset_index\":", a.onset_index);
+    member(out, ",\"detected_index\":", a.detected_index);
+    member(out, ",\"ts_nanos\":", a.ts_nanos);
+    member(out, ",\"baseline_rate\":", a.baseline_rate);
+    member(out, ",\"observed_rate\":", a.observed_rate);
+    member(out, ",\"magnitude\":", a.magnitude);
     out.push('}');
 }
 
@@ -1569,26 +1470,13 @@ fn push_timeline_alert(out: &mut String, a: &Alert) {
 /// endpoints; unknown parameters are rejected like everywhere else.
 fn timeline_limit(path: &str) -> Result<usize, BadRequest> {
     let mut limit = TIMELINE_DEFAULT_LIMIT;
-    if let Some((_, query)) = path.split_once('?') {
-        for pair in query.split('&').filter(|p| !p.is_empty()) {
-            let (name, value) = pair.split_once('=').unwrap_or((pair, ""));
-            match name {
-                "limit" => {
-                    limit = value.parse().ok().filter(|l| *l > 0).ok_or_else(|| {
-                        BadRequest::new(
-                            400,
-                            "query parameter `limit` must be a positive integer",
-                        )
-                    })?;
-                }
-                other => {
-                    return Err(BadRequest::new(
-                        400,
-                        format!("unknown query parameter `{other}`"),
-                    ))
-                }
-            }
+    for (name, value) in query_pairs(path) {
+        if name != "limit" {
+            return Err(unknown_query_parameter(name));
         }
+        limit = value.parse().ok().filter(|l| *l > 0).ok_or_else(|| {
+            BadRequest::new(400, "query parameter `limit` must be a positive integer")
+        })?;
     }
     Ok(limit)
 }
@@ -1625,14 +1513,10 @@ fn timeline_snapshot(state: &AppState, limit: usize) -> TimelineSnapshot {
 fn push_timeline_summary(out: &mut String, snap: &TimelineSnapshot) {
     out.push_str("\"samples\":");
     out.push_str(&snap.seen.to_string());
-    out.push_str(",\"armed\":");
-    out.push_str(if snap.armed { "true" } else { "false" });
-    out.push_str(",\"reference_rate\":");
-    push_json_f64(out, snap.reference_rate);
-    out.push_str(",\"window_rate\":");
-    push_json_f64(out, snap.window_rate);
-    out.push_str(",\"ewma_baseline\":");
-    push_json_f64(out, snap.ewma_baseline);
+    member(out, ",\"armed\":", snap.armed);
+    member(out, ",\"reference_rate\":", snap.reference_rate);
+    member(out, ",\"window_rate\":", snap.window_rate);
+    member(out, ",\"ewma_baseline\":", snap.ewma_baseline);
 }
 
 /// `GET /v1/timeline` — the monitor state as one JSON object: the
@@ -1672,10 +1556,8 @@ pub(crate) fn timeline_stream(state: &AppState, path: &str) -> Result<Response, 
     let mut text = String::with_capacity(256 + 192 * snap.points.len());
     text.push('{');
     push_timeline_summary(&mut text, &snap);
-    text.push_str(",\"alerts\":");
-    text.push_str(&snap.alerts.len().to_string());
-    text.push_str(",\"points\":");
-    text.push_str(&snap.points.len().to_string());
+    member(&mut text, ",\"alerts\":", snap.alerts.len());
+    member(&mut text, ",\"points\":", snap.points.len());
     text.push_str("}\n");
     for p in &snap.points {
         push_timeline_point(&mut text, p);
@@ -1689,16 +1571,19 @@ pub(crate) fn timeline_stream(state: &AppState, path: &str) -> Result<Response, 
     Ok(Response::chunked(200, "application/x-ndjson", text))
 }
 
-/// Parses one ingest sample: `count` required, `exposure_seconds`
+/// Reads one ingest sample: `count` required, `exposure_seconds`
 /// optional (defaults to one hourly bin).
-fn timeline_sample(doc: &Json, ctx: &str) -> Result<(u64, f64), BadRequest> {
-    let count = doc.get("count").and_then(Json::as_u64).ok_or_else(|| {
+fn timeline_sample(
+    [count, exposure]: &[Field<'_>; 2],
+    ctx: &str,
+) -> Result<(u64, f64), BadRequest> {
+    let count = count.value.as_ref().and_then(Value::as_u64).ok_or_else(|| {
         BadRequest::new(
             400,
             format!("{ctx}: missing or non-integer field `count`"),
         )
     })?;
-    let exposure = match doc.get("exposure_seconds") {
+    let exposure = match &exposure.value {
         None => TIMELINE_DEFAULT_EXPOSURE_S,
         Some(v) => v
             .as_f64()
@@ -1718,28 +1603,30 @@ fn timeline_sample(doc: &Json, ctx: &str) -> Result<(u64, f64), BadRequest> {
 /// one sample, or `{"samples": [{...}, ...]}` for an ordered batch.
 /// Responds with the alerts this ingest raised.
 pub(crate) fn timeline_ingest(state: &AppState, request: &Request) -> Result<Response, BadRequest> {
-    let doc = request.json().map_err(|e| BadRequest::new(400, e))?;
-    let samples = match doc.get("samples") {
-        Some(v) => {
-            let array = v
-                .as_array()
-                .ok_or_else(|| BadRequest::new(400, "field `samples` must be an array"))?;
-            if array.is_empty() {
-                return Err(BadRequest::new(400, "field `samples` must not be empty"));
+    const SAMPLE_KEYS: [&str; 2] = ["count", "exposure_seconds"];
+    let mut single = SAMPLE_KEYS.map(Field::absent);
+    let mut batch = None;
+    scan(request.body(), |s| {
+        s.members(["samples", "count", "exposure_seconds"], |s, i| {
+            if i == 0 {
+                batch = Some(decode::list(s, TIMELINE_MAX_SAMPLES, |s| {
+                    decode::fields(s, SAMPLE_KEYS)
+                })?);
+            } else {
+                single[i - 1].value = Some(s.scalar()?);
             }
-            if array.len() > TIMELINE_MAX_SAMPLES {
-                return Err(BadRequest::new(
-                    400,
-                    format!("field `samples` must hold ≤ {TIMELINE_MAX_SAMPLES} entries"),
-                ));
-            }
-            array
-                .iter()
-                .enumerate()
-                .map(|(i, s)| timeline_sample(s, &format!("samples[{i}]")))
-                .collect::<Result<Vec<_>, _>>()?
-        }
-        None => vec![timeline_sample(doc, "request")?],
+            Ok(())
+        })
+    })?;
+    let samples = match batch {
+        Some(list) => list
+            .ok_or_else(|| BadRequest::new(400, "field `samples` must be an array"))?
+            .within("samples", TIMELINE_MAX_SAMPLES)?
+            .iter()
+            .enumerate()
+            .map(|(i, s)| timeline_sample(s, &format!("samples[{i}]")))
+            .collect::<Result<Vec<_>, _>>()?,
+        None => vec![timeline_sample(&single, "request")?],
     };
     let mut alerts = Vec::new();
     for &(count, exposure) in &samples {
@@ -1747,12 +1634,9 @@ pub(crate) fn timeline_ingest(state: &AppState, request: &Request) -> Result<Res
     }
     let (seen, armed) = state.with_timeline(|m| (m.seen(), m.armed()));
     let mut out = String::with_capacity(128 + 128 * alerts.len());
-    out.push_str("{\"ingested\":");
-    out.push_str(&samples.len().to_string());
-    out.push_str(",\"samples\":");
-    out.push_str(&seen.to_string());
-    out.push_str(",\"armed\":");
-    out.push_str(if armed { "true" } else { "false" });
+    member(&mut out, "{\"ingested\":", samples.len());
+    member(&mut out, ",\"samples\":", seen);
+    member(&mut out, ",\"armed\":", armed);
     out.push_str(",\"alerts\":[");
     for (i, a) in alerts.iter().enumerate() {
         if i > 0 {
@@ -1767,29 +1651,32 @@ pub(crate) fn timeline_ingest(state: &AppState, request: &Request) -> Result<Res
 /// `GET /v1/scenarios` — lists the built-in scenario campaigns with
 /// their headline parameters, plus the seed a run defaults to.
 pub(crate) fn scenarios(state: &AppState) -> Response {
-    let list: Vec<Json> = tn_scenario::builtin_names()
-        .iter()
-        .map(|name| {
-            let s = tn_scenario::builtin(name).expect("built-in scenario");
-            Json::Object(vec![
-                ("name".into(), Json::Str(s.name.clone())),
-                (
-                    "duration_hours".into(),
-                    Json::Num(f64::from(s.duration_hours)),
-                ),
-                ("channels".into(), Json::Num(f64::from(s.channels))),
-                ("events".into(), Json::Num(s.events.len() as f64)),
-                ("faults".into(), Json::Num(s.faults.len() as f64)),
-                ("moderation".into(), Json::Bool(s.moderation)),
-            ])
-        })
-        .collect();
-    let doc = Json::Object(vec![
-        ("count".into(), Json::Num(list.len() as f64)),
-        ("default_seed".into(), Json::Num(state.seed as f64)),
-        ("scenarios".into(), Json::Array(list)),
-    ]);
-    Response::json(200, doc.to_canonical_string())
+    let names = tn_scenario::builtin_names();
+    let mut out = format!("{{\"count\":{},\"default_seed\":", names.len());
+    push_json_num(&mut out, state.seed as f64);
+    out.push_str(",\"scenarios\":[");
+    for (i, name) in names.iter().enumerate() {
+        let s = tn_scenario::builtin(name).expect("built-in scenario");
+        if i > 0 {
+            out.push(',');
+        }
+        // Members in sorted order, as the canonical form writes them.
+        out.push_str(&format!(
+            concat!(
+                "{{\"channels\":{},\"duration_hours\":{},\"events\":{},",
+                "\"faults\":{},\"moderation\":{},\"name\":"
+            ),
+            s.channels,
+            s.duration_hours,
+            s.events.len(),
+            s.faults.len(),
+            s.moderation,
+        ));
+        push_json_str(&mut out, &s.name);
+        out.push('}');
+    }
+    out.push_str("]}");
+    Response::json(200, out)
 }
 
 /// `POST /v1/scenario/run` — runs a built-in scenario campaign and
@@ -1797,9 +1684,9 @@ pub(crate) fn scenarios(state: &AppState) -> Response {
 /// "seed": <u64>}` (`seed` optional, defaults to the server seed).
 /// Reports are byte-deterministic, so repeats are LRU cache hits.
 pub(crate) fn scenario_run(state: &AppState, request: &Request) -> Result<Response, BadRequest> {
-    let doc = request.json().map_err(|e| BadRequest::new(400, e))?;
-    let name = required_str(doc, "name")?;
-    let seed = optional_u64(doc, "seed", state.seed)?;
+    let [name, seed] = scan(request.body(), |s| decode::fields(s, ["name", "seed"]))?;
+    let name = name.str()?;
+    let seed = seed.u64_or(state.seed)?;
     let scenario = tn_scenario::builtin(name).ok_or_else(|| {
         BadRequest::new(
             404,
@@ -1809,7 +1696,9 @@ pub(crate) fn scenario_run(state: &AppState, request: &Request) -> Result<Respon
             ),
         )
     })?;
-    let key = format!("scenario/run|{name}|{seed}");
+    let mut key = String::from("scenario/run|");
+    cache_key::push_text(&mut key, name);
+    cache_key::push_bits(&mut key, &[seed]);
     Ok(cached(state, &key, || {
         tn_scenario::run_scenario(&scenario, seed).to_json()
     }))
@@ -1930,6 +1819,17 @@ mod tests {
             "{}",
             zero.body_text()
         );
+        // The first layer the checks reject wins, however many follow it,
+        // syntax errors after it included.
+        let many = format!(
+            r#"{{"layers":[{{"material":"air","thickness_cm":1}},{}],"source":7}}"#,
+            vec!["{}"; 300_000].join(",")
+        );
+        let rejected = post(&s, "/v1/transport", many.as_bytes());
+        assert_eq!(rejected.status, 400);
+        assert!(rejected.body_text().contains("layer 1: missing or non-string `material`"));
+        let broken = many.replace(r#""source":7"#, r#""source":7,"#);
+        assert!(post(&s, "/v1/transport", broken.as_bytes()).body_text().contains("malformed JSON"));
         let ok = post(
             &s,
             "/v1/transport",
@@ -2160,25 +2060,28 @@ mod tests {
     #[test]
     fn dead_registry_keys_are_exactly_older_registry_generations() {
         // Bulk registry mode: the whole registry and an id subset whose
-        // canonical ids hold `|` and digits of their own.
-        assert!(is_dead_registry_key("fleet|7|true|registry|all|3", 4));
-        assert!(!is_dead_registry_key("fleet|7|true|registry|all|4", 4));
-        let subset = r#"fleet|7|false|registry|["n|9","registry|all|0"]|2"#;
+        // keyed ids hold `|` and digits of their own.
+        assert!(is_dead_registry_key("registry|3|fleet|7|true|all", 4));
+        assert!(!is_dead_registry_key("registry|4|fleet|7|true|all", 4));
+        let subset = "registry|2|fleet|7|false|3:n|914:registry|9|all";
         assert!(is_dead_registry_key(subset, 3));
         assert!(!is_dead_registry_key(subset, 2));
         // The stream.
-        assert!(is_dead_registry_key("fleet-stream|7|true|0", 1));
-        assert!(!is_dead_registry_key("fleet-stream|7|true|1", 1));
-        // Inline keys never match, whatever their canonical JSON holds.
+        assert!(is_dead_registry_key("registry|0|fleet-stream|7|true", 1));
+        assert!(!is_dead_registry_key("registry|1|fleet-stream|7|true", 1));
+        // Inline keys never match, whatever their strings hold.
         for inline in [
-            r#"fleet|7|true|inline|[{"device":"NVIDIA K20","id":"x|registry|all|0"}]"#,
-            r#"fleet|7|true|inline|[{"site":"|registry|"}]|0"#,
-            "fleet|7|true|inline|registry|all|0",
+            "fleet|7|true|inline|13:registry|0|x10:NVIDIA K200:",
+            "fleet|7|true|inline|1:a10:NVIDIA K2010:|registry||0",
         ] {
             assert!(!is_dead_registry_key(inline, u64::MAX), "{inline}");
         }
         // Other endpoints' keys never match.
-        for other in ["fit|{}", "scenario/run|normal|0", "transport|{}"] {
+        for other in [
+            "fit|10:NVIDIA K208:new_york",
+            "scenario/run|6:normal0000000000000000",
+            "transport|0000000000000001",
+        ] {
             assert!(!is_dead_registry_key(other, u64::MAX), "{other}");
         }
     }
@@ -2196,9 +2099,9 @@ mod tests {
         }
         assert_eq!(get(&s, "/v1/fleet/stream?quick=true").status, 200);
         let generation_0 = [
-            "fleet|2020|true|registry|all|0",
-            r#"fleet|2020|true|registry|["node-0003"]|0"#,
-            "fleet-stream|2020|true|0",
+            "registry|0|fleet|2020|true|all",
+            "registry|0|fleet|2020|true|9:node-0003",
+            "registry|0|fleet-stream|2020|true",
         ];
         for key in generation_0 {
             assert!(s.cache.get(key).is_some(), "{key} was cached");
@@ -2218,13 +2121,13 @@ mod tests {
 
         // A body of the current generation survives until the next write.
         assert_eq!(post(&s, "/v1/fleet", br#"{"quick":true}"#).status, 200);
-        assert!(s.cache.get("fleet|2020|true|registry|all|1").is_some());
+        assert!(s.cache.get("registry|1|fleet|2020|true|all").is_some());
         assert_eq!(call(&s, "DELETE", "/v1/fleet/entries/zz", b"").status, 200);
-        assert!(s.cache.get("fleet|2020|true|registry|all|1").is_none());
+        assert!(s.cache.get("registry|1|fleet|2020|true|all").is_none());
         // A failed write changes nothing, so it drops nothing.
         assert_eq!(post(&s, "/v1/fleet", br#"{"quick":true}"#).status, 200);
         assert_eq!(call(&s, "DELETE", "/v1/fleet/entries/zz", b"").status, 404);
-        assert!(s.cache.get("fleet|2020|true|registry|all|2").is_some());
+        assert!(s.cache.get("registry|2|fleet|2020|true|all").is_some());
         assert_eq!(s.cache.len(), 2);
     }
 
@@ -2755,6 +2658,353 @@ mod tests {
     #[ignore = "long oracle: CI runs it in release with --ignored"]
     fn inline_keys_match_fresh_renders_over_10k_steps() {
         inline_keys_match_fresh_renders(10_000);
+    }
+
+    /// The fleet and upsert decoding the scanning decoders replaced: each
+    /// body parsed into a `Json` tree, read with `Json::get` and
+    /// `FleetEntry::from_json_or_id`. The oracle they must match, status
+    /// and body, on every input.
+    mod reference {
+        use super::super::*;
+
+        fn tree(request: &Request) -> Result<Json, BadRequest> {
+            let text = std::str::from_utf8(request.body())
+                .map_err(|_| BadRequest::new(400, "request body is not UTF-8"))?;
+            json::parse(text).map_err(|e| BadRequest::new(400, format!("malformed JSON: {e}")))
+        }
+
+        fn u64_or(doc: &Json, key: &str, default: u64) -> Result<u64, BadRequest> {
+            doc.get(key).map_or(Ok(default), |v| {
+                v.as_u64().ok_or_else(|| {
+                    BadRequest::new(400, format!("field `{key}` must be a non-negative integer"))
+                })
+            })
+        }
+
+        fn fleet(state: &AppState, request: &Request) -> Result<Response, BadRequest> {
+            let doc = tree(request)?;
+            let seed = u64_or(&doc, "seed", state.seed)?;
+            let quick = match doc.get("quick") {
+                None => true,
+                Some(v) => v
+                    .as_bool()
+                    .ok_or_else(|| BadRequest::new(400, "field `quick` must be a boolean"))?,
+            };
+            let (entries, generation) = match doc.get("devices") {
+                Some(devices) => {
+                    let array = devices
+                        .as_array()
+                        .ok_or_else(|| BadRequest::new(400, "field `devices` must be an array"))?;
+                    if array.is_empty() {
+                        return Err(BadRequest::new(400, "field `devices` must not be empty"));
+                    }
+                    if array.len() > FLEET_MAX_ENTRIES {
+                        return Err(BadRequest::new(
+                            400,
+                            format!("field `devices` must hold ≤ {FLEET_MAX_ENTRIES} entries"),
+                        ));
+                    }
+                    let mut entries = Vec::with_capacity(array.len());
+                    for (i, item) in array.iter().enumerate() {
+                        let default_id = item.get("id").is_none().then(|| format!("inline-{i:04}"));
+                        let entry = FleetEntry::from_json_or_id(item, default_id).map_err(|e| {
+                            let bad = BadRequest::from(e);
+                            BadRequest::new(bad.status, format!("devices[{i}]: {}", bad.message))
+                        })?;
+                        entries.push(entry);
+                    }
+                    (FleetEntries::Listed(entries), None)
+                }
+                None => state.with_fleet(|fleet| {
+                    if fleet.is_empty() {
+                        return Err(BadRequest::new(400, "fleet registry is empty"));
+                    }
+                    let generation = fleet.generation();
+                    let Some(ids) = doc.get("ids") else {
+                        return Ok((FleetEntries::Registry(fleet.snapshot()), Some(generation)));
+                    };
+                    let ids = ids
+                        .as_array()
+                        .ok_or_else(|| BadRequest::new(400, "field `ids` must be an array"))?;
+                    // The one intended change: the cap on `ids`.
+                    if ids.len() > FLEET_MAX_ENTRIES {
+                        return Err(BadRequest::new(
+                            400,
+                            format!("field `ids` must hold ≤ {FLEET_MAX_ENTRIES} entries"),
+                        ));
+                    }
+                    let mut entries = Vec::with_capacity(ids.len());
+                    for id in ids {
+                        let id = id.as_str().ok_or_else(|| {
+                            BadRequest::new(400, "field `ids` must hold strings")
+                        })?;
+                        let entry = fleet.get(id).ok_or_else(|| {
+                            BadRequest::new(404, format!("unknown fleet entry `{id}`"))
+                        })?;
+                        entries.push(entry.clone());
+                    }
+                    if entries.is_empty() {
+                        return Err(BadRequest::new(400, "field `ids` must not be empty"));
+                    }
+                    Ok((FleetEntries::Listed(entries), Some(generation)))
+                })?,
+            };
+            // Rendered afresh every time: the oracle keeps no cache.
+            let query = FleetQuery {
+                seed,
+                quick,
+                generation,
+                framing: Framing::Bulk,
+            };
+            let surface = state.surface(seed, quick);
+            let body = match entries {
+                FleetEntries::Listed(entries) => render_fleet(state, &surface, query, &entries, None),
+                FleetEntries::Registry(snapshot) => {
+                    render_fleet(state, &surface, query, &snapshot.entries, None)
+                }
+                FleetEntries::Inline(_) => unreachable!("the oracle lists inline entries"),
+            };
+            Ok(Response::json(200, body.0))
+        }
+
+        fn upsert(state: &AppState, request: &Request) -> Result<Response, BadRequest> {
+            let doc = tree(request)?;
+            if doc.get("id").and_then(Json::as_str).is_none() {
+                return Err(BadRequest::new(400, "field `id` (string) is required"));
+            }
+            let entry = FleetEntry::from_json(&doc).map_err(BadRequest::from)?;
+            let id = entry.id.clone();
+            let (generation, count) = state.with_fleet(|fleet| {
+                fleet
+                    .upsert(entry)
+                    .map(|()| (fleet.generation(), fleet.len()))
+                    .map_err(BadRequest::from)
+            })?;
+            fleet_write_response(state, "upsert", &id, generation, count)
+        }
+
+        /// A `POST` to `path` through the reference decoding.
+        pub(crate) fn post(state: &AppState, path: &str, body: &[u8]) -> Response {
+            let request = Request::new("POST", path, body.to_vec(), true);
+            let served = match path {
+                "/v1/fleet" => fleet(state, &request),
+                _ => upsert(state, &request),
+            };
+            served.unwrap_or_else(|bad| bad.response())
+        }
+    }
+
+    /// Replaces, inserts or deletes a few characters, or truncates: the
+    /// operators of `tn_core::json`'s own mutation test.
+    fn mutate(rng: &mut tn_rng::Rng, text: &str) -> String {
+        const MUTANTS: [char; 27] = [
+            '"', '\\', 'u', 'd', '8', 'D', 'c', '0', '{', '}', '[', ']', ',', ':', '\n', '\u{0}',
+            '\u{1}', '\u{1f}', '\u{7f}', '\u{e9}', '😀', '-', 'e', '.', ' ', 'n', 't',
+        ];
+        let mut chars: Vec<char> = text.chars().collect();
+        for _ in 0..rng.gen_range(1..4u32) {
+            let at = rng.gen_range(0..chars.len() + 1);
+            let c = MUTANTS[rng.gen_range(0..MUTANTS.len())];
+            match rng.gen_range(0..4u32) {
+                0 if at < chars.len() => chars[at] = c,
+                1 => chars.insert(at, c),
+                2 if at < chars.len() => {
+                    chars.remove(at);
+                }
+                _ => chars.truncate(at),
+            }
+        }
+        chars.into_iter().collect()
+    }
+
+    /// Bodies the decoders must treat exactly as the tree did: syntax
+    /// errors after field errors, duplicate keys, documents that are not
+    /// objects, escapes, the nesting limit, and the arrays at their caps.
+    fn adversarial_fleet_bodies() -> Vec<(&'static str, Vec<u8>)> {
+        let k20 = r#"{"device":"NVIDIA K20"}"#;
+        let mut bodies: Vec<(&str, Vec<u8>)> = [
+            "", " ", "{", "{}", "[]", "null", "7", "\"x\"", "{} {}", "{}x",
+            r#"{"seed":-1,"devices":[}"#,
+            r#"{"quick":1,"seed":"x"}"#,
+            r#"{"seed":1,"seed":"x"}"#,
+            r#"{"seed":"x","seed":1}"#,
+            r#"{"seed":9007199254740993}"#,
+            r#"{"seed":1e3,"quick":false,"quick":3}"#,
+            r#"{"devices":{},"ids":["node-0001"]}"#,
+            r#"{"devices":[],"devices":[{"device":"NVIDIA K20"}]}"#,
+            r#"{"devices":[{"device":"NVIDIA K20"}],"devices":[]}"#,
+            r#"{"devices":[3,{"device":"NVIDIA K20"}]}"#,
+            r#"{"devices":[{"device":"NVIDIA K20","avf":2},{"device":7}]}"#,
+            r#"{"devices":[{"device":7,"avf":2}]}"#,
+            r#"{"devices":[{"id":"","device":"NVIDIA K20"}]}"#,
+            r#"{"devices":[{"id":" ","device":"NVIDIA K20"}]}"#,
+            r#"{"devices":[{"id":null,"device":"NVIDIA K20"}]}"#,
+            r#"{"devices":[{"id":"a","id":7,"device":"NVIDIA K20"}]}"#,
+            r#"{"devices":[{"device":"NVIDIA K20","site":3,"altitude_m":"x"}]}"#,
+            r#"{"devices":[{"device":"NVIDIA K20","altitude_m":-0,"b10_areal_cm2":-0}]}"#,
+            r#"{"devices":[{"device":"NVIDIA K20","altitude_m":1e999}]}"#,
+            r#"{"devices":[{"device":"nvidia k20","avf":1,"avf":0}]}"#,
+            r#"{"devices":[{"device":"NVIDIA K20","id":"😀","site":"a\"b"}]}"#,
+            r#"{"devices":[{"device":"NVIDIA K20","x":[1,{"y":[]}],"rigidity_factor":0}]}"#,
+            r#"{"devices":[{"device":"NVIDIA K20"}],"extra":[1,2,"#,
+            r#"{"devices":[{"device":"NVIDIA K20"}],"extra":"\x"}"#,
+            r#"{"ids":"node-0001"}"#,
+            r#"{"ids":[]}"#,
+            r#"{"ids":[1]}"#,
+            r#"{"ids":["node-0001",2]}"#,
+            r#"{"ids":["no-such","node-0001"]}"#,
+            r#"{"ids":["node-0001","node-0001"],"seed":7}"#,
+            r#"{"ids":["node-0001"],"ids":7}"#,
+            r#"{"id":"zz","device":"NVIDIA K20","avf":0.5}"#,
+            r#"{"id":7,"device":"NVIDIA K20"}"#,
+            r#"{"device":"NVIDIA K20","id":"zz","id":"yy","device":"PDP-11"}"#,
+            r#"{"id":"zz","device":"NVIDIA K20","thermal_scaling":-1}"#,
+        ]
+        .iter()
+        .map(|b| ("", b.as_bytes().to_vec()))
+        .collect();
+        bodies.push(("", b"\xff{}".to_vec()));
+        bodies.push(("", b"{\"devices\":[{\"device\":\"\xc3\"}]}".to_vec()));
+        // The nesting limit, inside an entry and beside it.
+        for depth in [63, 64, 65] {
+            let nested = format!("{}1{}", "[".repeat(depth), "]".repeat(depth));
+            bodies.push(("", format!(r#"{{"devices":[{{"device":"NVIDIA K20","x":{nested}}}]}}"#).into_bytes()));
+            bodies.push(("", format!(r#"{{"x":{nested},"devices":"no"}}"#).into_bytes()));
+        }
+        // The caps, and arrays past them that hold syntax errors.
+        for n in [FLEET_MAX_ENTRIES, FLEET_MAX_ENTRIES + 1] {
+            let devices = vec![k20; n].join(",");
+            bodies.push(("", format!(r#"{{"devices":[{devices}]}}"#).into_bytes()));
+            let ids = vec![r#""node-0001""#; n].join(",");
+            bodies.push(("", format!(r#"{{"ids":[{ids}]}}"#).into_bytes()));
+        }
+        let past_cap = vec!["{}"; FLEET_MAX_ENTRIES + 5].join(",");
+        bodies.push(("", format!(r#"{{"devices":[{past_cap},{{]}}"#).into_bytes()));
+        bodies.push(("", format!(r#"{{"devices":[{past_cap}]}}"#).into_bytes()));
+        for (path, _) in bodies.iter_mut() {
+            *path = "/v1/fleet";
+        }
+        let upserts: Vec<_> = (bodies.iter())
+            .map(|(_, body)| ("/v1/fleet/entries", body.clone()))
+            .collect();
+        bodies.extend(upserts);
+        bodies
+    }
+
+    /// Serves `body` through the scanning decoders on `s` and through the
+    /// reference on `r`, two states that started equal: same status, same
+    /// body. Returns the status.
+    fn assert_decoders_agree(s: &AppState, r: &AppState, path: &str, body: &[u8]) -> u16 {
+        let served = post(s, path, body);
+        let want = reference::post(r, path, body);
+        let text = String::from_utf8_lossy(&body[..body.len().min(300)]);
+        assert_eq!(served.status, want.status, "{path} {text}: {}", served.body_text());
+        let (got, want) = (served.body_text(), want.body_text());
+        assert!(
+            got == want,
+            "{path} {text}: bodies differ from byte {}:\n{got}\n{want}",
+            first_difference(&got, &want)
+        );
+        served.status
+    }
+
+    /// Serves the corpus through both decoders on two states that start
+    /// with the same registry: the adversarial bodies; families of
+    /// spelled inline requests with their near misses (as in
+    /// `inline_keys_match_fresh_renders`); registry reads; upserts; and
+    /// `mutations` mutated variants of them all, in a seeded order.
+    fn decoders_match_the_reference(mutations: usize) {
+        let s = state();
+        assert_eq!(post(&s, "/v1/fleet", b"{}").status, 200);
+        let r = fresh_state(&s, s.with_fleet(|fleet| fleet.clone()));
+        let mut statuses = std::collections::BTreeMap::new();
+        for (path, body) in adversarial_fleet_bodies() {
+            *statuses.entry(assert_decoders_agree(&s, &r, path, &body)).or_insert(0) += 1;
+        }
+        let devices: Vec<String> = tn_core::devices::all_compute_devices()
+            .iter()
+            .map(|d| d.name().to_string())
+            .collect();
+        let mut rng = tn_rng::Rng::seed_from_u64(23).fork(mutations as u64);
+        let mut corpus: Vec<(&str, String)> = Vec::new();
+        while corpus.len() < 400 {
+            let base: Vec<FleetEntry> = (0..rng.gen_range(1..5usize))
+                .map(|i| random_inline_entry(&mut rng, &devices, i))
+                .collect();
+            corpus.push(("/v1/fleet", spell_inline(&mut rng, &base)));
+            const MISSES: [Miss; 4] = [Miss::Field, Miss::Ulp, Miss::ZeroSign, Miss::Shift];
+            let miss = MISSES[rng.gen_range(0..MISSES.len())];
+            let near = near_miss(&mut rng, &devices, &base, miss);
+            corpus.push(("/v1/fleet", spell_inline(&mut rng, &near)));
+            let ids: Vec<String> = (0..rng.gen_range(1..4usize))
+                .map(|_| format!("\"node-{:04}\"", rng.gen_range(0..30usize)))
+                .collect();
+            corpus.push(("/v1/fleet", format!("{{\"ids\":[{}],\"seed\":2020}}", ids.join(","))));
+            corpus.push(("/v1/fleet", "{ }".to_string()));
+            let mut entry = near[0].clone();
+            entry.id = format!("node-{:04}", rng.gen_range(0..30usize));
+            corpus.push(("/v1/fleet/entries", entry.to_json().to_canonical_string()));
+        }
+        for (path, body) in &corpus {
+            *statuses.entry(assert_decoders_agree(&s, &r, path, body.as_bytes())).or_insert(0) += 1;
+        }
+        for _ in 0..mutations {
+            let (path, body) = &corpus[rng.gen_range(0..corpus.len())];
+            let mutated = mutate(&mut rng, body);
+            *statuses.entry(assert_decoders_agree(&s, &r, path, mutated.as_bytes())).or_insert(0) += 1;
+        }
+        // The corpus reaches every outcome often.
+        let count = |status| statuses.get(&status).copied().unwrap_or(0);
+        assert!(
+            count(200) > mutations / 10 && count(400) > mutations / 2 && count(404) > 20,
+            "{statuses:?}"
+        );
+    }
+
+    #[test]
+    fn decoders_match_the_reference_over_2k_mutations() {
+        decoders_match_the_reference(2_000);
+    }
+
+    #[test]
+    #[ignore = "long oracle: CI runs it in release with --ignored"]
+    fn decoders_match_the_reference_over_100k_mutations() {
+        decoders_match_the_reference(100_000);
+    }
+
+    #[test]
+    fn fleet_arrays_keep_at_most_ten_thousand_items() {
+        let s = state();
+        let ids = |n| format!("{{\"ids\":[{}]}}", vec!["\"node-0001\""; n].join(","));
+        let at_cap = post(&s, "/v1/fleet", ids(FLEET_MAX_ENTRIES).as_bytes());
+        assert_eq!(at_cap.status, 200, "{}", at_cap.body_text());
+        assert!(at_cap.body_text().starts_with("{\"count\":10000,"));
+        let past = post(&s, "/v1/fleet", ids(FLEET_MAX_ENTRIES + 1).as_bytes());
+        assert_eq!(past.status, 400);
+        assert_eq!(past.body_text(), "{\"error\":\"field `ids` must hold ≤ 10000 entries\"}");
+        // A body at the HTTP size cap of empty devices: the items past the
+        // cap are counted, not kept, and the answer is the tree's.
+        let n = (crate::http::MAX_BODY_BYTES - 16) / 3;
+        let body = format!("{{\"devices\":[{}]}}", vec!["{}"; n].join(","));
+        assert!(body.len() <= crate::http::MAX_BODY_BYTES);
+        let served = post(&s, "/v1/fleet", body.as_bytes());
+        let want = reference::post(&s, "/v1/fleet", body.as_bytes());
+        assert_eq!(served.status, 400);
+        assert_eq!(served.body_text(), want.body_text());
+    }
+
+    #[test]
+    fn derived_room_hits_run_no_monte_carlo() {
+        let s = state();
+        let body = br#"{"device":"NVIDIA K20","surroundings":"derived_liquid_cooled","seed":11}"#;
+        let first = post(&s, "/v1/fit", body);
+        assert_eq!(first.status, 200, "{}", first.body_text());
+        let before = tn_core::transport::stats::histories_total();
+        let again = post(&s, "/v1/fit", body);
+        let spent = tn_core::transport::stats::histories_total() - before;
+        assert_eq!(spent, 0, "a cache hit ran {spent} histories");
+        assert_eq!(again.body, first.body);
+        assert_eq!(counter(&s, "tn_cache_hits_total"), 1);
     }
 
     #[test]

@@ -13,7 +13,9 @@
 
 use std::sync::{Arc, OnceLock};
 use std::time::Duration;
-use tn_core::json::{self, Json};
+use crate::decode::FleetRequest;
+use crate::handlers::BadRequest;
+use tn_core::json;
 
 /// Maximum bytes of request line + headers.
 pub const MAX_HEADER_BYTES: usize = 8 * 1024;
@@ -25,8 +27,8 @@ pub const IO_TIMEOUT: Duration = Duration::from_secs(10);
 
 /// A parsed request: method, path, raw body and connection disposition.
 ///
-/// The body is read-only, so the JSON the server decodes from it (once
-/// per request) can never go stale.
+/// The body is read-only, so the fleet request the server decodes from
+/// it (once per request) can never go stale.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct Request {
     /// Uppercase HTTP method, e.g. `GET`.
@@ -40,21 +42,22 @@ pub struct Request {
     /// `Connection: close` token is present; HTTP/1.0 defaults to close
     /// unless `Connection: keep-alive` is present).
     pub keep_alive: bool,
-    decoded: DecodedBody,
+    fleet: FleetMemo,
 }
 
-/// The body's [`decode_json`] result, computed on first use. It caches a
-/// function of the body, so every memo compares equal to every other.
+/// The body's [`FleetRequest::decode`] result, computed on first use. It
+/// caches a function of the body, so every memo compares equal to every
+/// other.
 #[derive(Debug, Clone, Default)]
-struct DecodedBody(OnceLock<Result<Json, String>>);
+struct FleetMemo(OnceLock<Result<FleetRequest, BadRequest>>);
 
-impl PartialEq for DecodedBody {
+impl PartialEq for FleetMemo {
     fn eq(&self, _: &Self) -> bool {
         true
     }
 }
 
-impl Eq for DecodedBody {}
+impl Eq for FleetMemo {}
 
 impl Request {
     /// A request whose body has not been decoded yet.
@@ -64,7 +67,7 @@ impl Request {
             path: path.to_string(),
             body,
             keep_alive,
-            decoded: DecodedBody::default(),
+            fleet: FleetMemo::default(),
         }
     }
 
@@ -73,30 +76,22 @@ impl Request {
         &self.body
     }
 
-    /// The body as a JSON document, or the message of the 400 it earns.
+    /// The body as a fleet request, or the 400 it earns.
     ///
-    /// The body is decoded on the first call only, so the router's
-    /// offload check and the handler share one parse.
-    pub(crate) fn json(&self) -> Result<&Json, &str> {
-        self.decoded
+    /// The body is scanned on the first call only, so the router's
+    /// offload check and the handler share one decode.
+    pub(crate) fn fleet(&self) -> Result<&FleetRequest, &BadRequest> {
+        self.fleet
             .0
-            .get_or_init(|| decode_json(&self.body))
+            .get_or_init(|| FleetRequest::decode(&self.body))
             .as_ref()
-            .map_err(String::as_str)
     }
 
-    /// Whether [`Request::json`] has decoded the body yet.
+    /// Whether [`Request::fleet`] has decoded the body yet.
     #[cfg(test)]
     pub(crate) fn is_decoded(&self) -> bool {
-        self.decoded.0.get().is_some()
+        self.fleet.0.get().is_some()
     }
-}
-
-/// Decodes a request body that must be one UTF-8 JSON document. The
-/// error is the message a 400 response carries.
-pub(crate) fn decode_json(body: &[u8]) -> Result<Json, String> {
-    let text = std::str::from_utf8(body).map_err(|_| "request body is not UTF-8".to_string())?;
-    json::parse(text).map_err(|e| format!("malformed JSON: {e}"))
 }
 
 /// Why a request could not be served at the transport layer.

@@ -31,11 +31,13 @@
 //!
 //! Every pipeline run is deterministic in (config, seed), so the same
 //! request with the same seed always yields a **byte-identical** JSON
-//! body. That turns caching from a heuristic into an identity: responses
-//! live in a sharded LRU keyed by the *canonical* form of the resolved
-//! request (object keys sorted, defaults filled in, numbers normalised),
-//! and concurrent identical requests coalesce onto a single computation
-//! ([`singleflight`]) instead of stampeding the worker pool.
+//! body. That turns caching from a heuristic into an identity: each POST
+//! body is scanned once into its typed request, and responses live in a
+//! sharded LRU keyed by the resolved request's exact bits (defaults
+//! filled in, each string length-prefixed, each number as its `f64`
+//! bits; see `tn_core::cache_key`), and concurrent identical requests
+//! coalesce onto a single computation ([`singleflight`]) instead of
+//! stampeding the worker pool.
 //!
 //! ## Example
 //!
@@ -53,6 +55,7 @@
 #![warn(missing_docs, missing_debug_implementations)]
 
 pub mod cache;
+mod decode;
 #[cfg(target_os = "linux")]
 pub mod epoll;
 pub mod handlers;

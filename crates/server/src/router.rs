@@ -45,13 +45,14 @@ pub fn wants_worker(state: &AppState, request: &Request) -> bool {
         // Scenario campaigns simulate hundreds of virtual hours (and may
         // run Monte-Carlo moderation boosts) — never inline on a shard.
         Endpoint::ScenarioRun => true,
-        Endpoint::Fleet | Endpoint::FleetStream => {
-            match handlers::fleet_surface_key(state, request) {
-                Some((seed, quick)) => !state.surface_ready(seed, quick),
-                // Malformed fleet requests take the cheap error path.
-                None => false,
-            }
-        }
+        // Which risk surface the request reads; the fleet body's decode is
+        // kept for the handler. Malformed requests take the cheap error
+        // path inline.
+        Endpoint::FleetStream => handlers::stream_params(state.seed, &request.path)
+            .is_ok_and(|(seed, quick)| !state.surface_ready(seed, quick)),
+        Endpoint::Fleet => (request.fleet().ok())
+            .and_then(|fleet| fleet.surface(state.seed).ok())
+            .is_some_and(|(seed, quick)| !state.surface_ready(seed, quick)),
         _ => false,
     }
 }
@@ -215,18 +216,26 @@ mod tests {
         let inspected = req("POST", "/v1/fleet", body);
         assert!(!inspected.is_decoded());
         assert!(wants_worker(&state, &inspected), "no surface yet: offload");
-        assert!(inspected.is_decoded(), "the offload check fills the memo");
+        // The offload check kept the typed request, and the handler reads
+        // that same decode, wherever the request moved.
+        let decoded: *const _ = inspected.fleet().expect("a valid fleet body");
+        assert_eq!(inspected.fleet().unwrap().surface(1).unwrap(), (3, true));
+        let moved = inspected.clone();
+        assert!(moved.is_decoded(), "a request moves to a worker with its decode");
         let shared = handle(&state, &inspected);
+        assert!(std::ptr::eq(decoded, inspected.fleet().unwrap()), "decoded twice");
         // A fresh request on a fresh state decodes on its own.
         let fresh = handle(&AppState::new(1, 8, 1), &req("POST", "/v1/fleet", body));
         assert_eq!(shared.status, 200, "{}", shared.body_text());
         assert_eq!(shared.content_type, fresh.content_type);
         assert_eq!(shared.body_text(), fresh.body_text());
+        assert_eq!(handle(&state, &moved).body_text(), fresh.body_text());
 
         for bad in [
             &b"{oops"[..],
             b"\xff{}",
             br#"{"devices":"NVIDIA K20"}"#,
+            br#"{"seed":-1}"#,
             b"",
         ] {
             let inspected = req("POST", "/v1/fleet", bad);

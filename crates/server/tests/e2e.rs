@@ -1065,7 +1065,7 @@ fn large_fleet_bodies_survive_pipelining_and_writes() {
     assert_eq!(metric(&metrics, "tn_cache_hits_total"), HITS as u64);
 
     // A registry write drops the generation-0 body from the cache.
-    let generation_0 = "fleet|2020|true|registry|all|0";
+    let generation_0 = "registry|0|fleet|2020|true|all";
     assert!(server.state().cache.get(generation_0).is_some());
     conn.post(
         "/v1/fleet/entries",

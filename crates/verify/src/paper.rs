@@ -68,8 +68,6 @@ pub const CAUSES: &[(&str, &str)] = &[
     ("fig5.due.apu_cpu", APU_DUE_CAUSE),
     ("fig5.due.apu_gpu", APU_DUE_CAUSE),
     ("fig5.due.apu_hybrid", APU_DUE_CAUSE),
-    ("extb.ddr3_secded", DDR_DUPLICATE_CAUSE),
-    ("extb.ddr4_secded", DDR_DUPLICATE_CAUSE),
     (
         "exta.phi_due_leadville",
         "the model's Leadville machine-room thermal/HE flux ratio is about 0.82, set by the \
@@ -99,11 +97,6 @@ const APU_DUE_CAUSE: &str = "`Campaign::expected_rates` counts datapath flips th
      2.5–3, while `catalog::device` fits ¹⁰B for the control region alone, so the measured DUE \
      ratio rises above its target (with that term removed the three ratios come out near 1.5, \
      1.3 and 1.18)";
-
-/// Why SECDED meets double-bit words outside SEFI sweeps.
-const DDR_DUPLICATE_CAUSE: &str = "`CorrectLoop::run` logs a fresh intermittent cell twice in \
-     the sweep it appears in, once as the new event and once from the flaky-cell loop, so the \
-     replay sees one cell as a double-bit word";
 
 /// The form of a paper claim.
 #[derive(Debug, Clone, Copy, PartialEq)]

@@ -107,7 +107,12 @@ fn every_paper_check_passes_and_the_known_deviations_state_their_cause() {
             "{id} must state the datapath-DUE cause"
         );
     }
-    for id in ["fig5.sdc.xeon_phi", "fig5.sdc.zynq"] {
+    for id in [
+        "fig5.sdc.xeon_phi",
+        "fig5.sdc.zynq",
+        "extb.ddr3_secded",
+        "extb.ddr4_secded",
+    ] {
         assert_eq!(row(id).verdict, Verdict::Consistent, "{id}");
     }
     for id in [
