@@ -73,17 +73,26 @@ impl Weather {
     pub fn high_energy_factor(self) -> f64 {
         1.0
     }
-}
 
-impl std::fmt::Display for Weather {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        let s = match self {
+    /// The stable name requests, scenario documents and reports use.
+    pub fn label(self) -> &'static str {
+        match self {
             Weather::Sunny => "sunny",
             Weather::Rainy => "rainy",
             Weather::Thunderstorm => "thunderstorm",
             Weather::Snowpack => "snowpack",
-        };
-        f.write_str(s)
+        }
+    }
+
+    /// Parses a [`Weather::label`].
+    pub fn from_label(label: &str) -> Option<Self> {
+        Self::ALL.into_iter().find(|w| w.label() == label)
+    }
+}
+
+impl std::fmt::Display for Weather {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        f.write_str(self.label())
     }
 }
 
@@ -110,6 +119,15 @@ mod tests {
         for w in Weather::ALL {
             assert_eq!(w.high_energy_factor(), 1.0);
         }
+    }
+
+    #[test]
+    fn labels_round_trip_and_name_the_display() {
+        for w in Weather::ALL {
+            assert_eq!(Weather::from_label(w.label()), Some(w));
+            assert_eq!(w.to_string(), w.label());
+        }
+        assert_eq!(Weather::from_label("hail"), None);
     }
 
     #[test]

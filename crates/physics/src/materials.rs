@@ -291,6 +291,24 @@ impl Material {
         )
     }
 
+    /// The preset material `name` names: `water`, `concrete`, `cadmium`,
+    /// `borated_polyethylene` (alias `borated_pe`), `liquid_methane` or
+    /// `air`. Any other name is an error message that lists them.
+    pub fn preset(name: &str) -> Result<Self, String> {
+        match name {
+            "water" => Ok(Self::water()),
+            "concrete" => Ok(Self::concrete()),
+            "cadmium" => Ok(Self::cadmium()),
+            "borated_polyethylene" | "borated_pe" => Ok(Self::borated_polyethylene()),
+            "liquid_methane" => Ok(Self::liquid_methane()),
+            "air" => Ok(Self::air()),
+            other => Err(format!(
+                "unknown material `{other}` (expected water, concrete, cadmium, \
+                 borated_polyethylene, liquid_methane or air)"
+            )),
+        }
+    }
+
     /// Material display name.
     pub fn name(&self) -> &str {
         &self.name
@@ -452,6 +470,26 @@ mod tests {
         let bpe = Material::borated_polyethylene();
         let w = Material::water();
         assert!(bpe.sigma_absorb(THERMAL_ENERGY) > 10.0 * w.sigma_absorb(THERMAL_ENERGY));
+    }
+
+    #[test]
+    fn presets_resolve_by_name_and_alias() {
+        for (name, material) in [
+            ("water", Material::water()),
+            ("concrete", Material::concrete()),
+            ("cadmium", Material::cadmium()),
+            ("borated_polyethylene", Material::borated_polyethylene()),
+            ("borated_pe", Material::borated_polyethylene()),
+            ("liquid_methane", Material::liquid_methane()),
+            ("air", Material::air()),
+        ] {
+            assert_eq!(Material::preset(name), Ok(material), "{name}");
+        }
+        assert_eq!(
+            Material::preset("lead").unwrap_err(),
+            "unknown material `lead` (expected water, concrete, cadmium, \
+             borated_polyethylene, liquid_methane or air)"
+        );
     }
 
     #[test]

@@ -183,27 +183,12 @@ impl EventKind {
     /// The `value` label for parameterised kinds (`None` for toggles).
     pub fn value_label(&self) -> Option<&'static str> {
         match self {
-            EventKind::Weather(w) => Some(weather_label(*w)),
+            EventKind::Weather(w) => Some(w.label()),
             EventKind::Surroundings(s) => Some(s.label()),
             EventKind::Move(l) => Some(l.label()),
             _ => None,
         }
     }
-}
-
-/// The stable document label of a weather condition.
-pub fn weather_label(weather: Weather) -> &'static str {
-    match weather {
-        Weather::Sunny => "sunny",
-        Weather::Rainy => "rainy",
-        Weather::Thunderstorm => "thunderstorm",
-        Weather::Snowpack => "snowpack",
-    }
-}
-
-/// Parses a weather document label.
-pub fn weather_from_label(label: &str) -> Option<Weather> {
-    Weather::ALL.into_iter().find(|w| weather_label(*w) == label)
 }
 
 /// One scripted environment change.
@@ -363,7 +348,7 @@ impl Scenario {
                 let label = v
                     .as_str()
                     .ok_or_else(|| ScenarioError::new("$.weather", "must be a string"))?;
-                weather_from_label(label)
+                Weather::from_label(label)
                     .ok_or_else(|| ScenarioError::new("$.weather", "unknown weather"))?
             }
         };
@@ -505,7 +490,7 @@ impl Scenario {
             ),
             (
                 "weather".to_string(),
-                Json::Str(weather_label(self.weather).to_string()),
+                Json::Str(self.weather.label().to_string()),
             ),
             (
                 "surroundings".to_string(),
@@ -605,9 +590,11 @@ fn parse_events(value: &Json) -> Result<Vec<ScenarioEvent>, ScenarioError> {
             })
         };
         let kind = match kind_label {
-            "weather" => EventKind::Weather(weather_from_label(value_of("weather label")?).ok_or_else(
-                || ScenarioError::new(format!("{path}.value"), "unknown weather"),
-            )?),
+            "weather" => {
+                EventKind::Weather(Weather::from_label(value_of("weather label")?).ok_or_else(
+                    || ScenarioError::new(format!("{path}.value"), "unknown weather"),
+                )?)
+            }
             "surroundings" => EventKind::Surroundings(
                 SurroundingsPreset::from_label(value_of("surroundings label")?).ok_or_else(|| {
                     ScenarioError::new(format!("{path}.value"), "unknown surroundings")

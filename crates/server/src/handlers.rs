@@ -529,14 +529,6 @@ fn resolve_location(
     }
 }
 
-/// The weather presets `/v1/fit` takes, the default first.
-const WEATHER: [(&str, Weather); 4] = [
-    ("sunny", Weather::Sunny),
-    ("rainy", Weather::Rainy),
-    ("thunderstorm", Weather::Thunderstorm),
-    ("snowpack", Weather::Snowpack),
-];
-
 /// The solar-activity presets `/v1/fit` takes, the default first.
 const SOLAR: [(&str, SolarActivity); 3] = [
     ("minimum", SolarActivity::Minimum),
@@ -654,8 +646,10 @@ pub(crate) fn fit(state: &AppState, request: &Request) -> Result<Response, BadRe
     let mut key = String::from("fit|");
     cache_key::push_text(&mut key, device.name());
     let location = resolve_location(location, custom, &mut key)?;
-    let (weather_name, weather) =
-        weather.preset(&WEATHER, "`weather` must be sunny, rainy, thunderstorm or snowpack")?;
+    let (weather_name, weather) = weather.preset(
+        &Weather::ALL.map(|w| (w.label(), w)),
+        "`weather` must be sunny, rainy, thunderstorm or snowpack",
+    )?;
     let seed = seed.u64_or(state.seed)?;
     let (surroundings_name, ()) = surroundings_name.preset(
         &SURROUNDINGS,
@@ -687,7 +681,7 @@ pub(crate) fn fit(state: &AppState, request: &Request) -> Result<Response, BadRe
         push_json_str(&mut out, env.location().name());
         out.push_str(",\"altitude_m\":");
         push_json_num(&mut out, env.location().altitude_m());
-        member(&mut out, ",\"weather\":", env.weather().to_string().as_str());
+        member(&mut out, ",\"weather\":", env.weather().label());
         member(&mut out, ",\"surroundings\":", surroundings_name);
         member(&mut out, ",\"solar_activity\":", solar_name);
         member(&mut out, ",\"high_energy_flux_cm2_s\":", env.high_energy_flux().value());
@@ -771,26 +765,6 @@ pub(crate) fn cross_sections(state: &AppState, request: &Request) -> Result<Resp
 /// request from monopolising the workers.
 const TRANSPORT_MAX_HISTORIES: u64 = 200_000;
 
-/// Resolves a material preset name to its constructor.
-fn resolve_material(name: &str) -> Result<tn_physics::Material, BadRequest> {
-    use tn_physics::Material;
-    match name {
-        "water" => Ok(Material::water()),
-        "concrete" => Ok(Material::concrete()),
-        "cadmium" => Ok(Material::cadmium()),
-        "borated_polyethylene" | "borated_pe" => Ok(Material::borated_polyethylene()),
-        "liquid_methane" => Ok(Material::liquid_methane()),
-        "air" => Ok(Material::air()),
-        other => Err(BadRequest::new(
-            400,
-            format!(
-                "unknown material `{other}` (expected water, concrete, cadmium, \
-                 borated_polyethylene, liquid_methane or air)"
-            ),
-        )),
-    }
-}
-
 /// The members `POST /v1/transport` reads, in the order it checks them.
 const TRANSPORT_KEYS: [&str; 6] =
     ["layers", "energy_ev", "histories", "seed", "source", "variance_reduction"];
@@ -841,7 +815,8 @@ pub(crate) fn transport(state: &AppState, request: &Request) -> Result<Response,
         let material_name = material.value.as_ref().and_then(Value::as_str).ok_or_else(|| {
             BadRequest::new(400, format!("layer {i}: missing or non-string `material`"))
         })?;
-        let material = resolve_material(material_name)?;
+        let material =
+            tn_physics::Material::preset(material_name).map_err(|e| BadRequest::new(400, e))?;
         let thickness_cm = thickness_cm.value.as_ref().and_then(Value::as_f64).ok_or_else(|| {
             BadRequest::new(400, format!("layer {i}: missing or non-numeric `thickness_cm`"))
         })?;

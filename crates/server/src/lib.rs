@@ -12,9 +12,15 @@
 //! | `/v1/fit` | POST | SDC/DUE FIT + thermal share for device × environment |
 //! | `/v1/checkpoint` | POST | Young/Daly checkpoint intervals for a fleet |
 //! | `/v1/cross-sections` | POST | quick beam-campaign pipeline for one device |
+//! | `/v1/transport` | POST | slab-stack Monte-Carlo transport tallies |
 //! | `/v1/fleet` | POST | bulk FIT assessment from the precomputed risk surface |
 //! | `/v1/fleet/entries` | POST/DELETE | mutate the fleet registry in place |
 //! | `/v1/fleet/stream` | GET | whole fleet registry as chunked JSONL |
+//! | `/v1/timeline` | GET | timeline monitor: windowed rate points and alerts |
+//! | `/v1/timeline/stream` | GET | the same timeline as chunked JSONL |
+//! | `/v1/timeline/ingest` | POST | feed count samples to the timeline monitor |
+//! | `/v1/scenarios` | GET | the built-in scenario campaigns |
+//! | `/v1/scenario/run` | POST | one built-in campaign's full report |
 //! | `/metrics` | GET | Prometheus text: requests, latencies, cache, workers |
 //!
 //! ## Connections
@@ -22,10 +28,12 @@
 //! Connections are **persistent** (HTTP/1.1 keep-alive per RFC 7230,
 //! with an idle timeout and a per-connection request cap) and run on one
 //! transport, the [`epoll`] event loop: N shards drive nonblocking
-//! sockets through `epoll_wait` readiness, accepting via `SO_REUSEPORT`.
-//! A worker pool runs only the handlers that may run Monte-Carlo
-//! transport, so a shard never blocks. The server runs on Linux only;
-//! elsewhere [`Server::bind`] returns [`std::io::ErrorKind::Unsupported`].
+//! sockets through `epoll_wait` readiness. One listener serves them all:
+//! shard 0 accepts and deals the connections round-robin, so a port the
+//! server holds cannot be bound by a second server. A worker pool runs
+//! only the handlers that may run Monte-Carlo transport, so a shard
+//! never blocks. The server runs on Linux only; elsewhere
+//! [`Server::bind`] returns [`std::io::ErrorKind::Unsupported`].
 //!
 //! ## Determinism and caching
 //!
@@ -155,17 +163,16 @@ pub struct Server {
     threads: usize,
     max_queue: usize,
     limits: ConnLimits,
-    /// Whether the listener was bound with `SO_REUSEPORT`, allowing the
-    /// epoll shards to each bind their own same-port listener.
-    reuseport: bool,
 }
 
 impl Server {
     /// Binds the listener and builds the shared state. No thread is
     /// started yet: call [`Server::run`] or [`Server::spawn`].
     ///
-    /// Off Linux this fails with [`std::io::ErrorKind::Unsupported`]:
-    /// the server's only transport is the epoll event loop.
+    /// An address another socket already listens on fails with
+    /// [`std::io::ErrorKind::AddrInUse`]. Off Linux this fails with
+    /// [`std::io::ErrorKind::Unsupported`]: the server's only transport
+    /// is the epoll event loop.
     pub fn bind(config: &ServerConfig) -> std::io::Result<Self> {
         if cfg!(not(target_os = "linux")) {
             return Err(std::io::Error::new(
@@ -187,7 +194,9 @@ impl Server {
                 })?
             }
         };
-        let (listener, reuseport) = Self::bind_listener(&config.addr)?;
+        let listener = TcpListener::bind(&config.addr)?;
+        #[cfg(target_os = "linux")]
+        epoll::raise_backlog(&listener)?;
         let mut state = AppState::with_registry(config.seed, config.cache_capacity, threads, fleet);
         if let Some(path) = &config.surface_cache {
             state.set_surface_cache(path);
@@ -207,30 +216,7 @@ impl Server {
             threads,
             max_queue: config.max_queue,
             limits: ConnLimits::from_config(config),
-            reuseport,
         })
-    }
-
-    /// Binds the listening socket with `SO_REUSEPORT`, so every shard
-    /// can bind its own same-port listener and the kernel load-balances
-    /// accepts across them. When that bind is unavailable (a non-IPv4
-    /// address, say) the server falls back to a plain listener plus
-    /// round-robin fd handoff.
-    fn bind_listener(addr: &str) -> std::io::Result<(TcpListener, bool)> {
-        #[cfg(target_os = "linux")]
-        {
-            use std::net::ToSocketAddrs;
-            let resolved = addr.to_socket_addrs()?.find(SocketAddr::is_ipv4);
-            if let Some(SocketAddr::V4(v4)) = resolved {
-                match epoll::bind_reuseport(&v4) {
-                    Ok(listener) => return Ok((listener, true)),
-                    Err(e) => {
-                        tn_obs::warn("reuseport_unavailable", &[("error", format!("{e}").into())]);
-                    }
-                }
-            }
-        }
-        Ok((TcpListener::bind(addr)?, false))
     }
 
     /// The actual bound address (resolves port 0).
@@ -243,8 +229,8 @@ impl Server {
         self.spawn().join();
     }
 
-    /// Starts the shard, worker and (in handoff mode) acceptor threads
-    /// and returns a handle that can wait for or shut down the server.
+    /// Starts the shard and worker threads and returns a handle that can
+    /// wait for or shut down the server.
     pub fn spawn(self) -> ServerHandle {
         let addr = self.listener.local_addr().expect("listener has a local address");
         ServerHandle {
@@ -253,13 +239,11 @@ impl Server {
             #[cfg(target_os = "linux")]
             transport: epoll::spawn(epoll::EpollConfig {
                 listener: self.listener,
-                addr,
                 state: self.state,
                 shards: self.threads,
                 workers: self.threads,
                 max_queue: self.max_queue,
                 limits: self.limits,
-                reuseport: self.reuseport,
             }),
         }
     }
@@ -297,6 +281,6 @@ impl ServerHandle {
     /// Stops accepting, drains the workers and joins every thread.
     pub fn stop(self) {
         #[cfg(target_os = "linux")]
-        self.transport.stop(self.addr);
+        self.transport.stop();
     }
 }

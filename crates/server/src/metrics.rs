@@ -1,15 +1,13 @@
 //! Lock-free service instrumentation and its Prometheus text rendering.
 //!
 //! Counters are plain `AtomicU64`s, so the hot path never takes a lock
-//! to count. Latencies are accumulated both as microsecond sums plus
-//! counts (the Prometheus `_sum`/`_count` summary pair) and as
-//! log-bucketed [`tn_obs`] histograms per endpoint, alongside response
-//! sizes. `/metrics` merges three sources: these counters, the
-//! per-instance [`tn_obs::Registry`] (endpoint histograms, overload
-//! counter) and the process-wide `tn_obs::global()` registry (transport
-//! counters and shard histograms, span durations). Keeping the endpoint
-//! series in a per-instance registry means parallel test servers never
-//! pollute each other's scrapes.
+//! to count. Latencies and response sizes are log-bucketed [`tn_obs`]
+//! histograms per endpoint. `/metrics` merges three sources: these
+//! counters, the per-instance [`tn_obs::Registry`] (endpoint histograms,
+//! overload counter) and the process-wide `tn_obs::global()` registry
+//! (transport counters and shard histograms, span durations). Keeping
+//! the endpoint series in a per-instance registry means parallel test
+//! servers never pollute each other's scrapes.
 
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;

@@ -12,26 +12,11 @@ use std::time::Instant;
 /// label space beyond [`Endpoint::ALL`].
 fn endpoint_of(path: &str) -> Endpoint {
     let path = path.split(['?', '#']).next().unwrap_or(path);
-    match path {
-        "/healthz" => Endpoint::Healthz,
-        "/v1/devices" => Endpoint::Devices,
-        "/v1/fit" => Endpoint::Fit,
-        "/v1/checkpoint" => Endpoint::Checkpoint,
-        "/v1/cross-sections" => Endpoint::CrossSections,
-        "/v1/transport" => Endpoint::Transport,
-        "/v1/fleet" => Endpoint::Fleet,
-        "/v1/fleet/stream" => Endpoint::FleetStream,
-        "/v1/timeline" => Endpoint::Timeline,
-        "/v1/timeline/stream" => Endpoint::TimelineStream,
-        "/v1/timeline/ingest" => Endpoint::TimelineIngest,
-        "/v1/scenarios" => Endpoint::Scenarios,
-        "/v1/scenario/run" => Endpoint::ScenarioRun,
-        "/metrics" => Endpoint::Metrics,
-        p if p == "/v1/fleet/entries" || p.starts_with("/v1/fleet/entries/") => {
-            Endpoint::FleetEntries
-        }
-        _ => Endpoint::Other,
+    if path.starts_with("/v1/fleet/entries/") {
+        return Endpoint::FleetEntries;
     }
+    let named = Endpoint::ALL.into_iter().find(|e| e.label() == path);
+    named.unwrap_or(Endpoint::Other)
 }
 
 /// Whether a request must be parked on the worker pool instead of

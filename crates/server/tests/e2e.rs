@@ -1371,12 +1371,12 @@ fn saturated_pool_sheds_monte_carlo_requests_with_503() {
     server.stop();
 }
 
-/// An IPv6 address cannot take the `SO_REUSEPORT` bind, so one acceptor
-/// thread hands accepted sockets round-robin to the shards. Keep-alive
-/// connections must work through that path, and `stop()` must still
-/// unblock the acceptor.
+/// An IPv6 listener takes the same path as an IPv4 one: shard 0 accepts
+/// and deals the connections round-robin, so two of these four live on
+/// shard 1. Every keep-alive connection must be served to its last
+/// request, and `stop()` must return.
 #[test]
-fn handoff_acceptor_serves_keep_alive_connections() {
+fn ipv6_listener_deals_keep_alive_connections_across_shards() {
     let mut cfg = config(2);
     cfg.addr = "[::1]:0".to_string();
     let server = start_config(&cfg);
@@ -1407,6 +1407,23 @@ fn handoff_acceptor_serves_keep_alive_connections() {
 
     // Three requests on each of four connections: eight reuses.
     await_metric(addr, "tn_conn_reuse_total", 8);
+    server.stop();
+}
+
+/// A port is served by one listener: a second server on an address a
+/// running server holds fails to bind, where sharing the port would split
+/// its connections between two registries.
+#[test]
+fn a_served_port_cannot_be_bound_again() {
+    let server = start(2);
+    let mut cfg = config(1);
+    cfg.addr = server.addr().to_string();
+    let Err(err) = Server::bind(&cfg) else {
+        panic!("a served port must not bind again");
+    };
+    assert_eq!(err.kind(), std::io::ErrorKind::AddrInUse, "{err}");
+    let (status, _, body) = get(server.addr(), "/healthz");
+    assert_eq!(status, 200, "{body}");
     server.stop();
 }
 

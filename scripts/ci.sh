@@ -93,6 +93,20 @@ case "$health" in
         ;;
 esac
 
+# One listener per port: a second daemon on the served address must
+# refuse to start (exit 2, "Address already in use") instead of sharing
+# the port, where the kernel would split connections between two fleet
+# registries. `timeout` ends a daemon that wrongly starts serving.
+second_status=0
+second_err="$(timeout 10 target/release/thermal-neutrons serve --addr "127.0.0.1:$port" \
+    2>&1 >/dev/null)" || second_status=$?
+if [ "$second_status" -ne 2 ] || [[ "$second_err" != *"Address already in use"* ]]; then
+    echo "tn-server smoke FAILED: a second daemon on port $port exited $second_status:" >&2
+    echo "$second_err" >&2
+    exit 1
+fi
+echo "tn-server single-listener smoke OK"
+
 # tn-watch wire smoke: one ingested sample must land in the timeline
 # monitor, and the watch / teardown / surface-cache series must all
 # render in /metrics (zero-valued counters still print).

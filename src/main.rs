@@ -191,20 +191,7 @@ fn transport(args: &[String], seed: u64) -> Result<(), String> {
 
     let material_name =
         flag_value::<String>(args, "--material")?.unwrap_or_else(|| "water".into());
-    let material = match material_name.as_str() {
-        "water" => Material::water(),
-        "concrete" => Material::concrete(),
-        "cadmium" => Material::cadmium(),
-        "borated_polyethylene" | "borated_pe" => Material::borated_polyethylene(),
-        "liquid_methane" => Material::liquid_methane(),
-        "air" => Material::air(),
-        other => {
-            return Err(format!(
-                "--material: unknown material `{other}` (expected water, concrete, \
-                 cadmium, borated_polyethylene, liquid_methane or air)"
-            ))
-        }
-    };
+    let material = Material::preset(&material_name).map_err(|e| format!("--material: {e}"))?;
     let thickness = flag_value::<f64>(args, "--thickness-cm")?.unwrap_or(5.0);
     let energy = flag_value::<f64>(args, "--energy-ev")?.unwrap_or(0.0253);
     if !(thickness > 0.0 && thickness.is_finite()) {
