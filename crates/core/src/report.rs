@@ -224,8 +224,14 @@ mod tests {
     fn report() -> DeviceReport {
         DeviceReport {
             name: "dev".into(),
-            chipir: vec![result("MxM", "ChipIR", 4.0, 2.0), result("LUD", "ChipIR", 6.0, 4.0)],
-            rotax: vec![result("MxM", "ROTAX", 2.0, 1.0), result("LUD", "ROTAX", 3.0, 2.0)],
+            chipir: vec![
+                result("MxM", "ChipIR", 4.0, 2.0),
+                result("LUD", "ChipIR", 6.0, 4.0),
+            ],
+            rotax: vec![
+                result("MxM", "ROTAX", 2.0, 1.0),
+                result("LUD", "ROTAX", 3.0, 2.0),
+            ],
         }
     }
 
@@ -265,8 +271,16 @@ mod tests {
         let json = study.to_json();
         assert!(json.starts_with("{\"seed\":42,\"devices\":["));
         assert!(json.ends_with("]}"));
-        for key in ["\"name\":", "\"chipir\":", "\"rotax\":", "\"workload\":\"MxM\"",
-                    "\"facility\":\"ChipIR\"", "\"count\":", "\"sigma\":", "\"ci\":["] {
+        for key in [
+            "\"name\":",
+            "\"chipir\":",
+            "\"rotax\":",
+            "\"workload\":\"MxM\"",
+            "\"facility\":\"ChipIR\"",
+            "\"count\":",
+            "\"sigma\":",
+            "\"ci\":[",
+        ] {
             assert!(json.contains(key), "missing {key} in {json}");
         }
         // Balanced structure: every opened brace/bracket closes.
@@ -297,8 +311,14 @@ mod tests {
         dev.rotax = vec![result("MxM", "ROTAX", 0.0, 0.0)];
         let study = StudyReport::new(vec![dev.clone()], 42);
         let doc = crate::json::parse(&study.to_json()).expect("report JSON must parse");
-        assert_eq!(doc.get("seed").and_then(crate::json::Json::as_u64), Some(42));
-        let devices = doc.get("devices").and_then(crate::json::Json::as_array).unwrap();
+        assert_eq!(
+            doc.get("seed").and_then(crate::json::Json::as_u64),
+            Some(42)
+        );
+        let devices = doc
+            .get("devices")
+            .and_then(crate::json::Json::as_array)
+            .unwrap();
         assert_eq!(
             devices[0].get("name").and_then(crate::json::Json::as_str),
             Some(dev.name.as_str())

@@ -213,8 +213,12 @@ fn shield_transmission(n_b10: f64, histories: u64, seed: u64) -> f64 {
     let thickness_cm = n_b10 / b10_number_density();
     let stack = SlabStack::single(Material::borated_polyethylene(), Length(thickness_cm));
     let transport = Transport::with_config(stack, TransportConfig::serial());
-    let tally =
-        transport.run_diffuse_weighted(THERMAL_ENERGY, histories, seed, VarianceReduction::default());
+    let tally = transport.run_diffuse_weighted(
+        THERMAL_ENERGY,
+        histories,
+        seed,
+        VarianceReduction::default(),
+    );
     tally.transmitted_thermal_fraction().max(MIN_TRANSMISSION)
 }
 
@@ -292,12 +296,9 @@ impl RiskSurface {
                     for (k, slot) in chunk.iter_mut().enumerate() {
                         let j = w * per_worker + k;
                         let column_seed = Rng::seed_from_u64(config.seed).fork(j as u64).next_u64();
-                        *slot = shield_transmission(
-                            b10_n[j],
-                            config.histories_per_node,
-                            column_seed,
-                        )
-                        .ln();
+                        *slot =
+                            shield_transmission(b10_n[j], config.histories_per_node, column_seed)
+                                .ln();
                     }
                 });
             }
@@ -342,8 +343,7 @@ impl RiskSurface {
     /// the `[0, N₀)` segment interpolates against the exact `T(0) = 1`).
     pub fn covers(&self, altitude_m: f64, b10_areal_cm2: f64) -> bool {
         let alt_ok = (self.alt_m[0]..=*self.alt_m.last().expect("nodes")).contains(&altitude_m);
-        let b10_ok =
-            (0.0..=*self.b10_n.last().expect("nodes")).contains(&b10_areal_cm2);
+        let b10_ok = (0.0..=*self.b10_n.last().expect("nodes")).contains(&b10_areal_cm2);
         alt_ok && b10_ok
     }
 
@@ -413,20 +413,17 @@ impl RiskSurface {
             }
         };
         let he_flux = Flux(he * p.rigidity_factor);
-        let th_flux = Flux(
-            th * p.rigidity_factor.powf(THERMAL_ALTITUDE_EXPONENT) * p.thermal_scaling,
-        );
+        let th_flux =
+            Flux(th * p.rigidity_factor.powf(THERMAL_ALTITUDE_EXPONENT) * p.thermal_scaling);
         let fit_for = |class: ErrorClass| {
             let region = device.response().region(class);
             DeviceFit {
                 high_energy: Fit(region.fast_saturated().fit_in(he_flux).value() * p.avf),
-                thermal: Fit(
-                    region
-                        .b10_cross_section_at(THERMAL_ENERGY)
-                        .fit_in(th_flux)
-                        .value()
-                        * p.avf,
-                ),
+                thermal: Fit(region
+                    .b10_cross_section_at(THERMAL_ENERGY)
+                    .fit_in(th_flux)
+                    .value()
+                    * p.avf),
             }
         };
         RiskAssessment {
@@ -446,8 +443,14 @@ impl RiskSurface {
                 hash = hash.wrapping_mul(0x0000_0100_0000_01b3);
             }
         };
-        for table in [&self.alt_m, &self.b10_n, &self.ln_he, &self.ln_th_base, &self.ln_t, &self.ln_th]
-        {
+        for table in [
+            &self.alt_m,
+            &self.b10_n,
+            &self.ln_he,
+            &self.ln_th_base,
+            &self.ln_t,
+            &self.ln_th,
+        ] {
             eat(table.len() as u64);
             for &v in table.iter() {
                 eat(v.to_bits());
@@ -480,7 +483,10 @@ impl RiskSurface {
                 "histories_per_node".into(),
                 Json::Str(format!("{:016x}", self.config.histories_per_node)),
             ),
-            ("seed".into(), Json::Str(format!("{:016x}", self.config.seed))),
+            (
+                "seed".into(),
+                Json::Str(format!("{:016x}", self.config.seed)),
+            ),
             ("threads".into(), Json::Num(self.config.threads as f64)),
         ]);
         Json::Object(vec![
@@ -504,7 +510,9 @@ impl RiskSurface {
     pub fn from_json(doc: &tn_core::json::Json) -> Result<Self, String> {
         use tn_core::json::Json;
         let hex_u64 = |v: &Json, what: &str| -> Result<u64, String> {
-            let s = v.as_str().ok_or_else(|| format!("{what}: not a hex string"))?;
+            let s = v
+                .as_str()
+                .ok_or_else(|| format!("{what}: not a hex string"))?;
             u64::from_str_radix(s, 16).map_err(|_| format!("{what}: bad hex `{s}`"))
         };
         let field = |doc: &Json, key: &str| -> Result<Json, String> {
@@ -561,7 +569,9 @@ impl RiskSurface {
             ("ln_th", surface.ln_th.len(), alt * b10),
         ] {
             if len != want {
-                return Err(format!("table `{name}` has {len} entries, config wants {want}"));
+                return Err(format!(
+                    "table `{name}` has {len} entries, config wants {want}"
+                ));
             }
         }
         let stored = hex_u64(&field(doc, "digest")?, "digest")?;
@@ -705,9 +715,7 @@ mod tests {
 
         // AVF scales both contributions of both classes linearly.
         let half = surface.assess(device, &SiteParams { avf: 0.5, ..base });
-        assert!(
-            (half.sdc.total().value() / reference.sdc.total().value() - 0.5).abs() < 1e-12
-        );
+        assert!((half.sdc.total().value() / reference.sdc.total().value() - 0.5).abs() < 1e-12);
         // Thermal scaling touches only the thermal contribution.
         let hot = surface.assess(
             device,
@@ -717,10 +725,7 @@ mod tests {
             },
         );
         assert!((hot.sdc.thermal.value() / reference.sdc.thermal.value() - 2.0).abs() < 1e-12);
-        assert!(
-            (hot.sdc.high_energy.value() - reference.sdc.high_energy.value()).abs()
-                < 1e-15
-        );
+        assert!((hot.sdc.high_energy.value() - reference.sdc.high_energy.value()).abs() < 1e-15);
         // Rigidity: he × r, th × r^1.24.
         let rigid = surface.assess(
             device,
@@ -729,7 +734,9 @@ mod tests {
                 ..base
             },
         );
-        assert!((rigid.sdc.high_energy.value() / reference.sdc.high_energy.value() - 2.0).abs() < 1e-12);
+        assert!(
+            (rigid.sdc.high_energy.value() / reference.sdc.high_energy.value() - 2.0).abs() < 1e-12
+        );
         assert!(
             (rigid.sdc.thermal.value() / reference.sdc.thermal.value()
                 - 2f64.powf(THERMAL_ALTITUDE_EXPONENT))

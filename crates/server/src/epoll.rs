@@ -678,10 +678,8 @@ fn shard_loop(shard: usize, listener: Option<TcpListener>, shared: &Shared) {
     let mut events = vec![EpollEvent::zeroed(); 256];
     // Sweep idle connections at a fraction of the idle timeout so short
     // test timeouts still expire promptly.
-    let sweep_every = (shared.limits.idle_timeout / 4).clamp(
-        Duration::from_millis(5),
-        Duration::from_millis(250),
-    );
+    let sweep_every = (shared.limits.idle_timeout / 4)
+        .clamp(Duration::from_millis(5), Duration::from_millis(250));
     let wait_ms = sweep_every.as_millis().max(1) as i32;
     let mut last_sweep = Instant::now();
 
@@ -713,7 +711,11 @@ fn shard_loop(shard: usize, listener: Option<TcpListener>, shared: &Shared) {
 
         // Sockets shard 0 dealt to this shard.
         loop {
-            let stream = inbox.injected.lock().expect("inject queue poisoned").pop_front();
+            let stream = inbox
+                .injected
+                .lock()
+                .expect("inject queue poisoned")
+                .pop_front();
             let Some(stream) = stream else { break };
             register_conn(stream, &ep, &mut conns, &mut next_token, shared);
         }

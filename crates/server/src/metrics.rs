@@ -441,7 +441,9 @@ impl Metrics {
             }
         }
         let gauge = |out: &mut String, name: &str, help: &str, kind: &str, v: u64| {
-            out.push_str(&format!("# HELP {name} {help}\n# TYPE {name} {kind}\n{name} {v}\n"));
+            out.push_str(&format!(
+                "# HELP {name} {help}\n# TYPE {name} {kind}\n{name} {v}\n"
+            ));
         };
         gauge(
             &mut out,
@@ -634,7 +636,10 @@ mod tests {
         m.conn_cap_closed();
         let text = m.render();
         assert!(text.contains("tn_conn_idle_closed_total 1"), "{text}");
-        assert!(text.contains("tn_conn_request_cap_closed_total 2"), "{text}");
+        assert!(
+            text.contains("tn_conn_request_cap_closed_total 2"),
+            "{text}"
+        );
     }
 
     #[test]
@@ -645,7 +650,10 @@ mod tests {
         let text = m.render();
         assert!(text.contains("tn_surface_cache_loads_total 1"), "{text}");
         assert!(text.contains("tn_surface_cache_saves_total 1"), "{text}");
-        assert!(text.contains("# TYPE tn_surface_cache_entries gauge"), "{text}");
+        assert!(
+            text.contains("# TYPE tn_surface_cache_entries gauge"),
+            "{text}"
+        );
         assert!(text.contains("tn_surface_cache_entries 3"), "{text}");
     }
 
@@ -658,10 +666,23 @@ mod tests {
         let text = m.render();
         assert!(text.contains("tn_watch_rate 1.25e0"), "{text}");
         assert!(text.contains("tn_watch_baseline 1"), "{text}");
-        assert!(text.contains("tn_watch_alerts_total{kind=\"step_up\"} 1"), "{text}");
-        assert!(text.contains("tn_watch_alerts_total{kind=\"step_down\"} 0"), "{text}");
-        assert!(text.contains("tn_watch_alerts_total{kind=\"drift\"} 0"), "{text}");
-        assert_eq!(text.matches("tn_watch_alerts_total{kind=").count(), 3, "{text}");
+        assert!(
+            text.contains("tn_watch_alerts_total{kind=\"step_up\"} 1"),
+            "{text}"
+        );
+        assert!(
+            text.contains("tn_watch_alerts_total{kind=\"step_down\"} 0"),
+            "{text}"
+        );
+        assert!(
+            text.contains("tn_watch_alerts_total{kind=\"drift\"} 0"),
+            "{text}"
+        );
+        assert_eq!(
+            text.matches("tn_watch_alerts_total{kind=").count(),
+            3,
+            "{text}"
+        );
     }
 
     #[test]
@@ -670,9 +691,19 @@ mod tests {
         m.fleet_results(999, 1);
         m.fleet_results(0, 24);
         let text = m.render();
-        assert!(text.contains("tn_fleet_results_total{path=\"reused\"} 999"), "{text}");
-        assert!(text.contains("tn_fleet_results_total{path=\"rendered\"} 25"), "{text}");
-        assert_eq!(text.matches("tn_fleet_results_total{path=").count(), 2, "{text}");
+        assert!(
+            text.contains("tn_fleet_results_total{path=\"reused\"} 999"),
+            "{text}"
+        );
+        assert!(
+            text.contains("tn_fleet_results_total{path=\"rendered\"} 25"),
+            "{text}"
+        );
+        assert_eq!(
+            text.matches("tn_fleet_results_total{path=").count(),
+            2,
+            "{text}"
+        );
     }
 
     #[test]

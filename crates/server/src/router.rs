@@ -151,7 +151,10 @@ mod tests {
         assert_eq!(endpoint_of("/v1/fit"), Endpoint::Fit);
         assert_eq!(endpoint_of("/v1/fleet"), Endpoint::Fleet);
         assert_eq!(endpoint_of("/v1/fleet/stream"), Endpoint::FleetStream);
-        assert_eq!(endpoint_of("/v1/fleet/stream?seed=3"), Endpoint::FleetStream);
+        assert_eq!(
+            endpoint_of("/v1/fleet/stream?seed=3"),
+            Endpoint::FleetStream
+        );
         assert_eq!(endpoint_of("/v1/timeline"), Endpoint::Timeline);
         assert_eq!(endpoint_of("/v1/timeline?limit=8"), Endpoint::Timeline);
         assert_eq!(endpoint_of("/v1/timeline/stream"), Endpoint::TimelineStream);
@@ -206,9 +209,15 @@ mod tests {
         let decoded: *const _ = inspected.fleet().expect("a valid fleet body");
         assert_eq!(inspected.fleet().unwrap().surface(1).unwrap(), (3, true));
         let moved = inspected.clone();
-        assert!(moved.is_decoded(), "a request moves to a worker with its decode");
+        assert!(
+            moved.is_decoded(),
+            "a request moves to a worker with its decode"
+        );
         let shared = handle(&state, &inspected);
-        assert!(std::ptr::eq(decoded, inspected.fleet().unwrap()), "decoded twice");
+        assert!(
+            std::ptr::eq(decoded, inspected.fleet().unwrap()),
+            "decoded twice"
+        );
         // A fresh request on a fresh state decodes on its own.
         let fresh = handle(&AppState::new(1, 8, 1), &req("POST", "/v1/fleet", body));
         assert_eq!(shared.status, 200, "{}", shared.body_text());
