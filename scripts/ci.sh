@@ -5,12 +5,19 @@
 set -euo pipefail
 cd "$(dirname "$0")/.."
 
+# Format gate for the crates formatted so far (tn-core, tn-fleet,
+# tn-server); the other crates join it once a format-only change has
+# formatted them.
+cargo fmt --check -p tn-core -p tn-fleet -p tn-server
 cargo build --release --offline
 cargo build --offline --examples
 cargo test -q --offline --workspace
-# The JSON float writer's long oracle sweep: ten million random bit
-# patterns against `{:e}`, ignored by default and a few seconds in
-# release.
+# tn-core's two long oracle sweeps, ignored by default and seconds each
+# in release: the JSON float writer's (ten million random bit patterns
+# against `{:e}`) and the one-pass number lexer's
+# (numbers_lex_to_the_bits_str_parse_gives_over_10m_spellings: ten
+# million generated and mutated number spellings, each lexed to the bits
+# `str::parse` gives or to the two-pass reference lexer's error).
 cargo test --release --offline -p tn-core -- --ignored
 # tn-server's three long oracles, ignored by default, 20-60 s together in
 # release (host-dependent): the fleet renderer's (10,000 steps of seeded registry
