@@ -1,33 +1,41 @@
-//! A sharded LRU cache for rendered response bodies.
+//! One memo for everything the server computes once: rendered response
+//! bodies, pipeline studies and risk surfaces.
 //!
-//! Pipeline runs are deterministic in (request, seed), so a response can
-//! be cached forever — the only policy question is capacity. Keys hash
-//! onto independent shards so concurrent workers rarely contend on the
-//! same lock; within a shard, recency is a monotone tick per entry and
-//! eviction scans for the minimum. Shards are small
-//! (capacity/num_shards entries), so the scan is a handful of
-//! comparisons, not a real LRU list.
+//! Pipeline runs are deterministic in (request, seed), so a value can be
+//! kept forever — the only policy question is capacity. A key's slot is
+//! a stored value or a pending call, and [`Memo::get_or_compute`] hits,
+//! leads or follows:
 //!
-//! Keys are bytes (`tn_core::cache_key` writes them). The shard comes
-//! from [`shard_hash`], which reads the key eight bytes per multiply (an
-//! inline fleet key runs to about a kilobyte, and a byte-serial hash of
-//! it cost microseconds per hit) and is the same in every process, so
-//! shard placement is reproducible. A full-avalanche
-//! finaliser spreads every key byte into the low bits that pick the
-//! shard. It is not keyed, so a client could aim many keys at one
-//! shard; that costs only lock sharing. Within a shard the map keeps
-//! std's keyed SipHash, so crafted keys cannot pile into one bucket.
+//! - **Lead.** The first caller for a key inserts a pending slot,
+//!   computes with no lock held, then swaps its value in under the shard
+//!   lock: the value is stored before the key is released.
+//! - **Follow.** A caller that finds the slot pending waits on the call
+//!   and shares the leader's value, which is exactly what it would have
+//!   computed. A body is one `Arc<str>`, so no caller copies it.
+//! - **Purge.** [`Memo::remove_if`] drops pending slots too. A leader
+//!   whose slot is gone hands its value to its followers and stores
+//!   nothing.
+//! - **Unwind.** A leader that unwinds frees its slot and wakes its
+//!   followers, which run the call again (one leads, the rest follow).
+//!   No key stays blocked behind a panic.
 //!
-//! Bodies are stored as `Arc<str>`: a hit hands out another reference
-//! to the rendered bytes, never a copy, and the same allocation goes on
-//! to the socket writer. Callers that know a class of keys can no longer
-//! be requested drop them with [`ShardedCache::remove_if`] instead of
-//! waiting for eviction.
+//! A computation may read another memo, never its own: two calls on one
+//! memo could each wait on the other's key, or one on its own.
+//!
+//! Keys are bytes (`tn_core::cache_key` writes them) and hash onto
+//! independent shards, so concurrent workers rarely share a lock. Within
+//! a shard, recency is a monotone tick per stored value and eviction
+//! scans for the minimum, never evicting a pending slot; shards are
+//! small, so the scan is a handful of comparisons. The shard comes from
+//! [`shard_hash`], which reads the key eight bytes per multiply (an
+//! inline fleet key runs to about a kilobyte) and is the same in every
+//! process, so shard placement is reproducible. It is not keyed, so a
+//! client could aim many keys at one shard; that costs only lock
+//! sharing. Within a shard the map keeps std's keyed SipHash, so crafted
+//! keys cannot pile into one bucket.
 
 use std::collections::HashMap;
-use std::sync::{Arc, Mutex};
-
-const NUM_SHARDS: usize = 8;
+use std::sync::{Arc, Condvar, Mutex, PoisonError};
 
 /// The 64-bit hash that picks a key's shard: the same in every process
 /// (unlike std's `RandomState`), so shard placement is reproducible.
@@ -60,156 +68,285 @@ pub fn shard_hash(bytes: &[u8]) -> u64 {
     hash ^ (hash >> 31)
 }
 
-#[derive(Debug)]
-struct Entry {
-    value: Arc<str>,
-    last_used: u64,
+/// How a [`Memo::get_or_compute`] call came by its value.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum Got {
+    /// The value was stored.
+    Hit,
+    /// This caller computed it.
+    Led,
+    /// This caller waited on another caller's computation.
+    Followed,
 }
 
-#[derive(Debug, Default)]
-struct Shard {
+#[derive(Debug)]
+enum Slot<V> {
+    Ready { value: V, last_used: u64 },
+    Pending(Arc<Call<V>>),
+}
+
+/// A computation in flight: followers wait on the condvar until the
+/// leader leaves `Running`.
+type Call<V> = (Mutex<State<V>>, Condvar);
+
+#[derive(Debug)]
+enum State<V> {
+    Running,
+    Done(V),
+    /// The leader unwound before it had a value.
+    Abandoned,
+}
+
+#[derive(Debug)]
+struct Shard<V> {
     /// Keys are boxed slices: a key keeps no spare capacity.
-    map: HashMap<Box<[u8]>, Entry>,
+    map: HashMap<Box<[u8]>, Slot<V>>,
     tick: u64,
 }
 
-/// The sharded cache.
+/// The memo: a sharded get-or-compute store with LRU eviction.
 #[derive(Debug)]
-pub struct ShardedCache {
-    shards: Vec<Mutex<Shard>>,
+pub struct Memo<V> {
+    shards: Box<[Mutex<Shard<V>>]>,
     capacity_per_shard: usize,
 }
 
-impl ShardedCache {
-    /// Creates a cache holding roughly `capacity` entries total
-    /// (rounded up to a multiple of the shard count; minimum one entry
-    /// per shard).
-    pub fn new(capacity: usize) -> Self {
+impl<V: Clone> Memo<V> {
+    /// Creates a memo of `shards` (at least one) shards holding roughly
+    /// `capacity` values in all (rounded up to a multiple of the shard
+    /// count; at least one per shard).
+    pub fn new(shards: usize, capacity: usize) -> Self {
+        let shard = || {
+            let map = HashMap::new();
+            Mutex::new(Shard { map, tick: 0 })
+        };
         Self {
-            shards: (0..NUM_SHARDS)
-                .map(|_| Mutex::new(Shard::default()))
-                .collect(),
-            capacity_per_shard: capacity.div_ceil(NUM_SHARDS).max(1),
+            shards: std::iter::repeat_with(shard).take(shards).collect(),
+            capacity_per_shard: capacity.div_ceil(shards).max(1),
         }
     }
 
-    fn shard(&self, key: &[u8]) -> &Mutex<Shard> {
-        &self.shards[(shard_hash(key) as usize) % NUM_SHARDS]
+    fn shard(&self, key: &[u8]) -> &Mutex<Shard<V>> {
+        &self.shards[(shard_hash(key) % self.shards.len() as u64) as usize]
     }
 
-    /// Fetches a cached body, refreshing its recency. The body is
-    /// shared with the cache, not copied.
-    pub fn get(&self, key: &[u8]) -> Option<Arc<str>> {
-        let mut shard = self.shard(key).lock().expect("cache shard poisoned");
-        shard.tick += 1;
-        let tick = shard.tick;
-        let entry = shard.map.get_mut(key)?;
-        entry.last_used = tick;
-        Some(Arc::clone(&entry.value))
-    }
-
-    /// Inserts a body, evicting the least-recently-used entry of the
-    /// target shard when it is full.
-    pub fn insert(&self, key: Vec<u8>, value: Arc<str>) {
-        let key = key.into_boxed_slice();
-        let mut shard = self.shard(&key).lock().expect("cache shard poisoned");
-        shard.tick += 1;
-        let tick = shard.tick;
-        if shard.map.len() >= self.capacity_per_shard && !shard.map.contains_key(&key) {
-            if let Some(oldest) = shard
-                .map
-                .iter()
-                .min_by_key(|(_, e)| e.last_used)
-                .map(|(k, _)| k.clone())
-            {
-                shard.map.remove(&oldest);
+    /// The value stored under `key`, computed by `compute` if none is
+    /// (see the module docs), and how this call came by it. A hit
+    /// refreshes the value's recency and shares it, not a copy.
+    pub fn get_or_compute(&self, key: &[u8], compute: impl FnOnce() -> V) -> (V, Got) {
+        let shard = self.shard(key);
+        loop {
+            let mut guard = shard.lock().expect("memo shard poisoned");
+            guard.tick += 1;
+            let tick = guard.tick;
+            let call = match guard.map.get_mut(key) {
+                Some(Slot::Ready { value, last_used }) => {
+                    *last_used = tick;
+                    return (value.clone(), Got::Hit);
+                }
+                Some(Slot::Pending(call)) => Arc::clone(call),
+                None => {
+                    guard.make_room(self.capacity_per_shard);
+                    let call = Arc::new((Mutex::new(State::Running), Condvar::new()));
+                    guard
+                        .map
+                        .insert(key.into(), Slot::Pending(Arc::clone(&call)));
+                    drop(guard);
+                    let mut lead = Lead {
+                        shard,
+                        key,
+                        call,
+                        value: None,
+                    };
+                    let value = compute();
+                    lead.value = Some(value.clone());
+                    return (value, Got::Led);
+                }
+            };
+            drop(guard);
+            let (state, ready) = &*call;
+            let mut state = state.lock().expect("memo call poisoned");
+            while matches!(*state, State::Running) {
+                state = ready.wait(state).expect("memo call poisoned");
+            }
+            if let State::Done(value) = &*state {
+                return (value.clone(), Got::Followed);
             }
         }
-        shard.map.insert(
-            key,
-            Entry {
-                value,
-                last_used: tick,
-            },
-        );
     }
 
-    /// Drops every entry whose key matches `dead`, in one pass over the
-    /// shards.
+    /// Whether a value is stored under `key`. A pending call is not.
+    pub fn contains(&self, key: &[u8]) -> bool {
+        let shard = self.shard(key).lock().expect("memo shard poisoned");
+        matches!(shard.map.get(key), Some(Slot::Ready { .. }))
+    }
+
+    /// Drops every slot whose key matches `dead`, pending ones included,
+    /// in one pass over the shards.
     pub fn remove_if(&self, dead: impl Fn(&[u8]) -> bool) {
-        for shard in &self.shards {
-            let mut shard = shard.lock().expect("cache shard poisoned");
+        for shard in self.shards.iter() {
+            let mut shard = shard.lock().expect("memo shard poisoned");
             shard.map.retain(|key, _| !dead(key));
         }
     }
 
-    /// Number of cached entries across all shards.
+    /// Slots across all shards: stored values and pending calls.
     pub fn len(&self) -> usize {
-        self.shards
-            .iter()
-            .map(|s| s.lock().expect("cache shard poisoned").map.len())
-            .sum()
+        let len = |shard: &Mutex<Shard<V>>| shard.lock().expect("memo shard poisoned").map.len();
+        self.shards.iter().map(len).sum()
     }
 
-    /// True when nothing is cached.
+    /// True when no slot is held.
     pub fn is_empty(&self) -> bool {
         self.len() == 0
+    }
+}
+
+impl<V> Shard<V> {
+    /// Evicts the least recently used stored values until one more slot
+    /// fits. Pending slots are never evicted.
+    fn make_room(&mut self, capacity: usize) {
+        while self.map.len() >= capacity {
+            let ready = self.map.iter().filter_map(|(key, slot)| match slot {
+                Slot::Ready { last_used, .. } => Some((*last_used, key)),
+                Slot::Pending(_) => None,
+            });
+            let Some(oldest) = ready.min().map(|(_, key)| key.clone()) else {
+                return;
+            };
+            self.map.remove(&oldest);
+        }
+    }
+}
+
+/// A leader's hold on its pending slot. Dropping it, after the
+/// computation or while unwinding out of it, stores the value in the
+/// slot if the slot is still this call's, or frees the slot if there is
+/// no value, and then wakes the followers.
+struct Lead<'a, V: Clone> {
+    shard: &'a Mutex<Shard<V>>,
+    key: &'a [u8],
+    call: Arc<Call<V>>,
+    value: Option<V>,
+}
+
+impl<V: Clone> Drop for Lead<'_, V> {
+    fn drop(&mut self) {
+        // A panic elsewhere must not leave this key blocked, so poisoned
+        // locks are taken as they stand.
+        let mut shard = self.shard.lock().unwrap_or_else(PoisonError::into_inner);
+        shard.tick += 1;
+        let last_used = shard.tick;
+        let slot = shard.map.get_mut(self.key);
+        if matches!(&slot, Some(Slot::Pending(call)) if Arc::ptr_eq(call, &self.call)) {
+            match (self.value.clone(), slot) {
+                (Some(value), Some(slot)) => *slot = Slot::Ready { value, last_used },
+                _ => drop(shard.map.remove(self.key)),
+            }
+        }
+        drop(shard);
+        let (state, ready) = &*self.call;
+        let mut state = state.lock().unwrap_or_else(PoisonError::into_inner);
+        *state = self.value.take().map_or(State::Abandoned, State::Done);
+        drop(state);
+        ready.notify_all();
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use std::sync::atomic::{AtomicU64, Ordering};
+    use std::sync::{mpsc, Barrier};
+
+    /// A body memo with the server's eight shards.
+    fn memo(capacity: usize) -> Memo<Arc<str>> {
+        Memo::new(8, capacity)
+    }
+
+    /// Stores `value` under `key` (the key must be new).
+    fn insert(m: &Memo<Arc<str>>, key: &[u8], value: &str) {
+        let (_, got) = m.get_or_compute(key, || value.into());
+        assert_eq!(got, Got::Led, "{key:?} was new");
+    }
+
+    /// The value stored under `key` (the key must be stored).
+    fn hit(m: &Memo<Arc<str>>, key: &[u8]) -> Arc<str> {
+        let (value, got) = m.get_or_compute(key, || unreachable!("{key:?} is stored"));
+        assert_eq!(got, Got::Hit);
+        value
+    }
 
     #[test]
-    fn get_after_insert() {
-        let c = ShardedCache::new(16);
-        assert!(c.get(b"k").is_none());
+    fn a_hit_shares_the_stored_value() {
+        let m = memo(16);
+        assert!(!m.contains(b"k"));
         let body: Arc<str> = "v".into();
-        c.insert(b"k".to_vec(), Arc::clone(&body));
-        let got = c.get(b"k").expect("inserted");
-        assert_eq!(&*got, "v");
-        assert!(Arc::ptr_eq(&got, &body), "a hit shares the inserted body");
-        assert_eq!(c.len(), 1);
+        let (led, got) = m.get_or_compute(b"k", || Arc::clone(&body));
+        assert_eq!(got, Got::Led);
+        assert!(Arc::ptr_eq(&led, &body));
+        assert!(m.contains(b"k"));
+        assert!(
+            Arc::ptr_eq(&hit(&m, b"k"), &body),
+            "a hit shares the stored body"
+        );
+        assert_eq!(m.len(), 1);
     }
 
     #[test]
     fn remove_if_drops_only_matching_keys() {
-        let c = ShardedCache::new(64);
+        let m = memo(64);
         for i in 0..20 {
-            c.insert(format!("key-{i}").into_bytes(), "v".into());
+            insert(&m, format!("key-{i}").as_bytes(), "v");
         }
-        c.remove_if(|k| k.ends_with(b"7"));
-        assert_eq!(c.len(), 18);
-        assert!(c.get(b"key-7").is_none() && c.get(b"key-17").is_none());
-        assert!(c.get(b"key-8").is_some());
+        m.remove_if(|k| k.ends_with(b"7"));
+        assert_eq!(m.len(), 18);
+        assert!(!m.contains(b"key-7") && !m.contains(b"key-17"));
+        assert!(m.contains(b"key-8"));
     }
 
     #[test]
     fn eviction_prefers_the_least_recently_used() {
-        // Capacity 8 → one entry per shard: the second insert into a
-        // shard must evict the first unless it was just touched.
-        let c = ShardedCache::new(8);
-        // Find two keys landing on the same shard.
+        // Capacity 8 → one slot per shard: the second key on a shard
+        // must evict the first unless it was just touched.
+        let m = memo(8);
+        let shard_of = |k: &[u8]| shard_hash(k) % 8;
         let base = b"key-0".to_vec();
-        let shard_of = |k: &[u8]| (shard_hash(k) as usize) % NUM_SHARDS;
         let sibling = (1..1000)
             .map(|i| format!("key-{i}").into_bytes())
             .find(|k| shard_of(k) == shard_of(&base))
             .expect("some key collides in 1000 tries");
-        c.insert(base.clone(), "a".into());
-        c.insert(sibling.clone(), "b".into());
-        assert!(c.get(&base).is_none(), "evicted by the sibling");
-        assert_eq!(c.get(&sibling).as_deref(), Some("b"));
+        insert(&m, &base, "a");
+        insert(&m, &sibling, "b");
+        assert!(!m.contains(&base), "evicted by the sibling");
+        assert_eq!(&*hit(&m, &sibling), "b");
+        // With two slots on one shard, a hit keeps a key over an older
+        // one.
+        let m = Memo::<Arc<str>>::new(1, 2);
+        insert(&m, b"a", "a");
+        insert(&m, b"b", "b");
+        assert_eq!(&*hit(&m, b"a"), "a");
+        insert(&m, b"c", "c");
+        assert!(m.contains(b"a") && !m.contains(b"b") && m.contains(b"c"));
     }
 
     #[test]
-    fn reinsert_updates_in_place() {
-        let c = ShardedCache::new(8);
-        c.insert(b"k".to_vec(), "v1".into());
-        c.insert(b"k".to_vec(), "v2".into());
-        assert_eq!(c.get(b"k").as_deref(), Some("v2"));
-        assert_eq!(c.len(), 1);
+    fn a_pending_slot_is_never_evicted() {
+        // One slot, held by a pending call: another key's lead finds
+        // nothing to evict and adds its slot beside it. (The nested call
+        // cannot wait on `outer`, so reading its own memo is safe here.)
+        let m = Memo::<Arc<str>>::new(1, 1);
+        let (value, got) = m.get_or_compute(b"outer", || {
+            insert(&m, b"inner", "i");
+            assert!(m.contains(b"inner"));
+            "o".into()
+        });
+        assert_eq!((&*value, got), ("o", Got::Led));
+        assert!(m.contains(b"outer") && m.contains(b"inner"));
+        // The next lead evicts the older value, and then the newer.
+        insert(&m, b"third", "t");
+        assert_eq!(m.len(), 1);
+        assert!(m.contains(b"third"));
     }
 
     #[test]
@@ -226,8 +363,9 @@ mod tests {
     fn fleet_keys_spread_over_every_shard() {
         // Inline fleet keys as the handler builds them: one to sixteen
         // entries that differ in a few bits of one number, or in an id.
+        const SHARDS: usize = 8;
         let mut rng = tn_rng::Rng::seed_from_u64(19);
-        let mut counts = [0usize; NUM_SHARDS];
+        let mut counts = [0usize; SHARDS];
         for k in 0..2048 {
             let mut key = b"fleet|inline|".to_vec();
             tn_core::cache_key::push_bits(&mut key, &[2020, u64::from(k % 3 == 0)]);
@@ -240,17 +378,178 @@ mod tests {
                     .push_cache_key(&mut key)
                     .expect("a valid entry");
             }
-            counts[(shard_hash(&key) as usize) % NUM_SHARDS] += 1;
+            counts[(shard_hash(&key) as usize) % SHARDS] += 1;
         }
-        let floor = 2048 / NUM_SHARDS / 2;
+        let floor = 2048 / SHARDS / 2;
         assert!(counts.iter().all(|&n| n >= floor), "{counts:?}");
     }
 
     #[test]
     fn empty_and_len() {
-        let c = ShardedCache::new(4);
-        assert!(c.is_empty());
-        c.insert(b"x".to_vec(), "y".into());
-        assert!(!c.is_empty());
+        let m = memo(4);
+        assert!(m.is_empty());
+        insert(&m, b"x", "y");
+        assert!(!m.is_empty());
+    }
+
+    #[test]
+    fn a_key_is_released_when_its_value_is_stored() {
+        let m = memo(8);
+        assert_eq!(m.get_or_compute(b"k", || "v".into()).1, Got::Led);
+        // The next caller hits the stored value instead of leading again.
+        let (value, got) = m.get_or_compute(b"k", || "v2".into());
+        assert_eq!((&*value, got), ("v", Got::Hit));
+    }
+
+    #[test]
+    fn concurrent_callers_share_one_computation() {
+        const CALLERS: usize = 8;
+        let m = Arc::new(memo(8));
+        let computations = Arc::new(AtomicU64::new(0));
+        let barrier = Arc::new(Barrier::new(CALLERS));
+        let handles: Vec<_> = (0..CALLERS)
+            .map(|_| {
+                let m = Arc::clone(&m);
+                let computations = Arc::clone(&computations);
+                let barrier = Arc::clone(&barrier);
+                std::thread::spawn(move || {
+                    barrier.wait();
+                    m.get_or_compute(b"k", || {
+                        computations.fetch_add(1, Ordering::SeqCst);
+                        // Hold the call open long enough for the other
+                        // callers to pile in.
+                        std::thread::sleep(std::time::Duration::from_millis(50));
+                        "shared".into()
+                    })
+                })
+            })
+            .collect();
+        let results: Vec<(Arc<str>, Got)> =
+            handles.into_iter().map(|h| h.join().unwrap()).collect();
+        // One caller led; the rest followed it or, arriving after it
+        // stored its value, hit. Either way they share its allocation.
+        assert_eq!(computations.load(Ordering::SeqCst), 1);
+        let leaders: Vec<&Arc<str>> = (results.iter())
+            .filter(|(_, got)| *got == Got::Led)
+            .map(|(value, _)| value)
+            .collect();
+        assert_eq!(leaders.len(), 1);
+        for (value, _) in &results {
+            assert_eq!(&**value, "shared");
+            assert!(Arc::ptr_eq(value, leaders[0]), "shared with the leader");
+        }
+    }
+
+    #[test]
+    fn distinct_keys_do_not_coalesce() {
+        let m = memo(8);
+        assert_eq!(m.get_or_compute(b"a", || "1".into()).1, Got::Led);
+        let (value, got) = m.get_or_compute(b"b", || "2".into());
+        assert_eq!((&*value, got), ("2", Got::Led));
+    }
+
+    /// Followers waiting on the call in flight for `key`: the holders of
+    /// its `Arc` beyond the slot and the leader.
+    fn followers(m: &Memo<Arc<str>>, key: &[u8]) -> usize {
+        let shard = m.shard(key).lock().unwrap();
+        match shard.map.get(key) {
+            Some(Slot::Pending(call)) => Arc::strong_count(call) - 2,
+            _ => 0,
+        }
+    }
+
+    #[test]
+    fn a_panicking_leader_wakes_its_followers_and_frees_its_key() {
+        let m = Arc::new(memo(8));
+        let (computing, leader_started) = mpsc::channel();
+        let leader = {
+            let m = Arc::clone(&m);
+            std::thread::spawn(move || {
+                m.get_or_compute(b"k", || {
+                    computing.send(()).unwrap();
+                    // Fail only once the follower holds the call.
+                    while followers(&m, b"k") == 0 {
+                        std::thread::yield_now();
+                    }
+                    panic!("the leader's computation fails");
+                })
+            })
+        };
+        leader_started.recv().unwrap();
+        assert!(!m.contains(b"k"), "a pending call is not a stored value");
+        // Each caller answers on a channel, so a caller left blocked
+        // fails the test after a bounded wait instead of hanging it.
+        let call = |value: &'static str| {
+            let m = Arc::clone(&m);
+            let (sent, result) = mpsc::channel();
+            let thread =
+                std::thread::spawn(move || sent.send(m.get_or_compute(b"k", || value.into())));
+            (thread, result)
+        };
+        let timeout = std::time::Duration::from_secs(10);
+        let (follower, follower_result) = call("retried");
+        assert!(leader.join().is_err(), "the leader unwound");
+        let result = follower_result.recv_timeout(timeout);
+        assert_eq!(result, Ok(("retried".into(), Got::Led)));
+        follower.join().unwrap().unwrap();
+        let (later, later_result) = call("later");
+        let result = later_result.recv_timeout(timeout);
+        assert_eq!(result, Ok(("retried".into(), Got::Hit)));
+        later.join().unwrap().unwrap();
+        assert_eq!(m.len(), 1);
+    }
+
+    #[test]
+    fn a_purged_leader_hands_its_value_on_and_stores_nothing() {
+        let m = memo(8);
+        let (value, got) = m.get_or_compute(b"dead", || {
+            m.remove_if(|k| k == b"dead");
+            "v".into()
+        });
+        assert_eq!((&*value, got), ("v", Got::Led));
+        assert!(!m.contains(b"dead"));
+        assert!(m.is_empty());
+    }
+
+    /// `threads` threads walk the same `keys` keys, each through a
+    /// compute that counts its calls: every key must be computed exactly
+    /// once, however the threads interleave.
+    fn every_key_is_computed_once(threads: usize, keys: u64) {
+        let m = Arc::new(Memo::<Arc<str>>::new(8, 2 * keys as usize));
+        let computations = Arc::new(AtomicU64::new(0));
+        let barrier = Arc::new(Barrier::new(threads));
+        let walkers: Vec<_> = (0..threads)
+            .map(|_| {
+                let (m, computations) = (Arc::clone(&m), Arc::clone(&computations));
+                let barrier = Arc::clone(&barrier);
+                std::thread::spawn(move || {
+                    barrier.wait();
+                    for k in 0..keys {
+                        let key = k.to_le_bytes();
+                        let (value, _) = m.get_or_compute(&key, || {
+                            computations.fetch_add(1, Ordering::Relaxed);
+                            k.to_string().into()
+                        });
+                        assert_eq!(*value, *k.to_string());
+                    }
+                })
+            })
+            .collect();
+        for walker in walkers {
+            walker.join().unwrap();
+        }
+        assert_eq!(computations.load(Ordering::Relaxed), keys);
+        assert_eq!(m.len(), keys as usize);
+    }
+
+    #[test]
+    fn every_key_is_computed_once_over_4_threads_and_20k_keys() {
+        every_key_is_computed_once(4, 20_000);
+    }
+
+    #[test]
+    #[ignore = "long stress: CI runs it in release with --ignored"]
+    fn every_key_is_computed_once_over_8_threads_and_200k_keys() {
+        every_key_is_computed_once(8, 200_000);
     }
 }

@@ -41,13 +41,14 @@
 //! request with the same seed always yields a **byte-identical** JSON
 //! body. That turns caching from a heuristic into an identity: each POST
 //! body is scanned once into its typed request, and responses live in a
-//! sharded LRU keyed by the resolved request's exact bits: a byte key
-//! with the defaults filled in, each string length-prefixed, a fleet
+//! sharded LRU memo keyed by the resolved request's exact bits: a byte
+//! key with the defaults filled in, each string length-prefixed, a fleet
 //! entry's device as its catalog index and each number as the eight
-//! bytes of its `f64` bits (see `tn_core::cache_key`). Concurrent
-//! identical requests coalesce onto a single computation
-//! ([`singleflight`]) instead of stampeding the worker pool, and a
-//! computation that panics frees its key for the next caller.
+//! bytes of its `f64` bits (see `tn_core::cache_key`). The same memo
+//! ([`cache::Memo`]) keeps pipeline studies and risk surfaces. Each key
+//! is computed once: concurrent requests for it wait on that one
+//! computation instead of stampeding the worker pool, and a computation
+//! that panics frees its key for the next caller.
 //!
 //! ## Example
 //!
@@ -72,7 +73,6 @@ pub mod handlers;
 pub mod http;
 pub mod metrics;
 pub mod router;
-pub mod singleflight;
 
 pub use handlers::AppState;
 

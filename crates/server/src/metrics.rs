@@ -318,7 +318,8 @@ impl Metrics {
         self.cache_coalesced.fetch_add(1, Ordering::Relaxed);
     }
 
-    /// Counts a pipeline-study memo hit.
+    /// Counts a pipeline-study memo hit: a stored study, or a wait on
+    /// another request's run of the same study (a coalesced wait).
     pub fn study_hit(&self) {
         self.study_cache_hits.fetch_add(1, Ordering::Relaxed);
     }

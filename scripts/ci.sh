@@ -19,17 +19,20 @@ cargo test -q --offline --workspace
 # million generated and mutated number spellings, each lexed to the bits
 # `str::parse` gives or to the two-pass reference lexer's error).
 cargo test --release --offline -p tn-core -- --ignored
-# tn-server's three long oracles, ignored by default, 20-60 s together in
-# release (host-dependent): the fleet renderer's (10,000 steps of seeded registry
+# tn-server's three long oracles and its memo stress test, ignored by
+# default, 20-60 s together in release (host-dependent): the fleet
+# renderer's (10,000 steps of seeded registry
 # writes, each followed by bulk and stream reads that must equal a fresh
 # state's render from scratch), the inline cache key's
 # (inline_keys_match_fresh_renders_over_10k_steps: 10,000 families of
 # seeded inline bodies, equivalent spellings and near misses, each equal
 # to a fresh render and a cache hit exactly when an equal request came
-# earlier) and the request decoders'
+# earlier), the request decoders'
 # (decoders_match_the_reference_over_100k_mutations, about 8 s: 100,000
 # mutated fleet and upsert bodies, each answered with the status and body
-# the tree-based reference decoding gives).
+# the tree-based reference decoding gives) and the memo's
+# (every_key_is_computed_once_over_8_threads_and_200k_keys: eight threads
+# walk the same 200,000 keys, and each key must be computed exactly once).
 cargo test --release --offline -p tn-server -- --ignored
 cargo clippy --offline --workspace --all-targets -- -D warnings
 # Rustdoc gate: a broken or private intra-doc link (say, to a deleted
